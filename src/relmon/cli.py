@@ -217,7 +217,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     spec = EnumSpec(args.kind, size, base, args.dedup)
     lines = (
         json.dumps(serialize_structure(s), sort_keys=True, separators=(",", ":"))
-        for s in enumerate_structures(spec, threads=args.threads)
+        for s in enumerate_structures(spec)
     )
     if args.out:
         try:
@@ -233,7 +233,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    rep = verify_universal(args.property, args.size, args.seed, args.threads)
+    rep = verify_universal(args.property, args.size, args.seed)
     return _finish(rep, args)
 
 
@@ -354,14 +354,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit one representative per isomorphism class (base-free kinds)",
     )
     sp.add_argument("--base", help="base structure JSON (monad-order, congruence)")
-    sp.add_argument("--threads", type=int, default=1, help="search partitions")
     sp.add_argument("--out", help="write JSON lines here instead of stdout")
 
     sp = add("verify", _cmd_verify, "run a registered law over its enumeration")
     sp.add_argument("--property", required=True, help="law name (see the README table)")
     sp.add_argument("--size", type=int, default=None, help="override the default size bound")
     sp.add_argument("--seed", type=int, default=0, help="seed for randomized sampling")
-    sp.add_argument("--threads", type=int, default=1, help="partition heavy sweeps")
 
     return parser
 

@@ -23,6 +23,7 @@ from .rel import (
     Carrier,
     FinRel,
     bits,
+    class_partition,
     is_partial_order,
     is_preorder,
     is_subcell,
@@ -41,11 +42,11 @@ class RelMonoid:
     def __post_init__(self) -> None:
         n = self.carrier.size
         for y in self.units:
-            if not (isinstance(y, int) and 0 <= y < n):
+            if not (type(y) is int and 0 <= y < n):
                 raise InputError(f"unit index {y!r} out of range for carrier size {n}")
         for triple in self.mult:
             if len(triple) != 3 or not all(
-                isinstance(x, int) and 0 <= x < n for x in triple
+                type(x) is int and 0 <= x < n for x in triple
             ):
                 raise InputError(
                     f"mult triple {triple!r} out of range for carrier size {n}"
@@ -115,10 +116,11 @@ class RelMonoid:
             raise InputError("field 'carrier' must be an integer size")
         units = obj["units"]
         mult = obj["mult"]
-        if not isinstance(units, list):
+        if not isinstance(units, list) or not all(type(y) is int for y in units):
             raise InputError("field 'units' must be a list of indices")
         if not isinstance(mult, list) or not all(
-            isinstance(t, list) and len(t) == 3 for t in mult
+            isinstance(t, list) and len(t) == 3 and all(type(x) is int for x in t)
+            for t in mult
         ):
             raise InputError("field 'mult' must be a list of [a1, a2, a] triples")
         labels = obj.get("labels")
@@ -200,6 +202,36 @@ class MonadCandidate:
 # axiom checking
 
 
+def _assoc_witness(
+    pm: Sequence[int], n: int
+) -> tuple[int, int, int, int, int] | None:
+    """First (a1, a2, a3) ascending whose two bracketings differ, or None.
+
+    pm is a prod_masks table on n elements. The witness carries both outcome
+    masks: (a1, a2, a3, outcomes of (a1*a2)*a3, outcomes of a1*(a2*a3)).
+    """
+    for a1 in range(n):
+        row1 = a1 * n
+        for a2 in range(n):
+            m12 = pm[row1 + a2]
+            for a3 in range(n):
+                lhs = 0
+                w = m12
+                while w:
+                    low = w & -w
+                    lhs |= pm[(low.bit_length() - 1) * n + a3]
+                    w ^= low
+                rhs = 0
+                w = pm[a2 * n + a3]
+                while w:
+                    low = w & -w
+                    rhs |= pm[row1 + (low.bit_length() - 1)]
+                    w ^= low
+                if lhs != rhs:
+                    return a1, a2, a3, lhs, rhs
+    return None
+
+
 def check_monoid_axioms(m: RelMonoid) -> CheckReport:
     """Unit and associativity axioms for a relational monoid.
 
@@ -250,31 +282,17 @@ def check_monoid_axioms(m: RelMonoid) -> CheckReport:
                     (a, y, b),
                     f"unit {lab(y)} multiplies {lab(a)} to {lab(b)} on the left",
                 )
-    for a1 in range(n):
-        for a2 in range(n):
-            left_first = pm[a1 * n + a2]
-            for a3 in range(n):
-                lhs = 0
-                w = left_first
-                while w:
-                    low = w & -w
-                    lhs |= pm[(low.bit_length() - 1) * n + a3]
-                    w ^= low
-                rhs = 0
-                w = pm[a2 * n + a3]
-                while w:
-                    low = w & -w
-                    rhs |= pm[a1 * n + (low.bit_length() - 1)]
-                    w ^= low
-                if lhs != rhs:
-                    z = lowest_bit(lhs ^ rhs)
-                    side = "(a1*a2)*a3" if lhs >> z & 1 else "a1*(a2*a3)"
-                    return CheckReport.failing(
-                        "monoid-axioms",
-                        "associativity",
-                        (a1, a2, a3, z),
-                        f"{m.carrier.render((a1, a2, a3))} reaches {lab(z)} only via {side}",
-                    )
+    bad = _assoc_witness(pm, n)
+    if bad is not None:
+        a1, a2, a3, lhs, rhs = bad
+        z = lowest_bit(lhs ^ rhs)
+        side = "(a1*a2)*a3" if lhs >> z & 1 else "a1*(a2*a3)"
+        return CheckReport.failing(
+            "monoid-axioms",
+            "associativity",
+            (a1, a2, a3, z),
+            f"{m.carrier.render((a1, a2, a3))} reaches {lab(z)} only via {side}",
+        )
     return CheckReport.passing("monoid-axioms")
 
 
@@ -322,7 +340,7 @@ def from_monoid_table(
         if len(row) != n:
             raise InputError(f"table row {a} has length {len(row)}, expected {n}")
         for b, c in enumerate(row):
-            if not (isinstance(c, int) and 0 <= c < n):
+            if not (type(c) is int and 0 <= c < n):
                 raise InputError(f"table cell ({a}, {b}) holds {c!r}, out of range")
             mult.add((a, b, c))
     return RelMonoid.make(n, [unit], mult, labels)
@@ -358,7 +376,7 @@ def from_category(
         if (i, j) not in comp:
             raise InputError(f"composition missing for composable pair ({i}, {j})")
         h = comp[(i, j)]
-        if not (isinstance(h, int) and 0 <= h < narr):
+        if not (type(h) is int and 0 <= h < narr):
             raise InputError(f"composition value {h!r} for pair ({i}, {j}) out of range")
         mult.add((i, j, h))
     units = set()
@@ -480,21 +498,17 @@ def poly_monoid(q: int, d: int) -> RelMonoid:
 # morphisms and adjoints
 
 
-def is_lax_morphism(h: LaxMorphism) -> CheckReport:
-    """Multiplication square and unit triangle for a candidate morphism.
+def _square_witness(
+    src: RelMonoid, rows: Sequence[int], dst: RelMonoid
+) -> tuple[int, int, int, int] | None:
+    """First failure of the lax multiplication square, or None.
 
-    Square: whenever (a1, a2)*a in the source and the relation sends a to b,
-    some pair (b1, b2) in the images of a1, a2 has (b1, b2)*b in the target.
-
-    Triangle (the verdict): every image of a source unit is a target unit.
-    The converse direction, whether every target unit is the image of some
-    source unit, is reported in details as "units_covered" but does not
-    affect the verdict.
+    rows relates src to dst. The square fails at (a1, a2, a, b) when
+    (a1, a2)*a in src and a relates to b, but no b1, b2 related to a1, a2
+    have (b1, b2)*b in dst. Scan order: src triples ascending, then b.
     """
-    src, dst, rel = h.src, h.dst, h.rel
-    n, m = src.n, dst.n
+    m = dst.n
     dpm = dst.prod_masks
-    rows = rel.rows
     for a1, a2, a in src.triples:
         row1 = rows[a1]
         row2 = rows[a2]
@@ -513,19 +527,44 @@ def is_lax_morphism(h: LaxMorphism) -> CheckReport:
                     w2 ^= low2
                 w1 ^= low1
             if not found:
-                return CheckReport.failing(
-                    "lax-morphism",
-                    "square",
-                    (a1, a2, a, b),
-                    f"product {src.carrier.render((a1, a2, a))} maps to "
-                    f"{dst.carrier.label(b)} with no product decomposition above it",
-                )
-    preserved_wit = None
+                return a1, a2, a, b
+    return None
+
+
+def _stray_unit_image(
+    src: RelMonoid, rows: Sequence[int], dst: RelMonoid
+) -> tuple[int, int] | None:
+    """First (y, b) with y a src unit related to a non-unit b of dst, or None."""
     for y in src.unit_list:
         stray = rows[y] & ~dst.units_mask
         if stray:
-            preserved_wit = (y, lowest_bit(stray))
-            break
+            return y, lowest_bit(stray)
+    return None
+
+
+def is_lax_morphism(h: LaxMorphism) -> CheckReport:
+    """Multiplication square and unit triangle for a candidate morphism.
+
+    Square: whenever (a1, a2)*a in the source and the relation sends a to b,
+    some pair (b1, b2) in the images of a1, a2 has (b1, b2)*b in the target.
+
+    Triangle (the verdict): every image of a source unit is a target unit.
+    The converse direction, whether every target unit is the image of some
+    source unit, is reported in details as "units_covered" but does not
+    affect the verdict.
+    """
+    src, dst, rows = h.src, h.dst, h.rel.rows
+    square = _square_witness(src, rows, dst)
+    if square is not None:
+        a1, a2, a, b = square
+        return CheckReport.failing(
+            "lax-morphism",
+            "square",
+            square,
+            f"product {src.carrier.render((a1, a2, a))} maps to "
+            f"{dst.carrier.label(b)} with no product decomposition above it",
+        )
+    preserved_wit = _stray_unit_image(src, rows, dst)
     reached = 0
     for y in src.unit_list:
         reached |= rows[y]
@@ -633,44 +672,26 @@ def _monad_conditions(base: RelMonoid, order: FinRel) -> CheckReport:
     if not rep.ok:
         return CheckReport.failing("monad", rep.failed, rep.witness, rep.message)
     rows = order.rows
-    pm = base.prod_masks
-    n = base.n
-    for a1, a2, a in base.triples:
-        up1 = rows[a1]
-        up2 = rows[a2]
-        for ap in bits(rows[a]):
-            found = False
-            w1 = up1
-            while w1 and not found:
-                low1 = w1 & -w1
-                b1 = low1.bit_length() - 1
-                w2 = up2
-                while w2:
-                    low2 = w2 & -w2
-                    if pm[b1 * n + (low2.bit_length() - 1)] >> ap & 1:
-                        found = True
-                        break
-                    w2 ^= low2
-                w1 ^= low1
-            if not found:
-                return CheckReport.failing(
-                    "monad",
-                    "square",
-                    (a1, a2, a, ap),
-                    f"product {base.carrier.render((a1, a2, a))} does not "
-                    f"propagate up to {base.carrier.label(ap)}",
-                )
-    for y in base.unit_list:
-        stray = rows[y] & ~base.units_mask
-        if stray:
-            x = lowest_bit(stray)
-            return CheckReport.failing(
-                "monad",
-                "unit",
-                (y, x),
-                f"non-unit {base.carrier.label(x)} lies above unit "
-                f"{base.carrier.label(y)}",
-            )
+    square = _square_witness(base, rows, base)
+    if square is not None:
+        a1, a2, a, ap = square
+        return CheckReport.failing(
+            "monad",
+            "square",
+            square,
+            f"product {base.carrier.render((a1, a2, a))} does not "
+            f"propagate up to {base.carrier.label(ap)}",
+        )
+    stray = _stray_unit_image(base, rows, base)
+    if stray is not None:
+        y, x = stray
+        return CheckReport.failing(
+            "monad",
+            "unit",
+            stray,
+            f"non-unit {base.carrier.label(x)} lies above unit "
+            f"{base.carrier.label(y)}",
+        )
     return CheckReport.passing("monad")
 
 
@@ -777,23 +798,13 @@ def quotient_relmonoid(
         raise PreconditionError(
             f"quotient needs a symmetric monad order: {rep.summary()}"
         )
-    seen: dict[int, int] = {}
-    classes: list[int] = []
-    cls_of = [0] * m.n
-    for a in range(m.n):
-        row = equiv.rows[a]
-        if row not in seen:
-            seen[row] = len(classes)
-            classes.append(row)
-        cls_of[a] = seen[row]
-    k = len(classes)
+    cls_of, reps = class_partition(equiv)
+    k = len(reps)
     mult = {(cls_of[a1], cls_of[a2], cls_of[a]) for a1, a2, a in m.mult}
     units = {cls_of[y] for y in m.unit_list}
     labels = None
     if m.carrier.labels is not None:
-        labels = tuple(
-            "[" + m.carrier.label(lowest_bit(classes[i])) + "]" for i in range(k)
-        )
+        labels = tuple(f"[{m.carrier.label(r)}]" for r in reps)
     quot = RelMonoid.make(k, units, mult, labels)
     rel = FinRel(m.carrier, quot.carrier, tuple(1 << cls_of[a] for a in range(m.n)))
     return quot, LaxMorphism(m, quot, rel)

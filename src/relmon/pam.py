@@ -29,7 +29,15 @@ from .monoid import (
     is_left_adjoint_relmon,
     is_monad,
 )
-from .rel import Carrier, FinRel, bits, is_equivalence, is_partial_order, lowest_bit
+from .rel import (
+    Carrier,
+    FinRel,
+    bits,
+    class_partition,
+    is_equivalence,
+    is_partial_order,
+    lowest_bit,
+)
 from .report import CheckReport, InputError, InternalCheckError, PreconditionError
 
 
@@ -41,14 +49,14 @@ class PartialAbelianMonoid:
 
     def __post_init__(self) -> None:
         n = self.carrier.size
-        if not (isinstance(self.zero, int) and 0 <= self.zero < n):
+        if not (type(self.zero) is int and 0 <= self.zero < n):
             raise InputError(f"zero index {self.zero!r} out of range for size {n}")
         if len(self.plus) != n * n:
             raise InputError(
                 f"addition table has {len(self.plus)} cells, expected {n * n}"
             )
         for i, c in enumerate(self.plus):
-            if not (isinstance(c, int) and -1 <= c < n):
+            if not (type(c) is int and -1 <= c < n):
                 raise InputError(
                     f"table cell ({i // n}, {i % n}) holds {c!r}, out of range"
                 )
@@ -84,7 +92,7 @@ class PartialAbelianMonoid:
             if len(cell) != 3:
                 raise InputError(f"addition cell {list(cell)!r} is not a triple")
             a, b, c = cell
-            if not all(isinstance(x, int) and 0 <= x < size for x in (a, b, c)):
+            if not all(type(x) is int and 0 <= x < size for x in (a, b, c)):
                 raise InputError(f"addition cell ({a}, {b}, {c}) out of range")
             prev = table[a * size + b]
             if prev >= 0 and prev != c:
@@ -444,20 +452,6 @@ def check_congruence(c: CongruenceCandidate) -> CheckReport:
     return CheckReport.passing("congruence")
 
 
-def _class_partition(sim: FinRel) -> tuple[list[int], list[int]]:
-    """Class index per element, classes ordered by least member."""
-    seen: dict[int, int] = {}
-    cls_of = []
-    reps: list[int] = []
-    for a in range(sim.dom.size):
-        row = sim.rows[a]
-        if row not in seen:
-            seen[row] = len(reps)
-            reps.append(a)
-        cls_of.append(seen[row])
-    return cls_of, reps
-
-
 def quotient_pam(c: CongruenceCandidate) -> PartialAbelianMonoid:
     """Quotient by a valid congruence; classes indexed by least member.
 
@@ -469,7 +463,7 @@ def quotient_pam(c: CongruenceCandidate) -> PartialAbelianMonoid:
     if not rep.ok:
         raise PreconditionError(f"not a congruence: {rep.summary()}")
     p, sim = c.base, c.classes
-    cls_of, reps = _class_partition(sim)
+    cls_of, reps = class_partition(sim)
     k = len(reps)
     table = [-1] * (k * k)
     for a in range(p.n):
@@ -503,7 +497,7 @@ def quotient_map_is_left_adjoint(c: CongruenceCandidate) -> CheckReport:
         raise PreconditionError(f"not a congruence: {rep.summary()}")
     p, sim = c.base, c.classes
     quot = quotient_pam(c)
-    cls_of, _ = _class_partition(sim)
+    cls_of, _ = class_partition(sim)
     rel = FinRel(p.carrier, quot.carrier, tuple(1 << cls_of[a] for a in range(p.n)))
     h = LaxMorphism(to_relmonoid(p), to_relmonoid(quot), rel)
     zero_stray = sim.rows[p.zero] & ~(1 << p.zero)
@@ -563,7 +557,7 @@ class OmlStructure:
                 f"orthocomplement lists {len(self.ortho)} values for {n} elements"
             )
         for a, c in enumerate(self.ortho):
-            if not (isinstance(c, int) and 0 <= c < n):
+            if not (type(c) is int and 0 <= c < n):
                 raise InputError(f"orthocomplement of {a} is {c!r}, out of range")
 
     def orthogonal(self, a: int, b: int) -> bool:

@@ -86,7 +86,7 @@ class FinRel:
             if len(pair) != 2:
                 raise InputError(f"relation pair {list(pair)!r} is not a 2-element list")
             a, b = pair
-            if not (isinstance(a, int) and isinstance(b, int)):
+            if not (type(a) is int and type(b) is int):
                 raise InputError(f"relation pair {list(pair)!r} must hold integers")
             if not (0 <= a < dom.size and 0 <= b < cod.size):
                 raise InputError(f"relation pair ({a}, {b}) out of range")
@@ -288,6 +288,22 @@ def kernel(f: FinRel) -> FinRel:
             f"kernel requires a mapping; element {bad} has {f.rows[bad].bit_count()} images"
         )
     return f.compose(f.dagger())
+
+
+def class_partition(sim: FinRel) -> tuple[list[int], list[int]]:
+    """Class index per element and least member per class of an equivalence.
+
+    Classes are indexed in order of their least members.
+    """
+    seen: dict[int, int] = {}
+    cls_of = []
+    reps: list[int] = []
+    for a, row in enumerate(sim.rows):
+        if row not in seen:
+            seen[row] = len(reps)
+            reps.append(a)
+        cls_of.append(seen[row])
+    return cls_of, reps
 
 
 def refl_trans_closure(f: FinRel) -> FinRel:

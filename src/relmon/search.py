@@ -8,19 +8,18 @@ isomorphism rejection (dedup) keeps the lexicographically least labeling of
 each class.
 
 verify_universal runs a named law over the relevant enumeration and reports
-the first counterexample with a full serialization. The heavy sweeps accept a
-thread count; partitions are merged in input order so the reported witness
-does not depend on threading.
+the first counterexample, in enumeration order, with a full serialization.
+Most laws are exhaustive; compose-associativity, dagger-laws and
+product-functorial also draw random relations from the seeded generator.
 """
 
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .lattice import (
     FinLattice,
@@ -35,6 +34,7 @@ from .monoid import (
     LaxMorphism,
     MonadCandidate,
     RelMonoid,
+    _assoc_witness,
     _monad_conditions,
     check_monoid_axioms,
     check_reflection_universal,
@@ -166,29 +166,6 @@ def _perms_fixing_zero(n: int) -> tuple[tuple[int, ...], ...]:
 # relational monoids
 
 
-def _assoc_ok(pm: Sequence[int], n: int) -> bool:
-    for a1 in range(n):
-        row1 = a1 * n
-        for a2 in range(n):
-            m12 = pm[row1 + a2]
-            for a3 in range(n):
-                lhs = 0
-                w = m12
-                while w:
-                    low = w & -w
-                    lhs |= pm[(low.bit_length() - 1) * n + a3]
-                    w ^= low
-                rhs = 0
-                w = pm[a2 * n + a3]
-                while w:
-                    low = w & -w
-                    rhs |= pm[row1 + (low.bit_length() - 1)]
-                    w ^= low
-                if lhs != rhs:
-                    return False
-    return True
-
-
 def _nonempty_submasks(mask: int) -> list[int]:
     subs = []
     s = mask
@@ -280,7 +257,7 @@ def _gen_relmonoids(n: int, dedup: bool) -> list[RelMonoid]:
                     pm[y * n + a] = 1 << a
             for i, (a, b) in enumerate(free_cells):
                 pm[a * n + b] = choice[ns + nt + i]
-            if _assoc_ok(pm, n):
+            if _assoc_witness(pm, n) is None:
                 out.append(_monoid_from_pm(n, units_mask, pm))
     if dedup:
         out = _dedup_min(out, _relmonoid_key, _relmonoid_orbit)
@@ -631,14 +608,13 @@ def _gen_categories(narr: int) -> list[tuple[int, tuple, dict]]:
 # public enumeration
 
 
-def enumerate_structures(spec: EnumSpec, threads: int = 1) -> Iterator[object]:
+def enumerate_structures(spec: EnumSpec) -> Iterator[object]:
     """Every structure of the requested kind and size, valid, deterministic.
 
     With dedup on, base-free kinds emit one representative per isomorphism
     class (the least labeling); based kinds (monad-order, congruence) are
     labeled by nature and ignore the flag.
     """
-    del threads  # partitioning hooks exist per property; generation is ordered
     if spec.kind == "relmonoid":
         return iter(_relmonoids(spec.size, spec.dedup))
     if spec.kind == "lattice":
@@ -660,14 +636,6 @@ def serialize_structure(obj: object) -> dict:
 # the law registry
 
 
-def _pmap(fn: Callable, items: Iterable, threads: int) -> list:
-    items = list(items)
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
-
-
 def _fail(key: str, message: str, **details) -> CheckReport:
     return CheckReport.failing(f"verify:{key}", "law", None, message, **details)
 
@@ -680,7 +648,7 @@ def _all_rels(na: int, nb: int) -> Iterator[tuple[int, ...]]:
     return product(range(1 << nb), repeat=na)
 
 
-def _law_left_adjoint_iff_map(size: int, rng: random.Random, threads: int) -> CheckReport:
+def _law_left_adjoint_iff_map(size: int, rng: random.Random) -> CheckReport:
     checked = 0
     for na in range(size + 1):
         for nb in range(size + 1):
@@ -706,7 +674,7 @@ def _law_left_adjoint_iff_map(size: int, rng: random.Random, threads: int) -> Ch
     return _pass("left-adjoint-iff-map", pairs_checked=checked)
 
 
-def _law_monads_are_preorders(size: int, rng: random.Random, threads: int) -> CheckReport:
+def _law_monads_are_preorders(size: int, rng: random.Random) -> CheckReport:
     checked = 0
     for n in range(size + 1):
         carrier = Carrier(n)
@@ -749,7 +717,7 @@ def _random_rel(rng: random.Random, na: int, nb: int) -> FinRel:
     )
 
 
-def _law_compose_associativity(size: int, rng: random.Random, threads: int) -> CheckReport:
+def _law_compose_associativity(size: int, rng: random.Random) -> CheckReport:
     checked = 0
     small = min(size, 2)
     for na, nb, nc, nd in product(range(small + 1), repeat=4):
@@ -783,7 +751,7 @@ def _law_compose_associativity(size: int, rng: random.Random, threads: int) -> C
     return _pass("compose-associativity", triples_checked=checked)
 
 
-def _law_dagger_laws(size: int, rng: random.Random, threads: int) -> CheckReport:
+def _law_dagger_laws(size: int, rng: random.Random) -> CheckReport:
     checked = 0
     small = min(size, 2)
     for na, nb, nc in product(range(small + 1), repeat=3):
@@ -815,7 +783,7 @@ def _law_dagger_laws(size: int, rng: random.Random, threads: int) -> CheckReport
     return _pass("dagger-laws", pairs_checked=checked)
 
 
-def _law_closure_least_preorder(size: int, rng: random.Random, threads: int) -> CheckReport:
+def _law_closure_least_preorder(size: int, rng: random.Random) -> CheckReport:
     for n in range(size + 1):
         carrier = Carrier(n)
         pres = _preorders(n)
@@ -840,7 +808,7 @@ def _law_closure_least_preorder(size: int, rng: random.Random, threads: int) -> 
     return _pass("closure-least-preorder")
 
 
-def _law_kernel_equivalence(size: int, rng: random.Random, threads: int) -> CheckReport:
+def _law_kernel_equivalence(size: int, rng: random.Random) -> CheckReport:
     for na in range(size + 1):
         for nb in range(1, size + 1):
             ca, cb = Carrier(na), Carrier(nb)
@@ -855,7 +823,7 @@ def _law_kernel_equivalence(size: int, rng: random.Random, threads: int) -> Chec
     return _pass("kernel-equivalence")
 
 
-def _law_product_functorial(size: int, rng: random.Random, threads: int) -> CheckReport:
+def _law_product_functorial(size: int, rng: random.Random) -> CheckReport:
     checked = 0
     small = min(size, 2)
 
@@ -893,7 +861,7 @@ def _law_product_functorial(size: int, rng: random.Random, threads: int) -> Chec
     return _pass("product-functorial", quadruples_checked=checked)
 
 
-def _law_unit_uniqueness(size: int, rng: random.Random, threads: int) -> CheckReport:
+def _law_unit_uniqueness(size: int, rng: random.Random) -> CheckReport:
     count = 0
     for n in range(size + 1):
         for m in _relmonoids(n, False):
@@ -904,7 +872,7 @@ def _law_unit_uniqueness(size: int, rng: random.Random, threads: int) -> CheckRe
     return _pass("unit-uniqueness", monoids_checked=count)
 
 
-def _law_adjoint_transpose_lax(size: int, rng: random.Random, threads: int) -> CheckReport:
+def _law_adjoint_transpose_lax(size: int, rng: random.Random) -> CheckReport:
     for ns in range(size + 1):
         for nd in range(size + 1):
             for src in _relmonoids(ns, True):
@@ -936,7 +904,7 @@ def _lax_rels(src: RelMonoid, dst: RelMonoid) -> list[FinRel]:
     ]
 
 
-def _law_morphism_closure_ops(size: int, rng: random.Random, threads: int) -> CheckReport:
+def _law_morphism_closure_ops(size: int, rng: random.Random) -> CheckReport:
     monoids = [m for n in range(size + 1) for m in _relmonoids(n, True)]
     lax = {
         (i, j): _lax_rels(src, dst)
@@ -970,7 +938,7 @@ def _law_morphism_closure_ops(size: int, rng: random.Random, threads: int) -> Ch
     return _pass("morphism-closure-ops")
 
 
-def _law_category_axioms(size: int, rng: random.Random, threads: int) -> CheckReport:
+def _law_category_axioms(size: int, rng: random.Random) -> CheckReport:
     count = 0
     for narr in range(size + 1):
         for nobj, arrows, comp in _gen_categories(narr):
@@ -994,7 +962,7 @@ def _lax_endos(m: RelMonoid) -> list[FinRel]:
     ]
 
 
-def _law_reflection_least(size: int, rng: random.Random, threads: int) -> CheckReport:
+def _law_reflection_least(size: int, rng: random.Random) -> CheckReport:
     for n in range(size + 1):
         for m in _relmonoids(n, True):
             orders = [c.order for c in _gen_monad_orders(m)]
@@ -1016,7 +984,7 @@ def _law_reflection_least(size: int, rng: random.Random, threads: int) -> CheckR
     return _pass("reflection-least")
 
 
-def _law_reflection_universal(size: int, rng: random.Random, threads: int) -> CheckReport:
+def _law_reflection_universal(size: int, rng: random.Random) -> CheckReport:
     monoids = [m for n in range(size + 1) for m in _relmonoids(n, True)]
     for m in monoids:
         endos = _lax_endos(m)
@@ -1042,7 +1010,7 @@ def _law_reflection_universal(size: int, rng: random.Random, threads: int) -> Ch
     return _pass("reflection-universal")
 
 
-def _law_adjunction_monads_symmetric(size: int, rng: random.Random, threads: int) -> CheckReport:
+def _law_adjunction_monads_symmetric(size: int, rng: random.Random) -> CheckReport:
     for n in range(size + 1):
         for m in _relmonoids(n, True):
             for rows in _equivalence_rows(n):
@@ -1077,10 +1045,10 @@ def _lattice_pool(size: int) -> list[FinLattice]:
     return [lat for n in range(1, size + 1) for lat in _lattices(n, True)]
 
 
-def _law_qa_monad_iff_modular(size: int, rng: random.Random, threads: int) -> CheckReport:
+def _law_qa_monad_iff_modular(size: int, rng: random.Random) -> CheckReport:
     lats = _lattice_pool(size)
-    reports = _pmap(check_qa_monad_iff_modular, lats, threads)
-    for lat, rep in zip(lats, reports):
+    for lat in lats:
+        rep = check_qa_monad_iff_modular(lat)
         if not rep.ok:
             return _fail(
                 "qa-monad-iff-modular",
@@ -1090,14 +1058,10 @@ def _law_qa_monad_iff_modular(size: int, rng: random.Random, threads: int) -> Ch
     return _pass("qa-monad-iff-modular", lattices_checked=len(lats))
 
 
-def _law_star_star_iff_modular(size: int, rng: random.Random, threads: int) -> CheckReport:
+def _law_star_star_iff_modular(size: int, rng: random.Random) -> CheckReport:
     lats = _lattice_pool(size)
-
-    def agree(lat: FinLattice) -> bool:
-        return check_star_star(lat).ok == is_modular(lat).ok
-
-    for lat, ok in zip(lats, _pmap(agree, lats, threads)):
-        if not ok:
+    for lat in lats:
+        if check_star_star(lat).ok != is_modular(lat).ok:
             return _fail(
                 "star-star-iff-modular",
                 "perspectivity decomposition disagrees with modularity",
@@ -1106,7 +1070,7 @@ def _law_star_star_iff_modular(size: int, rng: random.Random, threads: int) -> C
     return _pass("star-star-iff-modular", lattices_checked=len(lats))
 
 
-def _law_trivial_quotient_arrow(size: int, rng: random.Random, threads: int) -> CheckReport:
+def _law_trivial_quotient_arrow(size: int, rng: random.Random) -> CheckReport:
     from .monoid import quotient_pairs
 
     for lat in _lattice_pool(size):
@@ -1142,7 +1106,7 @@ def _lattice_homs(src: FinLattice, dst: FinLattice) -> list[FinRel]:
     return out
 
 
-def _law_q_functorial(size: int, rng: random.Random, threads: int) -> CheckReport:
+def _law_q_functorial(size: int, rng: random.Random) -> CheckReport:
     from .monoid import quotient_pairs
 
     lats = _lattice_pool(size)
@@ -1187,21 +1151,17 @@ def _law_q_functorial(size: int, rng: random.Random, threads: int) -> CheckRepor
     return _pass("q-functorial")
 
 
-def _law_rdp_iff_monad(size: int, rng: random.Random, threads: int) -> CheckReport:
+def _law_rdp_iff_monad(size: int, rng: random.Random) -> CheckReport:
     geas = [
         p
         for n in range(1, size + 1)
         for p in _pams(n, True)
         if is_gea(p).ok
     ]
-
-    def check(p: PartialAbelianMonoid) -> bool:
+    for p in geas:
         rdp = has_rdp(p)  # raises InternalCheckError on disagreement
         monad = is_monad(MonadCandidate(to_relmonoid(p), canonical_order(p).dagger()))
-        return rdp.ok == monad.ok
-
-    for p, ok in zip(geas, _pmap(check, geas, threads)):
-        if not ok:
+        if rdp.ok != monad.ok:
             return _fail(
                 "rdp-iff-monad",
                 "decomposition property disagrees with the monad check",
@@ -1210,26 +1170,20 @@ def _law_rdp_iff_monad(size: int, rng: random.Random, threads: int) -> CheckRepo
     return _pass("rdp-iff-monad", geas_checked=len(geas))
 
 
-def _law_quotient_pam_valid(size: int, rng: random.Random, threads: int) -> CheckReport:
+def _law_quotient_pam_valid(size: int, rng: random.Random) -> CheckReport:
     pams = [p for n in range(1, size + 1) for p in _pams(n, True)]
-
-    def check(p: PartialAbelianMonoid) -> CongruenceCandidate | None:
+    for p in pams:
         for cand in _gen_congruences(p):
             if not check_pam_axioms(quotient_pam(cand)).ok:
-                return cand
-        return None
-
-    for p, bad in zip(pams, _pmap(check, pams, threads)):
-        if bad is not None:
-            return _fail(
-                "quotient-pam-valid",
-                "quotient by a valid congruence fails the axioms",
-                congruence=bad.to_json(),
-            )
+                return _fail(
+                    "quotient-pam-valid",
+                    "quotient by a valid congruence fails the axioms",
+                    congruence=cand.to_json(),
+                )
     return _pass("quotient-pam-valid", pams_checked=len(pams))
 
 
-def _law_adjoint_induces_congruence(size: int, rng: random.Random, threads: int) -> CheckReport:
+def _law_adjoint_induces_congruence(size: int, rng: random.Random) -> CheckReport:
     pams = [p for n in range(1, size + 1) for p in _pams(n, True)]
     adjoints = 0
     for psrc in pams:
@@ -1261,25 +1215,19 @@ def _law_adjoint_induces_congruence(size: int, rng: random.Random, threads: int)
     return _pass("adjoint-induces-congruence", adjoints_checked=adjoints)
 
 
-def _law_faithful_congruence_adjoint(size: int, rng: random.Random, threads: int) -> CheckReport:
+def _law_faithful_congruence_adjoint(size: int, rng: random.Random) -> CheckReport:
     pams = [p for n in range(1, size + 1) for p in _pams(n, True)]
-
-    def check(p: PartialAbelianMonoid) -> CongruenceCandidate | None:
+    for p in pams:
         for cand in _gen_congruences(p):
             if cand.classes.rows[p.zero] != 1 << p.zero:
                 continue
             rep = quotient_map_is_left_adjoint(cand)
             if not rep.ok or not rep.details.get("induced_equals_classes"):
-                return cand
-        return None
-
-    for p, bad in zip(pams, _pmap(check, pams, threads)):
-        if bad is not None:
-            return _fail(
-                "faithful-congruence-adjoint",
-                "a zero-faithful congruence fails to give a left-adjoint quotient map",
-                congruence=bad.to_json(),
-            )
+                return _fail(
+                    "faithful-congruence-adjoint",
+                    "a zero-faithful congruence fails to give a left-adjoint quotient map",
+                    congruence=cand.to_json(),
+                )
     return _pass("faithful-congruence-adjoint", pams_checked=len(pams))
 
 
@@ -1321,7 +1269,7 @@ def _orthocomplementations(lat: FinLattice) -> list[tuple[int, ...]]:
     return out
 
 
-def _law_oml_effect_algebra(size: int, rng: random.Random, threads: int) -> CheckReport:
+def _law_oml_effect_algebra(size: int, rng: random.Random) -> CheckReport:
     count = 0
     for lat in _lattice_pool(size):
         for ortho in _orthocomplementations(lat):
@@ -1350,7 +1298,7 @@ def _law_oml_effect_algebra(size: int, rng: random.Random, threads: int) -> Chec
     return _pass("oml-effect-algebra", structures_checked=count)
 
 
-def _law_dimeq_b_matches_square(size: int, rng: random.Random, threads: int) -> CheckReport:
+def _law_dimeq_b_matches_square(size: int, rng: random.Random) -> CheckReport:
     from .catalog import boolean_oml
 
     for k in range(1, min(size, 3) + 1):
@@ -1391,7 +1339,7 @@ def _naive_pams(n: int) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-def _law_enumeration_complete(size: int, rng: random.Random, threads: int) -> CheckReport:
+def _law_enumeration_complete(size: int, rng: random.Random) -> CheckReport:
     bound = min(size, 2)
     for n in range(bound + 1):
         fast = sorted(
@@ -1471,7 +1419,7 @@ def _law_enumeration_complete(size: int, rng: random.Random, threads: int) -> Ch
     return _pass("enumeration-complete")
 
 
-def _law_enumeration_deterministic(size: int, rng: random.Random, threads: int) -> CheckReport:
+def _law_enumeration_deterministic(size: int, rng: random.Random) -> CheckReport:
     bound = min(size, 3)
     for n in range(bound + 1):
         first = [(m.units_mask, m.triples) for m in _gen_relmonoids(n, True)]
@@ -1501,7 +1449,7 @@ def _law_enumeration_deterministic(size: int, rng: random.Random, threads: int) 
 
 @dataclass(frozen=True)
 class _Law:
-    fn: Callable[[int, random.Random, int], CheckReport]
+    fn: Callable[[int, random.Random], CheckReport]
     default_size: int
     max_size: int
     doc: str
@@ -1619,9 +1567,7 @@ def property_keys() -> list[str]:
     return sorted(PROPERTIES)
 
 
-def verify_universal(
-    key: str, size: int | None = None, seed: int = 0, threads: int = 1
-) -> CheckReport:
+def verify_universal(key: str, size: int | None = None, seed: int = 0) -> CheckReport:
     """Run a registered law over its enumeration; first counterexample wins."""
     if key not in PROPERTIES:
         raise InputError(
@@ -1637,4 +1583,4 @@ def verify_universal(
             f"size {size} exceeds the safety bound {law.max_size} for {key!r}"
         )
     rng = random.Random(seed)
-    return law.fn(size, rng, threads)
+    return law.fn(size, rng)

@@ -84,6 +84,26 @@ def monad_ok(n, units, triples, leq):
     return all(x in units for y in units for x in range(n) if (y, x) in leq)
 
 
+def lax_ok(src, dst, rel):
+    """Square and triangle of a lax morphism, quantified directly.
+
+    src and dst are (n, units, triples); rel is a set of pairs from the
+    source carrier to the target carrier.
+    """
+    (_, src_units, src_mult), (nd, dst_units, dst_mult) = src, dst
+    for a1, a2, a in src_mult:
+        for b in range(nd):
+            if (a, b) in rel:
+                lifted = any(
+                    (a1, b1) in rel and (a2, b2) in rel and (b1, b2, b) in dst_mult
+                    for b1 in range(nd)
+                    for b2 in range(nd)
+                )
+                if not lifted:
+                    return False
+    return all(b in dst_units for y in src_units for b in range(nd) if (y, b) in rel)
+
+
 def pam_ok(n, zero, cells):
     """P1, P2, P3 on a dict (a, b) -> c of the defined cells."""
     for a in range(n):

@@ -1,5 +1,6 @@
 """Command-line front end: verdicts, exit codes, constructions, diagnostics."""
 
+import argparse
 import json
 import os
 import re
@@ -12,7 +13,7 @@ import pytest
 
 import relmon
 from relmon import catalog
-from relmon.cli import main
+from relmon.cli import build_parser, main
 from relmon.lattice import FinLattice
 from relmon.monoid import MonadCandidate
 from relmon.pam import PartialAbelianMonoid
@@ -278,6 +279,47 @@ def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "--property", "unit-uniqueness"],
+    ["enumerate", "--kind", "lattice", "--size", "2"],
+])
+def test_threads_option_is_a_usage_error(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--threads", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+
+# -- docs ---------------------------------------------------------------------------
+
+
+def readme_subcommand_rows():
+    """(subcommand, flags) for each row of the README's subcommand table."""
+    rows = []
+    in_table = False
+    for line in (ROOT / "README.md").read_text().splitlines():
+        if line.startswith("| Subcommand |"):
+            in_table = True
+        elif in_table and line.startswith("| `"):
+            usage = line.split("`")[1]
+            rows.append((usage.split()[0], re.findall(r"--[a-z][a-z-]*", usage)))
+        elif in_table and not line.startswith("|"):
+            break
+    return rows
+
+
+def test_readme_subcommand_table_matches_parser():
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    rows = readme_subcommand_rows()
+    assert sorted(name for name, _ in rows) == sorted(subparsers)
+    for name, flags in rows:
+        accepted = subparsers[name]._option_string_actions
+        for flag in flags:
+            assert flag in accepted, f"README lists {flag} for {name}"
 
 
 # -- installed entry point --------------------------------------------------------------

@@ -1,0 +1,132 @@
+"""JSON loaders reject booleans where an element index is expected.
+
+JSON true and false are Python bools, and bool is a subclass of int, so an
+isinstance check alone would load [[true, false]] as the pair (1, 0).
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from relmon.cli import main
+from relmon.lattice import FinLattice
+from relmon.monoid import LaxMorphism, MonadCandidate, RelMonoid
+from relmon.pam import CongruenceCandidate, OmlStructure, PartialAbelianMonoid
+from relmon.rel import FinRel
+from relmon.report import InputError
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+TRIVIAL = {"carrier": 1, "units": [0], "mult": [[0, 0, 0]]}
+CHAIN2_PAM = {"carrier": 2, "zero": 0, "plus": [[0, 0, 0], [0, 1, 1], [1, 0, 1]]}
+MO2_OML = json.loads((SAMPLES / "mo2_oml.json").read_text())
+MO2_SIM = SAMPLES / "mo2_identity_rel.json"
+
+# (loader, JSON object, text naming the offending field, CLI argv with the
+# file as "{}")
+CASES = {
+    "rel-pairs": (
+        FinRel,
+        {"dom": 2, "cod": 2, "pairs": [[True, False]]},
+        "relation pair",
+        ["check-dimeq", SAMPLES / "mo2_oml.json", "{}"],
+    ),
+    "monoid-units": (
+        RelMonoid,
+        {"carrier": 1, "units": [False], "mult": [[0, 0, 0]]},
+        "field 'units'",
+        ["check-monoid", "{}"],
+    ),
+    "monoid-units-beside-equal-int": (
+        RelMonoid,
+        {"carrier": 1, "units": [0, False], "mult": [[0, 0, 0]]},
+        "field 'units'",
+        ["check-monoid", "{}"],
+    ),
+    "monoid-mult": (
+        RelMonoid,
+        {"carrier": 1, "units": [0], "mult": [[0, False, 0]]},
+        "field 'mult'",
+        ["check-monoid", "{}"],
+    ),
+    "morphism-rel": (
+        LaxMorphism,
+        {"src": TRIVIAL, "dst": TRIVIAL, "rel": [[False, 0]]},
+        "relation pair",
+        ["check-morphism", "{}"],
+    ),
+    "morphism-src-units": (
+        LaxMorphism,
+        {"src": dict(TRIVIAL, units=[False]), "dst": TRIVIAL, "rel": [[0, 0]]},
+        "field 'units'",
+        ["check-adjoint", "{}"],
+    ),
+    "monad-order": (
+        MonadCandidate,
+        {"base": TRIVIAL, "order": [[0, False]]},
+        "relation pair",
+        ["check-monad", "{}"],
+    ),
+    "lattice-order": (
+        FinLattice,
+        {"carrier": 2, "order": [[False, True]]},
+        "relation pair",
+        ["check-lattice", "{}"],
+    ),
+    "pam-plus": (
+        PartialAbelianMonoid,
+        dict(CHAIN2_PAM, plus=CHAIN2_PAM["plus"] + [[1, False, True]]),
+        "addition cell",
+        ["check-pam", "{}"],
+    ),
+    "pam-zero": (
+        PartialAbelianMonoid,
+        dict(CHAIN2_PAM, zero=False),
+        "field 'zero'",
+        ["check-rdp", "{}"],
+    ),
+    "congruence-classes": (
+        CongruenceCandidate,
+        {"base": CHAIN2_PAM, "classes": [[0, 0], [True, True]]},
+        "relation pair",
+        ["check-congruence", "{}"],
+    ),
+    "congruence-base-plus": (
+        CongruenceCandidate,
+        {"base": dict(CHAIN2_PAM, plus=[[0, 0, 0], [0, True, 1], [1, 0, 1]]),
+         "classes": [[0, 0], [1, 1]]},
+        "addition cell",
+        ["quotient", "{}"],
+    ),
+    "oml-ortho": (
+        OmlStructure,
+        dict(MO2_OML, ortho=[True] + MO2_OML["ortho"][1:]),
+        "field 'ortho'",
+        ["check-dimeq", "{}", MO2_SIM],
+    ),
+    "oml-lattice-order": (
+        OmlStructure,
+        dict(MO2_OML, lattice=dict(MO2_OML["lattice"], order=[[0, True]])),
+        "relation pair",
+        ["check-dimeq", "{}", MO2_SIM],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_from_json_rejects_bool_indices(case):
+    loader, obj, field, _ = CASES[case]
+    with pytest.raises(InputError, match=field):
+        loader.from_json(json.loads(json.dumps(obj)))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_exits_2_on_bool_indices(case, tmp_path, capsys):
+    _, obj, field, argv = CASES[case]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    code = main([str(path) if a == "{}" else str(a) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and field in err
+    assert "Traceback" not in err

@@ -1,7 +1,8 @@
 """Relational monoids, lax morphisms, adjoints, monads, reflection."""
 
+import itertools
+
 import pytest
-from hypothesis import given
 
 import oracles
 from relmon import catalog
@@ -30,13 +31,29 @@ from relmon.monoid import (
 )
 from relmon.rel import Carrier, FinRel, refl_trans_closure
 from relmon.report import InputError, PreconditionError
-from strategies import endo_rels
 
 Z2 = catalog.z2_monoid()
 
 
 def order_of(n, pairs):
     return FinRel.from_pairs(Carrier(n), Carrier(n), pairs)
+
+
+def labeled_monoids(n):
+    """Every relational monoid on n labeled points, found by the oracle alone."""
+    triples = list(itertools.product(range(n), repeat=3))
+    out = []
+    for units_mask in range(1 << n):
+        units = [u for u in range(n) if units_mask >> u & 1]
+        for mult_mask in range(1 << len(triples)):
+            mult = {t for i, t in enumerate(triples) if mult_mask >> i & 1}
+            if oracles.monoid_ok(n, units, mult):
+                out.append(RelMonoid(Carrier(n), frozenset(units), frozenset(mult)))
+    return out
+
+
+def oracle_view(m):
+    return m.n, set(m.unit_list), set(m.triples)
 
 
 def same_structure(m1, m2):
@@ -261,6 +278,21 @@ def test_homomorphism_graph_is_lax():
     assert is_lax_morphism(h).ok
 
 
+def test_lax_morphism_matches_oracle_up_to_size_two():
+    # every pair of labeled monoids on at most 2 points, every relation
+    monoids = [m for n in range(3) for m in labeled_monoids(n)]
+    assert [m.n for m in monoids] == [0, 1] + [2] * 9
+    failed_clauses = set()
+    for src, dst in itertools.product(monoids, repeat=2):
+        for rows in itertools.product(range(1 << dst.n), repeat=src.n):
+            rel = FinRel(src.carrier, dst.carrier, rows)
+            rep = is_lax_morphism(LaxMorphism(src, dst, rel))
+            want = oracles.lax_ok(oracle_view(src), oracle_view(dst), set(rel.pairs()))
+            assert rep.ok == want
+            failed_clauses.add(rep.failed)
+    assert failed_clauses == {None, "square", "triangle"}
+
+
 def test_lax_morphism_size_mismatch():
     with pytest.raises(InputError):
         LaxMorphism(Z2, Z2, FinRel.empty(Carrier(3), Carrier(2)))
@@ -337,13 +369,16 @@ def test_monad_rejects_invalid_base():
         is_monad(MonadCandidate(bad, FinRel.identity(Carrier(1))))
 
 
-@given(endo_rels(max_size=2))
-def test_monad_matches_oracle_on_z2(f):
-    if f.dom.size != 2:
-        return
-    got = is_monad(MonadCandidate(Z2, f)).ok
-    want = oracles.monad_ok(2, set(Z2.unit_list), set(Z2.triples), set(f.pairs()))
-    assert got == want
+def test_monad_matches_oracle_on_size_two():
+    # every labeled 2-element monoid against all 16 endo-relations
+    verdicts = set()
+    for m in labeled_monoids(2):
+        for rows in itertools.product(range(4), repeat=2):
+            f = FinRel(m.carrier, m.carrier, rows)
+            got = is_monad(MonadCandidate(m, f)).ok
+            assert got == oracles.monad_ok(*oracle_view(m), set(f.pairs()))
+            verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 def test_induced_monad_of_identity():

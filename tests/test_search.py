@@ -78,6 +78,20 @@ def test_relmonoids_size_zero_and_one():
     assert set(singles[0].triples) == {(0, 0, 0)}
 
 
+# Recorded regression values, not a published sequence: the number of
+# relational monoids on n = 0..3 points, labeled and up to isomorphism.
+RELMONOID_COUNTS = {False: [1, 1, 9, 451], True: [1, 1, 5, 83]}
+
+
+@pytest.mark.parametrize("dedup", [False, True])
+def test_relmonoid_counts_are_pinned(dedup):
+    counts = [
+        sum(1 for _ in enumerate_structures(EnumSpec("relmonoid", n, dedup=dedup)))
+        for n in range(4)
+    ]
+    assert counts == RELMONOID_COUNTS[dedup]
+
+
 def test_relmonoids_all_satisfy_axioms():
     for m in enumerate_structures(EnumSpec("relmonoid", 2)):
         assert check_monoid_axioms(m).ok
@@ -327,10 +341,3 @@ def test_verify_universal_rejects_bad_requests():
         verify_universal("left-adjoint-iff-map", size=9)
     with pytest.raises(InputError, match="nonnegative"):
         verify_universal("left-adjoint-iff-map", size=-1)
-
-
-def test_threading_does_not_change_reports():
-    for key in ("qa-monad-iff-modular", "rdp-iff-monad"):
-        solo = verify_universal(key, size=REDUCED_SIZES[key], threads=1)
-        multi = verify_universal(key, size=REDUCED_SIZES[key], threads=2)
-        assert solo.to_json() == multi.to_json()
