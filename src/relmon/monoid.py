@@ -30,7 +30,7 @@ from .rel import (
     lowest_bit,
     refl_trans_closure,
 )
-from .report import CheckReport, InputError, PreconditionError
+from .report import CheckReport, InputError, PreconditionError, cached_verdict
 
 
 @dataclass(frozen=True)
@@ -232,6 +232,7 @@ def _assoc_witness(
     return None
 
 
+@cached_verdict
 def check_monoid_axioms(m: RelMonoid) -> CheckReport:
     """Unit and associativity axioms for a relational monoid.
 
@@ -542,6 +543,7 @@ def _stray_unit_image(
     return None
 
 
+@cached_verdict
 def is_lax_morphism(h: LaxMorphism) -> CheckReport:
     """Multiplication square and unit triangle for a candidate morphism.
 
@@ -599,9 +601,7 @@ def is_left_adjoint_relmon(h: LaxMorphism) -> CheckReport:
     ("unit-reflection"). Equivalently, the transpose of f is again a lax
     morphism. Raises if h is not a lax morphism to begin with.
     """
-    rep = is_lax_morphism(h)
-    if not rep.ok:
-        raise PreconditionError(f"not a lax morphism: {rep.summary()}")
+    is_lax_morphism(h).require("not a lax morphism")
     rel = h.rel
     if not rel.is_map():
         bad = next(a for a, row in enumerate(rel.rows) if row.bit_count() != 1)
@@ -647,9 +647,7 @@ def is_left_adjoint_relmon(h: LaxMorphism) -> CheckReport:
 
 def induced_monad(h: LaxMorphism) -> MonadCandidate:
     """Monad induced by a left adjoint: the fiber preorder of its mapping."""
-    rep = is_left_adjoint_relmon(h)
-    if not rep.ok:
-        raise PreconditionError(f"not a left adjoint: {rep.summary()}")
+    is_left_adjoint_relmon(h).require("not a left adjoint")
     return MonadCandidate(h.src, h.rel.compose(h.rel.dagger()))
 
 
@@ -661,9 +659,7 @@ def is_monad(c: MonadCandidate) -> CheckReport:
     a1' >= a1, a2' >= a2 have (a1', a2')*a'), and be unit-closed upward
     (anything above a unit is a unit).
     """
-    base_rep = check_monoid_axioms(c.base)
-    if not base_rep.ok:
-        raise PreconditionError(f"base is not a relational monoid: {base_rep.summary()}")
+    check_monoid_axioms(c.base).require("base is not a relational monoid")
     return _monad_conditions(c.base, c.order)
 
 
@@ -700,9 +696,7 @@ def is_endo_square(u: LaxMorphism, f: FinRel, g: FinRel) -> CheckReport:
 
     Verdict: (f then u) is contained in (u then g).
     """
-    rep = is_lax_morphism(u)
-    if not rep.ok:
-        raise PreconditionError(f"not a lax morphism: {rep.summary()}")
+    is_lax_morphism(u).require("not a lax morphism")
     if f.dom.size != u.src.n or f.cod.size != u.src.n:
         raise InputError("first endo-relation does not live on the source carrier")
     if g.dom.size != u.dst.n or g.cod.size != u.dst.n:
@@ -726,9 +720,7 @@ def monad_reflection(m: RelMonoid, f: FinRel) -> MonadCandidate:
     is the least preorder above f, so it is the reflection of (m, f) into
     monads.
     """
-    rep = is_lax_morphism(LaxMorphism(m, m, f))
-    if not rep.ok:
-        raise PreconditionError(f"not a lax endomorphism: {rep.summary()}")
+    is_lax_morphism(LaxMorphism(m, m, f)).require("not a lax endomorphism")
     return MonadCandidate(m, refl_trans_closure(f))
 
 
@@ -747,15 +739,9 @@ def check_reflection_universal(
     not a monad, u not a morphism or violating the f-square) raise.
     """
     morphism = LaxMorphism(m, n, u)
-    frep = is_lax_morphism(LaxMorphism(m, m, f))
-    if not frep.ok:
-        raise PreconditionError(f"f is not a lax endomorphism: {frep.summary()}")
-    mrep = is_monad(MonadCandidate(n, leq))
-    if not mrep.ok:
-        raise PreconditionError(f"leq is not a monad order: {mrep.summary()}")
-    urep = is_endo_square(morphism, f, leq)
-    if not urep.ok:
-        raise PreconditionError(f"u does not square with f: {urep.summary()}")
+    is_lax_morphism(LaxMorphism(m, m, f)).require("f is not a lax endomorphism")
+    is_monad(MonadCandidate(n, leq)).require("leq is not a monad order")
+    is_endo_square(morphism, f, leq).require("u does not square with f")
     closure = refl_trans_closure(f)
     out = is_endo_square(morphism, closure, leq)
     if out.ok:
@@ -793,11 +779,9 @@ def quotient_relmonoid(
     monoid and the class map as a lax morphism; the class map is a left
     adjoint inducing exactly equiv.
     """
-    rep = monad_from_adjunction_conditions(MonadCandidate(m, equiv))
-    if not rep.ok:
-        raise PreconditionError(
-            f"quotient needs a symmetric monad order: {rep.summary()}"
-        )
+    monad_from_adjunction_conditions(MonadCandidate(m, equiv)).require(
+        "quotient needs a symmetric monad order"
+    )
     cls_of, reps = class_partition(equiv)
     k = len(reps)
     mult = {(cls_of[a1], cls_of[a2], cls_of[a]) for a1, a2, a in m.mult}

@@ -38,7 +38,7 @@ from .rel import (
     is_partial_order,
     lowest_bit,
 )
-from .report import CheckReport, InputError, InternalCheckError, PreconditionError
+from .report import CheckReport, InputError, InternalCheckError, cached_verdict
 
 
 @dataclass(frozen=True)
@@ -143,6 +143,7 @@ class PartialAbelianMonoid:
 # axioms and derived classes
 
 
+@cached_verdict
 def check_pam_axioms(p: PartialAbelianMonoid) -> CheckReport:
     """Zero totality (P3), commutativity (P2), associativity transfer (P1).
 
@@ -198,15 +199,9 @@ def check_pam_axioms(p: PartialAbelianMonoid) -> CheckReport:
     return CheckReport.passing("pam-axioms")
 
 
-def _require_pam(p: PartialAbelianMonoid) -> None:
-    rep = check_pam_axioms(p)
-    if not rep.ok:
-        raise PreconditionError(f"not a partial abelian monoid: {rep.summary()}")
-
-
 def is_positive(p: PartialAbelianMonoid) -> CheckReport:
     """No nonzero summands add to zero."""
-    _require_pam(p)
+    check_pam_axioms(p).require("not a partial abelian monoid")
     for a in range(p.n):
         for b in range(p.n):
             if (
@@ -226,7 +221,7 @@ def is_positive(p: PartialAbelianMonoid) -> CheckReport:
 
 def is_cancellative(p: PartialAbelianMonoid) -> CheckReport:
     """a+b = a+c forces b = c."""
-    _require_pam(p)
+    check_pam_axioms(p).require("not a partial abelian monoid")
     for a in range(p.n):
         seen: dict[int, int] = {}
         for b in range(p.n):
@@ -257,9 +252,7 @@ def is_gea(p: PartialAbelianMonoid) -> CheckReport:
 
 def canonical_order(p: PartialAbelianMonoid) -> FinRel:
     """a below c iff some b has a+b = c; a partial order on any GEA."""
-    rep = is_gea(p)
-    if not rep.ok:
-        raise PreconditionError(f"not a generalized effect algebra: {rep.summary()}")
+    is_gea(p).require("not a generalized effect algebra")
     rows = [0] * p.n
     for a in range(p.n):
         for b in range(p.n):
@@ -341,7 +334,7 @@ def has_rdp(p: PartialAbelianMonoid) -> CheckReport:
 
 def to_relmonoid(p: PartialAbelianMonoid) -> RelMonoid:
     """The graph of the partial addition as a relational monoid."""
-    _require_pam(p)
+    check_pam_axioms(p).require("not a partial abelian monoid")
     return RelMonoid(p.carrier, frozenset([p.zero]), frozenset(p.cells))
 
 
@@ -404,13 +397,14 @@ class CongruenceCandidate:
         return cls(base, rel)
 
 
+@cached_verdict
 def check_congruence(c: CongruenceCandidate) -> CheckReport:
     """C1 equivalence, C2 sum compatibility, C5 decomposition lifting.
 
     C2: defined sums of related summands are related. C5: if x+y exists and
     is related to z, then z = x1+y1 for some x1 related to x, y1 related to y.
     """
-    _require_pam(c.base)
+    check_pam_axioms(c.base).require("not a partial abelian monoid")
     p, sim = c.base, c.classes
     eq = is_equivalence(sim)
     if not eq.ok:
@@ -459,9 +453,7 @@ def quotient_pam(c: CongruenceCandidate) -> PartialAbelianMonoid:
     all representative choices are re-verified to agree, a disagreement
     raises an internal error.
     """
-    rep = check_congruence(c)
-    if not rep.ok:
-        raise PreconditionError(f"not a congruence: {rep.summary()}")
+    check_congruence(c).require("not a congruence")
     p, sim = c.base, c.classes
     cls_of, reps = class_partition(sim)
     k = len(reps)
@@ -492,9 +484,6 @@ def quotient_map_is_left_adjoint(c: CongruenceCandidate) -> CheckReport:
     record that side condition and whether the adjunction-induced order
     equals the congruence.
     """
-    rep = check_congruence(c)
-    if not rep.ok:
-        raise PreconditionError(f"not a congruence: {rep.summary()}")
     p, sim = c.base, c.classes
     quot = quotient_pam(c)
     cls_of, _ = class_partition(sim)
@@ -523,12 +512,8 @@ def adjoint_induces_c1c2c5(h: LaxMorphism) -> CheckReport:
     through check_congruence; by general theory it must pass, so a failure
     here indicates an implementation fault and the message says so.
     """
-    adj = is_left_adjoint_relmon(h)
-    if not adj.ok:
-        raise PreconditionError(f"not a left adjoint: {adj.summary()}")
-    src = pam_from_relmonoid(h.src)
-    _require_pam(src)
     monad = induced_monad(h)
+    src = pam_from_relmonoid(h.src)
     rep = check_congruence(CongruenceCandidate(src, monad.order))
     if rep.ok:
         return CheckReport.passing("adjoint-induces-congruence")

@@ -30,6 +30,21 @@ def lowest_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
+def transpose_rows(rows: Sequence[int], width: int) -> tuple[int, ...]:
+    """Bit rows of the transpose of a relation whose codomain has width elements.
+
+    out[b] has bit a set iff rows[a] has bit b set.
+    """
+    out = [0] * width
+    for a, row in enumerate(rows):
+        m = row
+        while m:
+            low = m & -m
+            out[low.bit_length() - 1] |= 1 << a
+            m ^= low
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class Carrier:
     """An index set 0..size-1; labels are cosmetic and never affect checks."""
@@ -79,10 +94,16 @@ class FinRel:
 
     @classmethod
     def from_pairs(
-        cls, dom: Carrier, cod: Carrier, pairs: Iterable[Sequence[int]]
+        cls, dom: Carrier, cod: Carrier, pairs: Sequence[Sequence[int]]
     ) -> "FinRel":
+        if not isinstance(pairs, (list, tuple)):
+            raise InputError(
+                f"relation pairs must be a list of [a, b] pairs, not {type(pairs).__name__}"
+            )
         rows = [0] * dom.size
         for pair in pairs:
+            if not isinstance(pair, (list, tuple)):
+                raise InputError(f"relation pair {pair!r} is not a 2-element list")
             if len(pair) != 2:
                 raise InputError(f"relation pair {list(pair)!r} is not a 2-element list")
             a, b = pair
@@ -152,14 +173,7 @@ class FinRel:
 
     def dagger(self) -> "FinRel":
         """Transpose; the dagger involution of the relation."""
-        rows = [0] * self.cod.size
-        for a, row in enumerate(self.rows):
-            m = row
-            while m:
-                low = m & -m
-                rows[low.bit_length() - 1] |= 1 << a
-                m ^= low
-        return FinRel(self.cod, self.dom, tuple(rows))
+        return FinRel(self.cod, self.dom, transpose_rows(self.rows, self.cod.size))
 
     # -- serialization -----------------------------------------------------
 

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from functools import wraps
+from typing import Any, Callable, Mapping
 
 
 class ToolkitError(Exception):
@@ -73,6 +74,11 @@ class CheckReport:
             parts.append(self.message)
         return " ".join(parts)
 
+    def require(self, prefix: str) -> None:
+        """Raise PreconditionError naming prefix and this report unless it passed."""
+        if not self.ok:
+            raise PreconditionError(f"{prefix}: {self.summary()}")
+
     def to_json(self) -> dict:
         out: dict[str, Any] = {"check": self.check, "ok": self.ok}
         if self.failed is not None:
@@ -84,6 +90,26 @@ class CheckReport:
         if self.details:
             out["details"] = _jsonable(self.details)
         return out
+
+
+def cached_verdict(check: Callable[[Any], CheckReport]) -> Callable[[Any], CheckReport]:
+    """Run a checker at most once per frozen structure instance.
+
+    The report is kept in the instance's __dict__ under the checker's name,
+    as functools.cached_property keeps its values, so every later call on the
+    same instance returns the same CheckReport. A call that raises keeps
+    nothing, and raises again the next time.
+    """
+    key = check.__name__
+
+    @wraps(check)
+    def cached(x: Any) -> CheckReport:
+        rep = x.__dict__.get(key)
+        if rep is None:
+            rep = x.__dict__[key] = check(x)
+        return rep
+
+    return cached
 
 
 def _jsonable(value: Any) -> Any:

@@ -1,13 +1,17 @@
-"""JSON loaders reject booleans where an element index is expected.
+"""JSON loaders reject malformed input with InputError, never another error.
 
 JSON true and false are Python bools, and bool is a subclass of int, so an
-isinstance check alone would load [[true, false]] as the pair (1, 0).
+isinstance check alone would load [[true, false]] as the pair (1, 0). A
+relation field that is not a list of [a, b] lists (5, [5]) must be named as
+such, not fail inside the loader with a TypeError.
 """
 
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from relmon.cli import main
 from relmon.lattice import FinLattice
@@ -21,6 +25,7 @@ TRIVIAL = {"carrier": 1, "units": [0], "mult": [[0, 0, 0]]}
 CHAIN2_PAM = {"carrier": 2, "zero": 0, "plus": [[0, 0, 0], [0, 1, 1], [1, 0, 1]]}
 MO2_OML = json.loads((SAMPLES / "mo2_oml.json").read_text())
 MO2_SIM = SAMPLES / "mo2_identity_rel.json"
+Z2 = json.loads((SAMPLES / "z2.json").read_text())
 
 # (loader, JSON object, text naming the offending field, CLI argv with the
 # file as "{}")
@@ -110,6 +115,48 @@ CASES = {
         "relation pair",
         ["check-dimeq", "{}", MO2_SIM],
     ),
+    "rel-pairs-item-not-a-list": (
+        FinRel,
+        {"dom": 2, "cod": 2, "pairs": [5]},
+        "relation pair",
+        ["check-dimeq", SAMPLES / "mo2_oml.json", "{}"],
+    ),
+    "morphism-rel-not-a-list": (
+        LaxMorphism,
+        {"src": TRIVIAL, "dst": TRIVIAL, "rel": 5},
+        "relation pair",
+        ["check-morphism", "{}"],
+    ),
+    "morphism-rel-item-not-a-list": (
+        LaxMorphism,
+        {"src": TRIVIAL, "dst": TRIVIAL, "rel": [5]},
+        "relation pair",
+        ["check-adjoint", "{}"],
+    ),
+    "monad-order-not-a-list": (
+        MonadCandidate,
+        {"base": TRIVIAL, "order": 5},
+        "relation pair",
+        ["check-monad", "{}"],
+    ),
+    "lattice-order-item-not-a-list": (
+        FinLattice,
+        {"carrier": 2, "order": [[0, 1], 5]},
+        "relation pair",
+        ["check-lattice", "{}"],
+    ),
+    "congruence-classes-not-a-list": (
+        CongruenceCandidate,
+        {"base": CHAIN2_PAM, "classes": 5},
+        "relation pair",
+        ["check-congruence", "{}"],
+    ),
+    "congruence-classes-item-not-a-list": (
+        CongruenceCandidate,
+        {"base": CHAIN2_PAM, "classes": [[0, 0], 5]},
+        "relation pair",
+        ["quotient", "{}"],
+    ),
 }
 
 
@@ -130,3 +177,61 @@ def test_cli_exits_2_on_bool_indices(case, tmp_path, capsys):
     assert code == 2
     assert err.startswith("error: ") and field in err
     assert "Traceback" not in err
+
+
+# One valid object per from_json entry point; the fuzz test below replaces
+# one field, one list item or the whole object with arbitrary JSON.
+VALID = {
+    FinRel: {"dom": 2, "cod": 2, "pairs": [[0, 1], [1, 1]]},
+    RelMonoid: Z2,
+    LaxMorphism: {"src": Z2, "dst": TRIVIAL, "rel": [[0, 0], [1, 0]]},
+    MonadCandidate: {"base": Z2, "order": [[0, 0], [1, 1]]},
+    FinLattice: {"carrier": 2, "order": [[0, 0], [0, 1], [1, 1]]},
+    PartialAbelianMonoid: dict(CHAIN2_PAM, labels=["0", "a"]),
+    CongruenceCandidate: {"base": CHAIN2_PAM, "classes": [[0, 0], [1, 1]]},
+    OmlStructure: MO2_OML,
+}
+
+# Small integers only, so that no drawn size allocates a large carrier.
+ANY_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 6)
+    | st.sampled_from([0.0, 1.0, -1.5])
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def paths(value, prefix=()):
+    """Every position in a JSON value, the whole value first."""
+    yield prefix
+    if isinstance(value, (dict, list)):
+        keys = value if isinstance(value, dict) else range(len(value))
+        for k in keys:
+            yield from paths(value[k], prefix + (k,))
+
+
+def replaced(value, path, new):
+    if not path:
+        return new
+    out = value.copy()
+    out[path[0]] = replaced(value[path[0]], path[1:], new)
+    return out
+
+
+@pytest.mark.parametrize("loader", list(VALID), ids=lambda c: c.__name__)
+def test_from_json_loads_or_raises_input_error(loader):
+    valid = VALID[loader]
+    loader.from_json(valid)
+
+    @given(st.sampled_from(list(paths(valid))), ANY_JSON)
+    def check(path, new):
+        try:
+            loader.from_json(replaced(valid, path, new))
+        except InputError:
+            pass
+
+    check()
