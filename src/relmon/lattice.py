@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 from .monoid import MonadCandidate, RelMonoid, from_poset_quotients, is_monad, quotient_pairs
 from .rel import Carrier, FinRel, bits, is_partial_order, lowest_bit
@@ -86,23 +87,38 @@ def lattice_from_order(order: FinRel) -> FinLattice:
     n = order.dom.size
     if n == 0:
         raise InputError("a lattice needs at least one element")
-    up = order.rows
-    down = order.dagger().rows
+    meet, join = meet_join_tables(order.rows, order.dagger().rows)
+    return FinLattice(order, meet, join)
+
+
+def meet_join_tables(
+    up: Sequence[int], down: Sequence[int]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Row-major meet and join tables of a partial order.
+
+    up and down are the up-set and down-set rows of the order. The meet of
+    x and y is the element whose down-set is the common down-set of x and
+    y, if one is; by antisymmetry no two elements share a down-set, so it
+    is unique. Joins dually. Raises InputError naming the first pair, in
+    row-major order, that has no meet or no join, the meet checked first.
+    """
+    n = len(up)
+    by_down = {d: z for z, d in enumerate(down)}
+    by_up = {u: z for z, u in enumerate(up)}
     meet = [0] * (n * n)
     join = [0] * (n * n)
     for x in range(n):
+        dx, ux = down[x], up[x]
         for y in range(n):
-            below = down[x] & down[y]
-            m = next((z for z in bits(below) if below & ~down[z] == 0), None)
+            m = by_down.get(dx & down[y])
             if m is None:
                 raise InputError(f"not a lattice: pair ({x}, {y}) has no meet")
-            above = up[x] & up[y]
-            j = next((z for z in bits(above) if above & ~up[z] == 0), None)
+            j = by_up.get(ux & up[y])
             if j is None:
                 raise InputError(f"not a lattice: pair ({x}, {y}) has no join")
             meet[x * n + y] = m
             join[x * n + y] = j
-    return FinLattice(order, tuple(meet), tuple(join))
+    return tuple(meet), tuple(join)
 
 
 def is_modular(lat: FinLattice) -> CheckReport:

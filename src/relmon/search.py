@@ -27,7 +27,7 @@ from .lattice import (
     check_qa_monad_iff_modular,
     check_star_star,
     is_modular,
-    lattice_from_order,
+    meet_join_tables,
     q_functor,
 )
 from .monoid import (
@@ -317,18 +317,19 @@ def _is_lattice_rows(rows: Sequence[int]) -> bool:
     down = transpose_rows(rows, n)
     if full not in down:
         return False
-    for x in range(n):
-        for y in range(x + 1, n):
-            c = down[x] & down[y]
-            if not any(c & ~down[z] == 0 for z in bits(c)):
-                return False
-            u = rows[x] & rows[y]
-            if not any(u & ~rows[z] == 0 for z in bits(u)):
-                return False
+    try:
+        meet_join_tables(rows, down)
+    except InputError:
+        return False
     return True
 
 
 def _gen_lattices(n: int, dedup: bool) -> list[FinLattice]:
+    """All lattices on {0..n-1}, from the labeled posets that pass the filter.
+
+    The posets are partial orders by construction, so the tables are built
+    straight from their rows without validating the order again.
+    """
     all_rows = [rows for rows in _labeled_posets(n) if _is_lattice_rows(rows)]
     if dedup:
         all_rows = _dedup_min(
@@ -337,9 +338,11 @@ def _gen_lattices(n: int, dedup: bool) -> list[FinLattice]:
             orbit=lambda rows: [_permute_rows(rows, p) for p in _perms(n)],
         )
     carrier = Carrier(n)
-    return [
-        lattice_from_order(FinRel(carrier, carrier, rows)) for rows in all_rows
-    ]
+    out = []
+    for rows in all_rows:
+        meet, join = meet_join_tables(rows, transpose_rows(rows, n))
+        out.append(FinLattice(FinRel(carrier, carrier, rows), meet, join))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -441,6 +444,15 @@ def _gen_pams(n: int, dedup: bool) -> list[PartialAbelianMonoid]:
     The zero row and column and commutativity are baked into the search;
     cells above the diagonal are assigned depth-first with incremental
     associativity pruning and a full axiom verification at each leaf.
+
+    Each placed cell (a, b) rechecks P1 on its list of triples (x, y, z):
+    those with a or b among x, y and z. A triple with a zero coordinate
+    always holds, since the zero row and column are fixed, so the lists
+    leave it out. The check is complete: P1 for (x, y, z) reads only the
+    cells (y, z), (x, y), (x, y+z) and (x+y, z), and each of them has x, y
+    or z as a coordinate. So when the last of those cells is placed, every
+    cell the triple reads holds its final value and the triple lies in
+    that cell's list.
     """
     if n == 0:
         return []
@@ -452,50 +464,53 @@ def _gen_pams(n: int, dedup: bool) -> list[PartialAbelianMonoid]:
     cells = [(a, b) for a in range(1, n) for b in range(a, n)]
     out: list[PartialAbelianMonoid] = []
 
-    def p1_violation(x: int, y: int, z: int) -> bool:
-        yz = t[y * n + z]
-        if yz < 0:  # undefined or unassigned: premise cannot fire yet
-            return False
-        total = t[x * n + yz]
-        if total < 0:
-            return False
-        xy = t[x * n + y]
-        if xy == UNSET:
-            return False
-        if xy == -1:
-            return True
-        xyz = t[xy * n + z]
-        if xyz == UNSET:
-            return False
-        return xyz != total
+    # One entry per triple (x, y, z): the row offset x*n, the index of the
+    # cell (y, z) (row offset y*n plus z), the index of (x, y), and z.
+    triples = [
+        (x, y, z, (x * n, y * n + z, x * n + y, z))
+        for x in range(n)
+        for y in range(n)
+        for z in range(n)
+    ]
+    all_entries = [e for _, _, _, e in triples]
+    touching = [
+        [
+            e
+            for x, y, z, e in triples
+            if 0 not in (x, y, z) and (a in (x, y, z) or b in (x, y, z))
+        ]
+        for a, b in cells
+    ]
 
-    def partial_ok(a: int, b: int) -> bool:
-        pair = {a, b}
-        for x in range(n):
-            for y in range(n):
-                for z in range(n):
-                    if pair & {x, y, z} and p1_violation(x, y, z):
-                        return False
-        return True
-
-    def full_ok() -> bool:
-        for x in range(n):
-            for y in range(n):
-                for z in range(n):
-                    if p1_violation(x, y, z):
-                        return False
+    def p1_ok(entries: list[tuple[int, int, int, int]]) -> bool:
+        for xn, yz_i, xy_i, z in entries:
+            yz = t[yz_i]
+            if yz < 0:  # undefined or unassigned: premise cannot fire yet
+                continue
+            total = t[xn + yz]
+            if total < 0:
+                continue
+            xy = t[xy_i]
+            if xy < 0:
+                if xy == -1:
+                    return False
+                continue
+            xyz = t[xy * n + z]
+            if xyz != total and xyz != UNSET:
+                return False
         return True
 
     def place(i: int) -> None:
         if i == len(cells):
-            if full_ok():
+            if p1_ok(all_entries):
                 out.append(PartialAbelianMonoid(Carrier(n), 0, tuple(t)))
             return
         a, b = cells[i]
+        entries = touching[i]
         for v in range(-1, n):
             t[a * n + b] = v
             t[b * n + a] = v
-            if partial_ok(a, b):
+            if p1_ok(entries):
                 place(i + 1)
         t[a * n + b] = UNSET
         t[b * n + a] = UNSET
@@ -943,19 +958,11 @@ def _law_category_axioms(size: int, rng: random.Random) -> CheckReport:
     return _pass("category-axioms", categories_checked=count)
 
 
-def _lax_endos(m: RelMonoid) -> list[FinRel]:
-    return [
-        FinRel(m.carrier, m.carrier, rows)
-        for rows in _all_rels(m.n, m.n)
-        if is_lax_morphism(LaxMorphism(m, m, FinRel(m.carrier, m.carrier, rows))).ok
-    ]
-
-
 def _law_reflection_least(size: int, rng: random.Random) -> CheckReport:
     for n in range(size + 1):
         for m in _relmonoids(n, True):
             orders = [c.order for c in _gen_monad_orders(m)]
-            for f in _lax_endos(m):
+            for f in _lax_rels(m, m):
                 cand = monad_reflection(m, f)
                 if not is_monad(cand).ok or not cand.order.contains(f):
                     return _fail(
@@ -976,16 +983,13 @@ def _law_reflection_least(size: int, rng: random.Random) -> CheckReport:
 def _law_reflection_universal(size: int, rng: random.Random) -> CheckReport:
     monoids = [m for n in range(size + 1) for m in _relmonoids(n, True)]
     for m in monoids:
-        endos = _lax_endos(m)
+        endos = _lax_rels(m, m)
         for other in monoids:
             monads = _gen_monad_orders(other)
+            arrows = _lax_rels(m, other)
             for f in endos:
                 for cand in monads:
-                    for rows in _all_rels(m.n, other.n):
-                        u = FinRel(m.carrier, other.carrier, rows)
-                        h = LaxMorphism(m, other, u)
-                        if not is_lax_morphism(h).ok:
-                            continue
+                    for u in arrows:
                         if not u.compose(cand.order).contains(f.compose(u)):
                             continue
                         if not check_reflection_universal(m, f, other, cand.order, u).ok:

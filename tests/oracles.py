@@ -2,10 +2,15 @@
 
 Everything here works on explicit pair/triple sets and quantifies by brute
 scan, so the answers are easy to audit and independent of the bitmask code
-under test. Slow on purpose; keep carriers tiny.
+under test. pams_by_filter is the exception: it filters plain tables through
+relmon's own PAM checker, so it is independent of the PAM generator's
+pruning, not of the checker. Slow on purpose; keep carriers tiny.
 """
 
 from itertools import product
+
+from relmon.pam import PartialAbelianMonoid, check_pam_axioms
+from relmon.rel import Carrier
 
 
 def compose(fp, gp):
@@ -120,6 +125,45 @@ def pam_ok(n, zero, cells):
             if cells[(cells[(a, b)], c)] != s:
                 return False
     return True
+
+
+def pams_by_filter(n):
+    """Sorted addition tables of every partial abelian monoid on n points.
+
+    Every commutative table with the zero (0) row and column fixed is built
+    and kept when it passes check_pam_axioms: a plain filter with no pruning,
+    5^6 = 15,625 tables at n = 4.
+    """
+    cells = [(a, b) for a in range(1, n) for b in range(a, n)]
+    out = []
+    for values in product(range(-1, n), repeat=len(cells)):
+        plus = [-1] * (n * n)
+        for a in range(n):
+            plus[a] = plus[a * n] = a
+        for (a, b), v in zip(cells, values):
+            plus[a * n + b] = plus[b * n + a] = v
+        p = PartialAbelianMonoid(Carrier(n), 0, tuple(plus))
+        if check_pam_axioms(p).ok:
+            out.append(p.plus)
+    return sorted(out)
+
+
+def meet_join_or_error(n, leq):
+    """Row-major meet and join tables of a partial order, or the message
+    naming the first pair without a greatest lower or least upper bound."""
+    meet, join = [], []
+    for x, y in product(range(n), repeat=2):
+        lows = [z for z in range(n) if (z, x) in leq and (z, y) in leq]
+        glb = [z for z in lows if all((w, z) in leq for w in lows)]
+        if not glb:
+            return f"not a lattice: pair ({x}, {y}) has no meet"
+        ups = [z for z in range(n) if (x, z) in leq and (y, z) in leq]
+        lub = [z for z in ups if all((z, w) in leq for w in ups)]
+        if not lub:
+            return f"not a lattice: pair ({x}, {y}) has no join"
+        meet.append(glb[0])
+        join.append(lub[0])
+    return tuple(meet), tuple(join)
 
 
 def lattice_ok(n, leq):

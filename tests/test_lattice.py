@@ -101,6 +101,21 @@ def test_lattice_checker_matches_oracle_on_size_three():
                 lattice_from_order(rel)
 
 
+def test_tables_and_errors_match_oracle_up_to_size_four():
+    for n in range(1, 5):
+        carrier = Carrier(n)
+        for rows in _all_reflexive_rows(n):
+            rel = FinRel(carrier, carrier, rows)
+            if not is_partial_order(rel).ok:
+                continue
+            try:
+                lat = lattice_from_order(rel)
+                got = (lat.meet, lat.join)
+            except InputError as exc:
+                got = str(exc)
+            assert got == oracles.meet_join_or_error(n, set(rel.pairs()))
+
+
 def _all_reflexive_rows(n):
     def rec(i, acc):
         if i == n:

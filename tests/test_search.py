@@ -1,6 +1,7 @@
 """Enumeration of small structures and the universal-law registry."""
 
 import itertools
+from math import factorial
 
 import pytest
 
@@ -12,6 +13,8 @@ from relmon.rel import Carrier, FinRel, is_partial_order
 from relmon.report import InputError
 from relmon.search import (
     EnumSpec,
+    _gen_pams,
+    _perms_fixing_zero,
     enumerate_structures,
     property_keys,
     serialize_structure,
@@ -232,6 +235,20 @@ def test_lattices_are_valid_and_non_isomorphic():
             assert not isomorphic_orders(l1.order.rows, l2.order.rows)
 
 
+# Lattices on n = 1..6 points: up to isomorphism OEIS A006966; labeled,
+# recorded regression values.
+LATTICE_COUNTS = {False: [1, 2, 6, 36, 380, 6390], True: [1, 1, 1, 2, 5, 15]}
+
+
+@pytest.mark.parametrize("dedup", [False, True])
+def test_lattice_counts_are_pinned(dedup):
+    counts = [
+        sum(1 for _ in enumerate_structures(EnumSpec("lattice", n, dedup=dedup)))
+        for n in range(1, 7)
+    ]
+    assert counts == LATTICE_COUNTS[dedup]
+
+
 def test_size_five_lattices_contain_pentagon_and_diamond():
     lats = list(enumerate_structures(EnumSpec("lattice", 5)))
     n5 = catalog.n5_lattice().order.rows
@@ -251,19 +268,57 @@ def test_pam_enumeration_size_two_exact():
         assert check_pam_axioms(p).ok
 
 
+def relabel_pam(p, perm):
+    """The addition table of p with every element a renamed perm[a]."""
+    n = p.n
+    image = [-1] * (n * n)
+    for a, b, c in p.cells:
+        image[perm[a] * n + perm[b]] = perm[c]
+    return tuple(image)
+
+
 def pam_isomorphic(p1, p2):
     # zero stays put, the rest may be relabeled
     n = p1.n
     if p2.n != n:
         return False
-    for rest in itertools.permutations(range(1, n)):
-        perm = (0,) + rest
-        image = [-1] * (n * n)
-        for a, b, c in p1.cells:
-            image[perm[a] * n + perm[b]] = perm[c]
-        if tuple(image) == p2.plus:
-            return True
-    return False
+    return any(
+        relabel_pam(p1, (0,) + rest) == p2.plus
+        for rest in itertools.permutations(range(1, n))
+    )
+
+
+# Recorded regression values, not a published sequence: the number of
+# partial abelian monoids on n = 1..5 points with the zero at 0, labeled
+# (every labeling that fixes the zero) and up to isomorphism.
+PAM_COUNTS = {False: [1, 3, 19, 255, 5326], True: [1, 3, 11, 53, 286]}
+
+
+@pytest.mark.parametrize("dedup", [False, True])
+def test_pam_counts_are_pinned(dedup):
+    counts = [
+        sum(1 for _ in enumerate_structures(EnumSpec("pam", n, dedup=dedup)))
+        for n in range(1, 6)
+    ]
+    assert counts == PAM_COUNTS[dedup]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_pam_orbit_stabilizer(n):
+    # each representative stands for (n-1)!/|Aut| labelings, the zero fixed
+    labeled = 0
+    for p in enumerate_structures(EnumSpec("pam", n)):
+        aut = sum(
+            1 for perm in _perms_fixing_zero(n) if relabel_pam(p, perm) == p.plus
+        )
+        assert factorial(n - 1) % aut == 0
+        labeled += factorial(n - 1) // aut
+    assert labeled == PAM_COUNTS[False][n - 1]
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_pam_generation_matches_brute_filter(n):
+    assert sorted(p.plus for p in _gen_pams(n, False)) == oracles.pams_by_filter(n)
 
 
 def test_pam_enumeration_contains_named_examples():
