@@ -151,7 +151,7 @@ def check_pam_axioms(p: PartialAbelianMonoid) -> CheckReport:
     and associativity holds. Checked in the order P3, P2, P1 so the most
     basic breakage is named first.
     """
-    n = p.n
+    n, plus = p.n, p.plus
     lab = p.carrier.label
     for a in range(n):
         if not p.defined(a, p.zero) or p.value(a, p.zero) != a:
@@ -161,61 +161,51 @@ def check_pam_axioms(p: PartialAbelianMonoid) -> CheckReport:
                 (a,),
                 f"{lab(a)} + {lab(p.zero)} is not {lab(a)}",
             )
+    for a, b, s in p.cells:
+        if plus[b * n + a] != s:
+            return CheckReport.failing(
+                "pam-axioms",
+                "P2",
+                (a, b),
+                f"{lab(a)} + {lab(b)} defined but not matched by "
+                f"{lab(b)} + {lab(a)}",
+            )
     for a in range(n):
-        for b in range(n):
-            if p.defined(a, b):
-                if not p.defined(b, a) or p.value(a, b) != p.value(b, a):
-                    return CheckReport.failing(
-                        "pam-axioms",
-                        "P2",
-                        (a, b),
-                        f"{lab(a)} + {lab(b)} defined but not matched by "
-                        f"{lab(b)} + {lab(a)}",
-                    )
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if not p.defined(b, c):
-                    continue
-                bc = p.value(b, c)
-                if not p.defined(a, bc):
-                    continue
-                if not p.defined(a, b):
-                    return CheckReport.failing(
-                        "pam-axioms",
-                        "P1",
-                        (a, b, c),
-                        f"{lab(a)} + ({lab(b)} + {lab(c)}) defined but "
-                        f"{lab(a)} + {lab(b)} is not",
-                    )
-                ab = p.value(a, b)
-                if not p.defined(ab, c) or p.value(ab, c) != p.value(a, bc):
-                    return CheckReport.failing(
-                        "pam-axioms",
-                        "P1",
-                        (a, b, c),
-                        f"({lab(a)} + {lab(b)}) + {lab(c)} does not reassociate",
-                    )
+        for b, c, bc in p.cells:
+            abc = plus[a * n + bc]
+            if abc < 0:
+                continue
+            ab = plus[a * n + b]
+            if ab < 0:
+                return CheckReport.failing(
+                    "pam-axioms",
+                    "P1",
+                    (a, b, c),
+                    f"{lab(a)} + ({lab(b)} + {lab(c)}) defined but "
+                    f"{lab(a)} + {lab(b)} is not",
+                )
+            if plus[ab * n + c] != abc:
+                return CheckReport.failing(
+                    "pam-axioms",
+                    "P1",
+                    (a, b, c),
+                    f"({lab(a)} + {lab(b)}) + {lab(c)} does not reassociate",
+                )
     return CheckReport.passing("pam-axioms")
 
 
 def is_positive(p: PartialAbelianMonoid) -> CheckReport:
     """No nonzero summands add to zero."""
     check_pam_axioms(p).require("not a partial abelian monoid")
-    for a in range(p.n):
-        for b in range(p.n):
-            if (
-                p.defined(a, b)
-                and p.value(a, b) == p.zero
-                and not (a == p.zero and b == p.zero)
-            ):
-                return CheckReport.failing(
-                    "positive",
-                    "positivity",
-                    (a, b),
-                    f"{p.carrier.label(a)} + {p.carrier.label(b)} = "
-                    f"{p.carrier.label(p.zero)}",
-                )
+    for a, b, s in p.cells:
+        if s == p.zero and not (a == p.zero and b == p.zero):
+            return CheckReport.failing(
+                "positive",
+                "positivity",
+                (a, b),
+                f"{p.carrier.label(a)} + {p.carrier.label(b)} = "
+                f"{p.carrier.label(p.zero)}",
+            )
     return CheckReport.passing("positive")
 
 
@@ -254,10 +244,8 @@ def canonical_order(p: PartialAbelianMonoid) -> FinRel:
     """a below c iff some b has a+b = c; a partial order on any GEA."""
     is_gea(p).require("not a generalized effect algebra")
     rows = [0] * p.n
-    for a in range(p.n):
-        for b in range(p.n):
-            if p.defined(a, b):
-                rows[a] |= 1 << p.value(a, b)
+    for a, _, c in p.cells:
+        rows[a] |= 1 << c
     order = FinRel(p.carrier, p.carrier, tuple(rows))
     check = is_partial_order(order)
     if not check.ok:
@@ -403,6 +391,9 @@ def check_congruence(c: CongruenceCandidate) -> CheckReport:
 
     C2: defined sums of related summands are related. C5: if x+y exists and
     is related to z, then z = x1+y1 for some x1 related to x, y1 related to y.
+    Past C1, "related to x" is the class of x, so both clauses read off
+    sums[X, Y], the mask of all defined x1+y1 with x1 in X and y1 in Y: at
+    each defined x+y = s, C2 fails iff sums & ~rows[s], C5 iff rows[s] & ~sums.
     """
     check_pam_axioms(c.base).require("not a partial abelian monoid")
     p, sim = c.base, c.classes
@@ -410,39 +401,38 @@ def check_congruence(c: CongruenceCandidate) -> CheckReport:
     if not eq.ok:
         return CheckReport.failing("congruence", "C1", eq.witness, eq.message)
     lab = p.carrier.label
-    for x1 in range(p.n):
-        for y1 in range(p.n):
-            if not p.defined(x1, y1):
-                continue
-            for x2 in bits(sim.rows[x1]):
-                for y2 in bits(sim.rows[y1]):
-                    if not p.defined(x2, y2):
-                        continue
-                    if not sim.has(p.value(x1, y1), p.value(x2, y2)):
-                        return CheckReport.failing(
-                            "congruence",
-                            "C2",
-                            (x1, y1, x2, y2),
-                            f"{lab(x1)}+{lab(y1)} and {lab(x2)}+{lab(y2)} are "
-                            "sums of related summands but are unrelated",
-                        )
-    for x in range(p.n):
-        for y in range(p.n):
-            if not p.defined(x, y):
-                continue
-            for z in bits(sim.rows[p.value(x, y)]):
-                if not any(
-                    p.defined(x1, y1) and p.value(x1, y1) == z
-                    for x1 in bits(sim.rows[x])
-                    for y1 in bits(sim.rows[y])
-                ):
-                    return CheckReport.failing(
-                        "congruence",
-                        "C5",
-                        (x, y, z),
-                        f"{lab(z)} is related to {lab(x)}+{lab(y)} but has no "
-                        "decomposition along related parts",
-                    )
+    n, plus, rows = p.n, p.plus, sim.rows
+    cls_of, reps = class_partition(sim)
+    k = len(reps)
+    sums = [0] * (k * k)
+    for x, y, s in p.cells:
+        sums[cls_of[x] * k + cls_of[y]] |= 1 << s
+    for x1, y1, s in p.cells:
+        if sums[cls_of[x1] * k + cls_of[y1]] & ~rows[s]:
+            x2, y2 = next(
+                (x2, y2)
+                for x2 in bits(rows[x1])
+                for y2 in bits(rows[y1])
+                if plus[x2 * n + y2] >= 0 and not rows[s] >> plus[x2 * n + y2] & 1
+            )
+            return CheckReport.failing(
+                "congruence",
+                "C2",
+                (x1, y1, x2, y2),
+                f"{lab(x1)}+{lab(y1)} and {lab(x2)}+{lab(y2)} are "
+                "sums of related summands but are unrelated",
+            )
+    for x, y, s in p.cells:
+        missing = rows[s] & ~sums[cls_of[x] * k + cls_of[y]]
+        if missing:
+            z = lowest_bit(missing)
+            return CheckReport.failing(
+                "congruence",
+                "C5",
+                (x, y, z),
+                f"{lab(z)} is related to {lab(x)}+{lab(y)} but has no "
+                "decomposition along related parts",
+            )
     return CheckReport.passing("congruence")
 
 
@@ -458,18 +448,15 @@ def quotient_pam(c: CongruenceCandidate) -> PartialAbelianMonoid:
     cls_of, reps = class_partition(sim)
     k = len(reps)
     table = [-1] * (k * k)
-    for a in range(p.n):
-        for b in range(p.n):
-            if not p.defined(a, b):
-                continue
-            i = cls_of[a] * k + cls_of[b]
-            v = cls_of[p.value(a, b)]
-            if table[i] >= 0 and table[i] != v:
-                raise InternalCheckError(
-                    "quotient addition is not well defined on classes "
-                    f"({cls_of[a]}, {cls_of[b]}) despite a valid congruence"
-                )
-            table[i] = v
+    for a, b, s in p.cells:
+        i = cls_of[a] * k + cls_of[b]
+        v = cls_of[s]
+        if table[i] >= 0 and table[i] != v:
+            raise InternalCheckError(
+                "quotient addition is not well defined on classes "
+                f"({cls_of[a]}, {cls_of[b]}) despite a valid congruence"
+            )
+        table[i] = v
     labels = None
     if p.carrier.labels is not None:
         labels = tuple(f"[{p.carrier.label(r)}]" for r in reps)

@@ -4,13 +4,19 @@ Everything here works on explicit pair/triple sets and quantifies by brute
 scan, so the answers are easy to audit and independent of the bitmask code
 under test. pams_by_filter is the exception: it filters plain tables through
 relmon's own PAM checker, so it is independent of the PAM generator's
-pruning, not of the checker. Slow on purpose; keep carriers tiny.
+pruning, not of the checker. The *_report functions rebuild a checker's
+whole report, verdict, witness and message, by plain scans; the congruence
+and left-adjoint ones take their preconditions and C1 from relmon. Slow on
+purpose; keep carriers tiny.
 """
 
 from itertools import product
 
+from relmon.monoid import is_lax_morphism
 from relmon.pam import PartialAbelianMonoid, check_pam_axioms
-from relmon.rel import Carrier
+from relmon.rel import Carrier, bits
+from relmon.rel import is_equivalence as is_equivalence_rel
+from relmon.report import CheckReport
 
 
 def compose(fp, gp):
@@ -184,3 +190,146 @@ def modular_ok(n, leq, meet, join):
         for x, y, z in product(range(n), repeat=3)
         if (x, y) in leq
     )
+
+
+def congruence_report(c):
+    """C1, C2 and C5 of a congruence candidate by the nested-loop scan.
+
+    The same report as relmon's check_congruence, found by walking both
+    classes of every defined sum instead of through class-pair sum masks.
+    """
+    check_pam_axioms(c.base).require("not a partial abelian monoid")
+    p, sim = c.base, c.classes
+    eq = is_equivalence_rel(sim)
+    if not eq.ok:
+        return CheckReport.failing("congruence", "C1", eq.witness, eq.message)
+    lab = p.carrier.label
+    for x1, y1 in product(range(p.n), repeat=2):
+        if not p.defined(x1, y1):
+            continue
+        for x2 in bits(sim.rows[x1]):
+            for y2 in bits(sim.rows[y1]):
+                if p.defined(x2, y2) and not sim.has(p.value(x1, y1), p.value(x2, y2)):
+                    return CheckReport.failing(
+                        "congruence",
+                        "C2",
+                        (x1, y1, x2, y2),
+                        f"{lab(x1)}+{lab(y1)} and {lab(x2)}+{lab(y2)} are "
+                        "sums of related summands but are unrelated",
+                    )
+    for x, y in product(range(p.n), repeat=2):
+        if not p.defined(x, y):
+            continue
+        for z in bits(sim.rows[p.value(x, y)]):
+            if not any(
+                p.defined(x1, y1) and p.value(x1, y1) == z
+                for x1 in bits(sim.rows[x])
+                for y1 in bits(sim.rows[y])
+            ):
+                return CheckReport.failing(
+                    "congruence",
+                    "C5",
+                    (x, y, z),
+                    f"{lab(z)} is related to {lab(x)}+{lab(y)} but has no "
+                    "decomposition along related parts",
+                )
+    return CheckReport.passing("congruence")
+
+
+def left_adjoint_report(h):
+    """Left-adjointness of a lax morphism by the per-element fiber scan.
+
+    The same report as relmon's is_left_adjoint_relmon, found by searching
+    the fibers of b1 and b2 for a lift of every a over b, one a at a time.
+    """
+    is_lax_morphism(h).require("not a lax morphism")
+    rel, src, dst = h.rel, h.src, h.dst
+    if not rel.is_map():
+        bad = next(a for a, row in enumerate(rel.rows) if row.bit_count() != 1)
+        return CheckReport.failing(
+            "left-adjoint",
+            "mapping",
+            (bad,),
+            f"element {src.carrier.label(bad)} has {rel.rows[bad].bit_count()} images",
+        )
+    f = [row.bit_length() - 1 for row in rel.rows]
+    fibers = [[a for a in range(src.n) if f[a] == b] for b in range(dst.n)]
+    for b1, b2, b in dst.triples:
+        for a in fibers[b]:
+            if not any(
+                (a1, a2, a) in src.mult for a1 in fibers[b1] for a2 in fibers[b2]
+            ):
+                return CheckReport.failing(
+                    "left-adjoint",
+                    "factorization",
+                    (b1, b2, a),
+                    f"target product {dst.carrier.render((b1, b2))}*"
+                    f"{dst.carrier.label(b)} does not lift at {src.carrier.label(a)}",
+                )
+    for x in range(src.n):
+        if f[x] in dst.units and x not in src.units:
+            return CheckReport.failing(
+                "left-adjoint",
+                "unit-reflection",
+                (x,),
+                f"non-unit {src.carrier.label(x)} maps to unit "
+                f"{dst.carrier.label(f[x])}",
+            )
+    return CheckReport.passing("left-adjoint")
+
+
+def additive_maps_by_filter(psrc, pdst):
+    """Every map with 0 sent to the target zero that respects each defined
+    source sum, filtered from all of itertools.product in its order."""
+    out = []
+    for tail in product(range(pdst.n), repeat=psrc.n - 1):
+        values = (pdst.zero,) + tail
+        if all(
+            pdst.defined(values[a], values[b])
+            and pdst.value(values[a], values[b]) == values[c]
+            for a, b, c in psrc.cells
+        ):
+            out.append(values)
+    return out
+
+
+def pam_axioms_report(p):
+    """P3, P2 and P1 of a partial abelian monoid by the cell-by-cell scan.
+
+    The same report as relmon's check_pam_axioms, found by asking defined()
+    and value() for every pair and triple of elements.
+    """
+    lab = p.carrier.label
+    for a in range(p.n):
+        if not p.defined(a, p.zero) or p.value(a, p.zero) != a:
+            return CheckReport.failing(
+                "pam-axioms", "P3", (a,), f"{lab(a)} + {lab(p.zero)} is not {lab(a)}"
+            )
+    for a, b in product(range(p.n), repeat=2):
+        if p.defined(a, b) and (not p.defined(b, a) or p.value(a, b) != p.value(b, a)):
+            return CheckReport.failing(
+                "pam-axioms",
+                "P2",
+                (a, b),
+                f"{lab(a)} + {lab(b)} defined but not matched by {lab(b)} + {lab(a)}",
+            )
+    for a, b, c in product(range(p.n), repeat=3):
+        if not p.defined(b, c) or not p.defined(a, p.value(b, c)):
+            continue
+        if not p.defined(a, b):
+            return CheckReport.failing(
+                "pam-axioms",
+                "P1",
+                (a, b, c),
+                f"{lab(a)} + ({lab(b)} + {lab(c)}) defined but "
+                f"{lab(a)} + {lab(b)} is not",
+            )
+        ab = p.value(a, b)
+        if not p.defined(ab, c) or p.value(ab, c) != p.value(a, p.value(b, c)):
+            return CheckReport.failing(
+                "pam-axioms",
+                "P1",
+                (a, b, c),
+                f"({lab(a)} + {lab(b)}) + {lab(c)} does not reassociate",
+            )
+    return CheckReport.passing("pam-axioms")

@@ -1,6 +1,7 @@
 """Relational monoids, lax morphisms, adjoints, monads, reflection."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -29,8 +30,10 @@ from relmon.monoid import (
     quotient_relmonoid,
     right_unit_of,
 )
+from relmon.pam import to_relmonoid
 from relmon.rel import Carrier, FinRel, refl_trans_closure
 from relmon.report import InputError, PreconditionError
+from relmon.search import _pams
 
 Z2 = catalog.z2_monoid()
 
@@ -312,6 +315,24 @@ def test_degree_map_fails_factorization():
     assert not rep.ok
     assert rep.failed == "factorization"
     assert rep.witness == (1, 1, 6)  # (1, 1) never factors x^2+x+1
+
+
+def test_left_adjoint_kernel_matches_fiber_scan():
+    # every lax arrow between the labeled monoids on at most 2 points and
+    # the monoids of the PAMs on at most 3 points, one per isomorphism class
+    monoids = [m for n in range(3) for m in labeled_monoids(n)]
+    monoids += [to_relmonoid(p) for n in range(1, 4) for p in _pams(n, True)]
+    clauses = Counter()
+    for src, dst in itertools.product(monoids, repeat=2):
+        for rows in itertools.product(range(1 << dst.n), repeat=src.n):
+            h = LaxMorphism(src, dst, FinRel(src.carrier, dst.carrier, rows))
+            if not is_lax_morphism(h).ok:
+                continue
+            rep = is_left_adjoint_relmon(h)
+            assert rep.to_json() == oracles.left_adjoint_report(h).to_json()
+            clauses[rep.failed] += 1
+    assert sum(clauses.values()) == 7232
+    assert set(clauses) == {None, "mapping", "factorization", "unit-reflection"}
 
 
 def test_adjoint_transpose_is_lax():

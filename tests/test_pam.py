@@ -1,6 +1,7 @@
 """Partial abelian monoids, congruences, quotients, orthomodular structures."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -35,6 +36,7 @@ from relmon.pam import (
 )
 from relmon.rel import Carrier, FinRel
 from relmon.report import InputError, PreconditionError
+from relmon.search import _equivalence_rows, _pams
 
 
 def pam(size, zero, cells, labels=None):
@@ -103,6 +105,27 @@ def test_axioms_p1_witness():
     rep = check_pam_axioms(pam(3, 0, unit_cells(3) + [(1, 1, 2), (2, 2, 1)]))
     assert rep.failed == "P1"
     assert rep.witness == (1, 2, 2)
+
+
+def test_axiom_report_matches_cell_scan():
+    # every table on at most 2 points with either zero, then every table on
+    # 3 points whose zero row is the identity; the whole report must agree
+    tables = [
+        (n, zero, values)
+        for n in range(1, 3)
+        for zero in range(n)
+        for values in itertools.product(range(-1, n), repeat=n * n)
+    ]
+    tables += [
+        (3, 0, (0, 1, 2) + rest) for rest in itertools.product(range(-1, 3), repeat=6)
+    ]
+    clauses = Counter()
+    for n, zero, values in tables:
+        p = PartialAbelianMonoid(Carrier(n, tuple("zab"[:n])), zero, values)
+        rep = check_pam_axioms(p)
+        assert rep.to_json() == oracles.pam_axioms_report(p).to_json()
+        clauses[rep.failed] += 1
+    assert set(clauses) == {None, "P1", "P2", "P3"}
 
 
 def test_axiom_checker_matches_oracle_on_size_two():
@@ -253,6 +276,28 @@ def test_congruence_c5_witness():
     )
     assert rep.failed == "C5"
     assert rep.witness == (1, 1, 1)
+
+
+def test_congruence_kernel_matches_nested_scan():
+    # every equivalence of every PAM (labeled up to 4 points, one per
+    # isomorphism class at 5, and a labeled carrier), then every relation on
+    # the labeled PAMs up to 3 points; the whole report must agree
+    labeled_b22 = PartialAbelianMonoid(Carrier(4, ("o", "a", "b", "t")), 0, B22.plus)
+    bases = [p for n in range(1, 6) for p in _pams(n, n == 5)] + [labeled_b22]
+    cases = [(p, rows) for p in bases for rows in _equivalence_rows(p.n)]
+    cases += [
+        (p, rows)
+        for n in range(1, 4)
+        for p in _pams(n, False)
+        for rows in itertools.product(range(1 << n), repeat=n)
+    ]
+    clauses = Counter()
+    for p, rows in cases:
+        c = CongruenceCandidate(p, FinRel(p.carrier, p.carrier, rows))
+        rep = check_congruence(c)
+        assert rep.to_json() == oracles.congruence_report(c).to_json()
+        clauses[rep.failed] += 1
+    assert set(clauses) == {None, "C1", "C2", "C5"}
 
 
 def test_congruence_json_round_trip():

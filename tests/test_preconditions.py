@@ -1,8 +1,9 @@
 """Every entry point that needs a valid structure raises PreconditionError.
 
-The axiom, lax-morphism, PAM and congruence verdicts are cached on the
-structure they check, so each case calls its entry point twice on the same
-instances: a cached failing verdict must raise again, with the same message.
+The axiom, lax-morphism, left-adjoint, PAM and congruence verdicts are
+cached on the structure they check, so each case calls its entry point twice
+on the same instances: a cached failing verdict must raise again, with the
+same message.
 """
 
 import pytest
@@ -184,6 +185,8 @@ CACHED = {
         CongruenceCandidate(CHAIN2, FinRel.identity(CHAIN2.carrier)),
     ),
     "congruence-fail": (check_congruence, NOT_EQUIVALENCE),
+    "left-adjoint-ok": (is_left_adjoint_relmon, LaxMorphism(Z2, Z2, ID2)),
+    "left-adjoint-fail": (is_left_adjoint_relmon, NOT_ADJOINT),
 }
 
 
@@ -191,6 +194,14 @@ CACHED = {
 def test_verdict_is_computed_once_per_instance(case):
     check, structure = CACHED[case]
     assert check(structure) is check(structure)
+
+
+def test_a_raising_check_caches_nothing():
+    h = LaxMorphism(Z2, Z2, BAD_ENDO)
+    for _ in range(2):
+        with pytest.raises(PreconditionError):
+            is_left_adjoint_relmon(h)
+        assert "is_left_adjoint_relmon" not in vars(h)
 
 
 def test_cached_verdict_leaves_equality_and_hash_alone():

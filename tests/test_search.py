@@ -13,8 +13,13 @@ from relmon.rel import Carrier, FinRel, is_partial_order
 from relmon.report import InputError
 from relmon.search import (
     EnumSpec,
+    _additive_maps,
+    _equivalence_rows,
     _gen_pams,
+    _labeled_posets,
+    _pams,
     _perms_fixing_zero,
+    _preorders,
     enumerate_structures,
     property_keys,
     serialize_structure,
@@ -95,6 +100,32 @@ def test_relmonoid_counts_are_pinned(dedup):
     assert counts == RELMONOID_COUNTS[dedup]
 
 
+def monoid_key(m):
+    return (m.units_mask, m.prod_masks)
+
+
+def relabel_monoid(m, p):
+    """The key of m with every element a renamed p[a]."""
+    pm = [0] * (m.n * m.n)
+    for a1, a2, a in m.triples:
+        pm[p[a1] * m.n + p[a2]] |= 1 << p[a]
+    units = 0
+    for u in m.units:
+        units |= 1 << p[u]
+    return (units, tuple(pm))
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_relmonoid_orbit_stabilizer(n):
+    # each representative stands for n!/|Aut| labelings
+    perms = list(itertools.permutations(range(n)))
+    labeled = 0
+    for m in enumerate_structures(EnumSpec("relmonoid", n)):
+        aut = sum(1 for p in perms if relabel_monoid(m, p) == monoid_key(m))
+        labeled += factorial(n) // aut
+    assert labeled == RELMONOID_COUNTS[False][n]
+
+
 def test_relmonoids_all_satisfy_axioms():
     for m in enumerate_structures(EnumSpec("relmonoid", 2)):
         assert check_monoid_axioms(m).ok
@@ -106,25 +137,8 @@ def test_relmonoids_dedup_covers_all_labelings():
     raw = list(enumerate_structures(EnumSpec("relmonoid", 2, dedup=False)))
     assert len(raw) >= len(reps)
 
-    def monoid_key(m):
-        return (m.units_mask, m.prod_masks)
-
     def iso_class(m):
-        keys = set()
-        for p in itertools.permutations(range(m.n)):
-            pm = [0] * (m.n * m.n)
-            for a1 in range(m.n):
-                for a2 in range(m.n):
-                    mask = 0
-                    for a in range(m.n):
-                        if (a1, a2, a) in m.triples:
-                            mask |= 1 << p[a]
-                    pm[p[a1] * m.n + p[a2]] = mask
-            units = 0
-            for u in m.units:
-                units |= 1 << p[u]
-            keys.add((units, tuple(pm)))
-        return keys
+        return {relabel_monoid(m, p) for p in itertools.permutations(range(m.n))}
 
     rep_keys = [monoid_key(m) for m in reps]
     assert len(set(rep_keys)) == len(rep_keys)
@@ -249,6 +263,32 @@ def test_lattice_counts_are_pinned(dedup):
     assert counts == LATTICE_COUNTS[dedup]
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_lattice_orbit_stabilizer(n):
+    # each representative stands for n!/|Aut| labelings
+    perms = list(itertools.permutations(range(n)))
+    labeled = 0
+    for lat in enumerate_structures(EnumSpec("lattice", n)):
+        rows = lat.order.rows
+        aut = sum(1 for p in perms if permute_rows(rows, p) == rows)
+        labeled += factorial(n) // aut
+    assert labeled == LATTICE_COUNTS[False][n - 1]
+
+
+# Published counts of the building blocks, n = 0, 1, 2, ...: labeled posets
+# (OEIS A001035), preorders on labeled points (OEIS A000798) and set
+# partitions (the Bell numbers, OEIS A000110).
+LABELED_POSETS = [1, 1, 3, 19, 219, 4231, 130023]
+PREORDERS = [1, 1, 4, 29, 355, 6942]
+BELL = [1, 1, 2, 5, 15, 52, 203]
+
+
+def test_poset_preorder_and_partition_counts_are_published():
+    assert [len(_labeled_posets(n)) for n in range(7)] == LABELED_POSETS
+    assert [len(_preorders(n)) for n in range(6)] == PREORDERS
+    assert [len(_equivalence_rows(n)) for n in range(7)] == BELL
+
+
 def test_size_five_lattices_contain_pentagon_and_diamond():
     lats = list(enumerate_structures(EnumSpec("lattice", 5)))
     n5 = catalog.n5_lattice().order.rows
@@ -321,6 +361,18 @@ def test_pam_generation_matches_brute_filter(n):
     assert sorted(p.plus for p in _gen_pams(n, False)) == oracles.pams_by_filter(n)
 
 
+def test_additive_maps_match_product_filter():
+    # every pair of PAMs up to 4 points, one per isomorphism class: the same
+    # maps in the same order as filtering all of itertools.product
+    pams = [p for n in range(1, 5) for p in _pams(n, True)]
+    total = 0
+    for psrc, pdst in itertools.product(pams, repeat=2):
+        maps = list(_additive_maps(psrc, pdst))
+        assert maps == oracles.additive_maps_by_filter(psrc, pdst)
+        total += len(maps)
+    assert total == 32529
+
+
 def test_pam_enumeration_contains_named_examples():
     pams3 = list(enumerate_structures(EnumSpec("pam", 3)))
     assert any(pam_isomorphic(catalog.chain_pam(3), p) for p in pams3)
@@ -387,6 +439,10 @@ def test_law_holds_at_reduced_size(key):
     rep = verify_universal(key, size=REDUCED_SIZES[key])
     assert rep.ok, rep.summary()
     assert rep.check == f"verify:{key}"
+
+
+def test_reflection_least_holds_at_its_max_size():
+    assert verify_universal("reflection-least", size=3).ok
 
 
 def test_verify_universal_rejects_bad_requests():
