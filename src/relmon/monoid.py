@@ -24,6 +24,8 @@ from .rel import (
     FinRel,
     bits,
     class_partition,
+    compose_rows,
+    is_equivalence,
     is_partial_order,
     is_preorder,
     is_subcell,
@@ -507,28 +509,28 @@ def _square_witness(
     rows relates src to dst. The square fails at (a1, a2, a, b) when
     (a1, a2)*a in src and a relates to b, but no b1, b2 related to a1, a2
     have (b1, b2)*b in dst. Scan order: src triples ascending, then b.
+
+    right[b1][a2] masks the products (b1, b2)*b over every b2 related to a2
+    (built on first use), so OR-ing it over the b1 related to a1 gives every
+    product above (a1, a2); the least b of rows[a] left out is the witness.
+    The OR stops once it covers rows[a].
     """
     m = dst.n
     dpm = dst.prod_masks
+    right: list[tuple[int, ...] | None] = [None] * m
     for a1, a2, a in src.triples:
-        row1 = rows[a1]
-        row2 = rows[a2]
-        for b in bits(rows[a]):
-            found = False
-            w1 = row1
-            while w1 and not found:
-                low1 = w1 & -w1
-                b1 = low1.bit_length() - 1
-                w2 = row2
-                while w2:
-                    low2 = w2 & -w2
-                    if dpm[b1 * m + (low2.bit_length() - 1)] >> b & 1:
-                        found = True
-                        break
-                    w2 ^= low2
-                w1 ^= low1
-            if not found:
-                return a1, a2, a, b
+        want = rows[a]
+        got = 0
+        for b1 in bits(rows[a1]):
+            if not want & ~got:
+                break
+            r = right[b1]
+            if r is None:
+                r = right[b1] = compose_rows(rows, dpm[b1 * m:b1 * m + m])
+            got |= r[a2]
+        missing = want & ~got
+        if missing:
+            return a1, a2, a, lowest_bit(missing)
     return None
 
 
@@ -567,9 +569,7 @@ def is_lax_morphism(h: LaxMorphism) -> CheckReport:
             f"{dst.carrier.label(b)} with no product decomposition above it",
         )
     preserved_wit = _stray_unit_image(src, rows, dst)
-    reached = 0
-    for y in src.unit_list:
-        reached |= rows[y]
+    (reached,) = compose_rows((src.units_mask,), rows)
     uncovered = dst.units_mask & ~reached
     covered_wit = (lowest_bit(uncovered),) if uncovered else None
     details = {
@@ -655,6 +655,7 @@ def induced_monad(h: LaxMorphism) -> MonadCandidate:
     return MonadCandidate(h.src, h.rel.compose(h.rel.dagger()))
 
 
+@cached_verdict
 def is_monad(c: MonadCandidate) -> CheckReport:
     """Monad conditions for an order 1-cell on a relational monoid.
 
@@ -729,25 +730,28 @@ def monad_reflection(m: RelMonoid, f: FinRel) -> MonadCandidate:
 
 
 def check_reflection_universal(
-    m: RelMonoid,
-    f: FinRel,
-    n: RelMonoid,
-    leq: FinRel,
-    u: FinRel,
+    endo: LaxMorphism, monad: MonadCandidate, u: LaxMorphism
 ) -> CheckReport:
     """Universal property of the closure reflection at one cocone.
 
-    Given a lax endomorphism f on m, a monad order leq on n, and u a
-    morphism (m, f) -> (n, leq) of endo 1-cells, the same u must be a
-    morphism (m, cl(f)) -> (n, leq). Precondition failures (f not lax, leq
-    not a monad, u not a morphism or violating the f-square) raise.
+    Given a lax endomorphism f (endo) on m, a monad order leq (monad) on n,
+    and a lax morphism u: m -> n that is a morphism (m, f) -> (n, leq) of
+    endo 1-cells, the same u must be a morphism (m, cl(f)) -> (n, leq).
+    Mismatched monoids raise InputError; precondition failures (f not lax,
+    leq not a monad, u not a morphism or violating the f-square) raise
+    PreconditionError. Each precondition verdict is cached on its instance.
     """
-    morphism = LaxMorphism(m, n, u)
-    is_lax_morphism(LaxMorphism(m, m, f)).require("f is not a lax endomorphism")
-    is_monad(MonadCandidate(n, leq)).require("leq is not a monad order")
-    is_endo_square(morphism, f, leq).require("u does not square with f")
-    closure = refl_trans_closure(f)
-    out = is_endo_square(morphism, closure, leq)
+    if endo.dst != endo.src:
+        raise InputError("endo must have the same source and target monoid")
+    if u.src != endo.src or u.dst != monad.base:
+        raise InputError(
+            "u must run from the monoid of endo to the base of the monad order"
+        )
+    is_lax_morphism(endo).require("f is not a lax endomorphism")
+    is_monad(monad).require("leq is not a monad order")
+    f, leq = endo.rel, monad.order
+    is_endo_square(u, f, leq).require("u does not square with f")
+    out = is_endo_square(u, refl_trans_closure(f), leq)
     if out.ok:
         return CheckReport.passing("reflection-universal")
     return CheckReport.failing(
@@ -758,19 +762,13 @@ def check_reflection_universal(
 def monad_from_adjunction_conditions(c: MonadCandidate) -> CheckReport:
     """Whether a monad order arises from an adjunction: monad + symmetric."""
     rep = is_monad(c)
+    if rep.ok:
+        # a monad order is a preorder, so only the symmetry clause can fail
+        rep = is_equivalence(c.order)
     if not rep.ok:
         return CheckReport.failing(
             "adjunction-monad", rep.failed, rep.witness, rep.message
         )
-    for a, row in enumerate(c.order.rows):
-        for b in bits(row):
-            if not c.order.rows[b] >> a & 1:
-                return CheckReport.failing(
-                    "adjunction-monad",
-                    "symmetry",
-                    (a, b),
-                    f"({a}, {b}) related but ({b}, {a}) is not",
-                )
     return CheckReport.passing("adjunction-monad")
 
 

@@ -4,7 +4,9 @@ A carrier is an index set {0, ..., size-1} with optional display labels. A
 relation from A to B keeps one Python int per element of A, the bitmask of its
 images in B. Composition is then a row-by-row bitwise OR, i.e. a boolean
 matrix product at O(n^3 / wordsize), and all the order/equivalence checks are
-mask arithmetic. The empty carrier is legal everywhere.
+mask arithmetic. compose_rows is the one OR-of-rows kernel that all of this
+goes through, and symmetry is read off transpose_rows. The empty carrier is
+legal everywhere.
 
 Relations serialize as {"dom": n, "cod": m, "pairs": [[a, b], ...]}; pair
 order is irrelevant on input and lexicographic on output.
@@ -28,6 +30,24 @@ def bits(mask: int) -> Iterator[int]:
 
 def lowest_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
+
+
+def compose_rows(rows: Sequence[int], orows: Sequence[int]) -> tuple[int, ...]:
+    """Row table of "rows then orows": row a is the OR of orows[b] over the
+    set bits b of rows[a].
+
+    Takes whole tables, so one call covers a relation; orows may be any
+    table indexed by the bit positions of rows.
+    """
+    out = []
+    for row in rows:
+        acc = 0
+        while row:
+            low = row & -row
+            acc |= orows[low.bit_length() - 1]
+            row ^= low
+        out.append(acc)
+    return tuple(out)
 
 
 def transpose_rows(rows: Sequence[int], width: int) -> tuple[int, ...]:
@@ -159,17 +179,7 @@ class FinRel:
             raise InputError(
                 f"cannot compose: middle carriers have sizes {self.cod.size} and {other.dom.size}"
             )
-        orows = other.rows
-        rows = []
-        for row in self.rows:
-            acc = 0
-            m = row
-            while m:
-                low = m & -m
-                acc |= orows[low.bit_length() - 1]
-                m ^= low
-            rows.append(acc)
-        return FinRel(self.dom, other.cod, tuple(rows))
+        return FinRel(self.dom, other.cod, compose_rows(self.rows, other.rows))
 
     def dagger(self) -> "FinRel":
         """Transpose; the dagger involution of the relation."""
@@ -268,22 +278,16 @@ def is_left_adjoint_rel(f: FinRel, g: FinRel) -> CheckReport:
             "adjoint candidate has mismatched carriers: "
             f"f is {f.dom.size}->{f.cod.size} but g is {g.dom.size}->{g.cod.size}"
         )
-    for a in range(f.dom.size):
-        acc = 0
-        for b in bits(f.rows[a]):
-            acc |= g.rows[b]
-        if not acc >> a & 1:
+    for a, row in enumerate(compose_rows(f.rows, g.rows)):
+        if not row >> a & 1:
             return CheckReport.failing(
                 "left-adjoint-rel",
                 "unit",
                 (a, a),
                 f"({a}, {a}) is missing from the round trip through f and g",
             )
-    for b in range(g.dom.size):
-        acc = 0
-        for a in bits(g.rows[b]):
-            acc |= f.rows[a]
-        extra = acc & ~(1 << b)
+    for b, row in enumerate(compose_rows(g.rows, f.rows)):
+        extra = row & ~(1 << b)
         if extra:
             return CheckReport.failing(
                 "left-adjoint-rel",
@@ -329,77 +333,72 @@ def refl_trans_closure(f: FinRel) -> FinRel:
     _require_endo(f)
     rows = tuple(row | (1 << a) for a, row in enumerate(f.rows))
     while True:
-        squared = []
-        for row in rows:
-            acc = 0
-            m = row
-            while m:
-                low = m & -m
-                acc |= rows[low.bit_length() - 1]
-                m ^= low
-            squared.append(acc)
-        squared = tuple(squared)
+        squared = compose_rows(rows, rows)
         if squared == rows:
             return FinRel(f.dom, f.cod, rows)
         rows = squared
 
 
-def is_preorder(f: FinRel) -> CheckReport:
-    """Reflexivity and transitivity, with the first missing pair as witness."""
+def _preorder_failure(f: FinRel, check: str) -> CheckReport | None:
+    """The first reflexivity or transitivity failure, reported as check."""
     _require_endo(f)
     for a, row in enumerate(f.rows):
         if not row >> a & 1:
             return CheckReport.failing(
-                "preorder", "reflexivity", (a, a), f"missing ({a}, {a})"
+                check, "reflexivity", (a, a), f"missing ({a}, {a})"
             )
-    for a, row in enumerate(f.rows):
-        acc = 0
-        m = row
-        while m:
-            low = m & -m
-            acc |= f.rows[low.bit_length() - 1]
-            m ^= low
-        extra = acc & ~row
+    for a, (row, two_steps) in enumerate(zip(f.rows, compose_rows(f.rows, f.rows))):
+        extra = two_steps & ~row
         if extra:
             c = lowest_bit(extra)
             return CheckReport.failing(
-                "preorder",
+                check,
                 "transitivity",
                 (a, c),
                 f"({a}, {c}) is reachable in two steps but not related",
             )
-    return CheckReport.passing("preorder")
+    return None
+
+
+def is_preorder(f: FinRel) -> CheckReport:
+    """Reflexivity and transitivity, with the first missing pair as witness."""
+    rep = _preorder_failure(f, "preorder")
+    return CheckReport.passing("preorder") if rep is None else rep
 
 
 def is_partial_order(f: FinRel) -> CheckReport:
-    rep = is_preorder(f)
-    if not rep.ok:
-        return CheckReport.failing("partial-order", rep.failed, rep.witness, rep.message)
+    rep = _preorder_failure(f, "partial-order")
+    if rep is not None:
+        return rep
+    down = transpose_rows(f.rows, f.cod.size)
     for a, row in enumerate(f.rows):
-        for b in bits(row):
-            if a != b and f.rows[b] >> a & 1:
-                return CheckReport.failing(
-                    "partial-order",
-                    "antisymmetry",
-                    (a, b),
-                    f"({a}, {b}) and ({b}, {a}) both related",
-                )
+        both = row & down[a] & ~(1 << a)
+        if both:
+            b = lowest_bit(both)
+            return CheckReport.failing(
+                "partial-order",
+                "antisymmetry",
+                (a, b),
+                f"({a}, {b}) and ({b}, {a}) both related",
+            )
     return CheckReport.passing("partial-order")
 
 
 def is_equivalence(f: FinRel) -> CheckReport:
-    rep = is_preorder(f)
-    if not rep.ok:
-        return CheckReport.failing("equivalence", rep.failed, rep.witness, rep.message)
+    rep = _preorder_failure(f, "equivalence")
+    if rep is not None:
+        return rep
+    down = transpose_rows(f.rows, f.cod.size)
     for a, row in enumerate(f.rows):
-        for b in bits(row):
-            if not f.rows[b] >> a & 1:
-                return CheckReport.failing(
-                    "equivalence",
-                    "symmetry",
-                    (a, b),
-                    f"({a}, {b}) related but ({b}, {a}) is not",
-                )
+        one_way = row & ~down[a]
+        if one_way:
+            b = lowest_bit(one_way)
+            return CheckReport.failing(
+                "equivalence",
+                "symmetry",
+                (a, b),
+                f"({a}, {b}) related but ({b}, {a}) is not",
+            )
     return CheckReport.passing("equivalence")
 
 

@@ -72,6 +72,7 @@ from .rel import (
     Carrier,
     FinRel,
     bits,
+    compose_rows,
     is_equivalence,
     is_left_adjoint_rel,
     is_preorder,
@@ -136,20 +137,10 @@ class EnumSpec:
 # permutation helpers
 
 
-def _permute_mask(mask: int, perm: Sequence[int]) -> int:
-    out = 0
-    m = mask
-    while m:
-        low = m & -m
-        out |= 1 << perm[low.bit_length() - 1]
-        m ^= low
-    return out
-
-
 def _permute_rows(rows: Sequence[int], perm: Sequence[int]) -> tuple[int, ...]:
     out = [0] * len(rows)
-    for a, row in enumerate(rows):
-        out[perm[a]] = _permute_mask(row, perm)
+    for a, row in enumerate(compose_rows(rows, [1 << p for p in perm])):
+        out[perm[a]] = row
     return tuple(out)
 
 
@@ -203,11 +194,14 @@ def _relmonoid_orbit(m: RelMonoid) -> list[tuple[int, tuple[int, ...]]]:
     pm = m.prod_masks
     keys = []
     for perm in _perms(n):
+        moved = [1 << p for p in perm]
+        cells = compose_rows(pm, moved)
+        (units,) = compose_rows((m.units_mask,), moved)
         ppm = [0] * (n * n)
         for a1 in range(n):
             for a2 in range(n):
-                ppm[perm[a1] * n + perm[a2]] = _permute_mask(pm[a1 * n + a2], perm)
-        keys.append((_permute_mask(m.units_mask, perm), tuple(ppm)))
+                ppm[perm[a1] * n + perm[a2]] = cells[a1 * n + a2]
+        keys.append((units, tuple(ppm)))
     return keys
 
 
@@ -307,41 +301,49 @@ def _labeled_posets(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _is_lattice_rows(rows: Sequence[int]) -> bool:
+def _is_lattice_rows(
+    rows: Sequence[int],
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """Meet and join tables of a partial order's up-set rows, or None if it
+    is not a lattice."""
     n = len(rows)
     if n == 0:
-        return False
+        return None
     full = (1 << n) - 1
     if full not in rows:
-        return False
+        return None
     down = transpose_rows(rows, n)
     if full not in down:
-        return False
+        return None
     try:
-        meet_join_tables(rows, down)
+        return meet_join_tables(rows, down)
     except InputError:
-        return False
-    return True
+        return None
 
 
 def _gen_lattices(n: int, dedup: bool) -> list[FinLattice]:
     """All lattices on {0..n-1}, from the labeled posets that pass the filter.
 
-    The posets are partial orders by construction, so the tables are built
-    straight from their rows without validating the order again.
+    The posets are partial orders by construction, so each lattice is built
+    from the tables the filter returns, without validating the order again.
+    With dedup on, the posets are walked in ascending row order, skipping
+    the orbits of the lattices already kept (relabeling preserves lattices),
+    so each class keeps its least labeling, as in _dedup_min, and no other
+    lattice's tables are held.
     """
-    all_rows = [rows for rows in _labeled_posets(n) if _is_lattice_rows(rows)]
-    if dedup:
-        all_rows = _dedup_min(
-            all_rows,
-            key=lambda rows: rows,
-            orbit=lambda rows: [_permute_rows(rows, p) for p in _perms(n)],
-        )
     carrier = Carrier(n)
+    posets = _labeled_posets(n)
+    seen: set = set()
     out = []
-    for rows in all_rows:
-        meet, join = meet_join_tables(rows, transpose_rows(rows, n))
-        out.append(FinLattice(FinRel(carrier, carrier, rows), meet, join))
+    for rows in sorted(posets) if dedup else posets:
+        if rows in seen:
+            continue
+        meet_join = _is_lattice_rows(rows)
+        if meet_join is None:
+            continue
+        out.append(FinLattice(FinRel(carrier, carrier, rows), *meet_join))
+        if dedup:
+            seen.update(_permute_rows(rows, p) for p in _perms(n))
     return out
 
 
@@ -400,10 +402,7 @@ def _preorders(n: int) -> tuple[tuple[int, ...], ...]:
             bmasks.append(mask)
         for rows in _labeled_posets(k):
             full_rows = [0] * n
-            for bi, blk in enumerate(blocks):
-                row = 0
-                for bj in bits(rows[bi]):
-                    row |= bmasks[bj]
+            for blk, row in zip(blocks, compose_rows(rows, bmasks)):
                 for a in blk:
                     full_rows[a] = row
             out.append(tuple(full_rows))
@@ -414,12 +413,11 @@ def _gen_monad_orders(base: RelMonoid) -> list[MonadCandidate]:
     rep = check_monoid_axioms(base)
     if not rep.ok:
         raise InputError(f"base is not a relational monoid: {rep.summary()}")
-    out = []
-    for rows in _preorders(base.n):
-        order = FinRel(base.carrier, base.carrier, rows)
-        if _monad_conditions(base, order).ok:
-            out.append(MonadCandidate(base, order))
-    return out
+    candidates = (
+        MonadCandidate(base, FinRel(base.carrier, base.carrier, rows))
+        for rows in _preorders(base.n)
+    )
+    return [c for c in candidates if is_monad(c).ok]
 
 
 def _gen_congruences(base: PartialAbelianMonoid) -> list[CongruenceCandidate]:
@@ -723,8 +721,7 @@ def _random_rel(rng: random.Random, na: int, nb: int) -> FinRel:
 
 def _law_compose_associativity(size: int, rng: random.Random) -> CheckReport:
     checked = 0
-    small = min(size, 2)
-    for na, nb, nc, nd in product(range(small + 1), repeat=4):
+    for na, nb, nc, nd in product(range(size + 1), repeat=4):
         cs = [Carrier(k) for k in (na, nb, nc, nd)]
         for frows in _all_rels(na, nb):
             f = FinRel(cs[0], cs[1], frows)
@@ -757,8 +754,7 @@ def _law_compose_associativity(size: int, rng: random.Random) -> CheckReport:
 
 def _law_dagger_laws(size: int, rng: random.Random) -> CheckReport:
     checked = 0
-    small = min(size, 2)
-    for na, nb, nc in product(range(small + 1), repeat=3):
+    for na, nb, nc in product(range(size + 1), repeat=3):
         ca, cb, cc = Carrier(na), Carrier(nb), Carrier(nc)
         for frows in _all_rels(na, nb):
             f = FinRel(ca, cb, frows)
@@ -829,14 +825,13 @@ def _law_kernel_equivalence(size: int, rng: random.Random) -> CheckReport:
 
 def _law_product_functorial(size: int, rng: random.Random) -> CheckReport:
     checked = 0
-    small = min(size, 2)
 
     def agree(f: FinRel, h: FinRel, g: FinRel, k: FinRel) -> bool:
         lhs = product_rel(f.compose(h), g.compose(k))
         rhs = product_rel(f, g).compose(product_rel(h, k))
         return lhs.rows == rhs.rows
 
-    for n in range(small + 1):
+    for n in range(size + 1):
         c = Carrier(n)
         ident = FinRel.identity(c)
         if product_rel(ident, ident).rows != FinRel.identity(Carrier(n * n)).rows:
@@ -898,20 +893,19 @@ def _law_adjoint_transpose_lax(size: int, rng: random.Random) -> CheckReport:
     return _pass("adjoint-transpose-lax")
 
 
-def _lax_rels(src: RelMonoid, dst: RelMonoid) -> list[FinRel]:
-    return [
-        FinRel(src.carrier, dst.carrier, rows)
+def _lax_rels(src: RelMonoid, dst: RelMonoid) -> list[LaxMorphism]:
+    """Every lax morphism src -> dst, with its verdict cached on it."""
+    candidates = (
+        LaxMorphism(src, dst, FinRel(src.carrier, dst.carrier, rows))
         for rows in _all_rels(src.n, dst.n)
-        if is_lax_morphism(
-            LaxMorphism(src, dst, FinRel(src.carrier, dst.carrier, rows))
-        ).ok
-    ]
+    )
+    return [h for h in candidates if is_lax_morphism(h).ok]
 
 
 def _law_morphism_closure_ops(size: int, rng: random.Random) -> CheckReport:
     monoids = [m for n in range(size + 1) for m in _relmonoids(n, True)]
     lax = {
-        (i, j): _lax_rels(src, dst)
+        (i, j): [h.rel for h in _lax_rels(src, dst)]
         for i, src in enumerate(monoids)
         for j, dst in enumerate(monoids)
     }
@@ -962,7 +956,7 @@ def _law_reflection_least(size: int, rng: random.Random) -> CheckReport:
     for n in range(size + 1):
         for m in _relmonoids(n, True):
             orders = [c.order for c in _gen_monad_orders(m)]
-            for f in _lax_rels(m, m):
+            for f in (h.rel for h in _lax_rels(m, m)):
                 cand = monad_reflection(m, f)
                 if not is_monad(cand).ok or not cand.order.contains(f):
                     return _fail(
@@ -982,23 +976,24 @@ def _law_reflection_least(size: int, rng: random.Random) -> CheckReport:
 
 def _law_reflection_universal(size: int, rng: random.Random) -> CheckReport:
     monoids = [m for n in range(size + 1) for m in _relmonoids(n, True)]
+    monads = [_gen_monad_orders(other) for other in monoids]
     for m in monoids:
         endos = _lax_rels(m, m)
-        for other in monoids:
-            monads = _gen_monad_orders(other)
+        for other, orders in zip(monoids, monads):
             arrows = _lax_rels(m, other)
-            for f in endos:
-                for cand in monads:
+            for endo in endos:
+                f = endo.rel
+                for cand in orders:
                     for u in arrows:
-                        if not u.compose(cand.order).contains(f.compose(u)):
+                        if not u.rel.compose(cand.order).contains(f.compose(u.rel)):
                             continue
-                        if not check_reflection_universal(m, f, other, cand.order, u).ok:
+                        if not check_reflection_universal(endo, cand, u).ok:
                             return _fail(
                                 "reflection-universal",
                                 "a cocone fails to factor through the closure",
                                 monoid=m.to_json(), endo=f.to_json(),
                                 target=other.to_json(), order=cand.order.to_json(),
-                                arrow=u.to_json(),
+                                arrow=u.rel.to_json(),
                             )
     return _pass("reflection-universal")
 
@@ -1304,7 +1299,7 @@ def _law_oml_effect_algebra(size: int, rng: random.Random) -> CheckReport:
 def _law_dimeq_b_matches_square(size: int, rng: random.Random) -> CheckReport:
     from .catalog import boolean_oml
 
-    for k in range(1, min(size, 3) + 1):
+    for k in range(1, size + 1):
         s = boolean_oml(k)
         m = to_relmonoid(oml_as_effect_algebra(s))
         for rows in _equivalence_rows(1 << k):
@@ -1343,8 +1338,7 @@ def _naive_pams(n: int) -> list[tuple[int, ...]]:
 
 
 def _law_enumeration_complete(size: int, rng: random.Random) -> CheckReport:
-    bound = min(size, 2)
-    for n in range(bound + 1):
+    for n in range(size + 1):
         fast = sorted(
             (m.units_mask, m.triples) for m in _gen_relmonoids(n, False)
         )
@@ -1353,14 +1347,14 @@ def _law_enumeration_complete(size: int, rng: random.Random) -> CheckReport:
                 "enumeration-complete",
                 f"relational monoid enumeration differs from the naive filter at size {n}",
             )
-    for n in range(1, bound + 1):
+    for n in range(1, size + 1):
         fast = sorted(p.plus for p in _gen_pams(n, False))
         if fast != _naive_pams(n):
             return _fail(
                 "enumeration-complete",
                 f"partial monoid enumeration differs from the naive filter at size {n}",
             )
-    for n in range(1, bound + 1):
+    for n in range(1, size + 1):
         carrier = Carrier(n)
         naive_lat = sorted(
             rows
@@ -1371,7 +1365,7 @@ def _law_enumeration_complete(size: int, rng: random.Random) -> CheckReport:
                 for a in range(n)
                 for b in bits(rows[a])
             )
-            and _is_lattice_rows(rows)
+            and _is_lattice_rows(rows) is not None
         )
         fast = sorted(lat.order.rows for lat in _gen_lattices(n, False))
         if fast != naive_lat:
@@ -1468,11 +1462,11 @@ PROPERTIES: dict[str, _Law] = {
         "preorder/equivalence checks agree with first-principles scans",
     ),
     "compose-associativity": _Law(
-        _law_compose_associativity, 2, 4,
+        _law_compose_associativity, 2, 2,
         "relation composition associates",
     ),
     "dagger-laws": _Law(
-        _law_dagger_laws, 2, 4,
+        _law_dagger_laws, 2, 2,
         "transpose is an involution reversing composition",
     ),
     "closure-least-preorder": _Law(

@@ -333,3 +333,240 @@ def pam_axioms_report(p):
                 f"({lab(a)} + {lab(b)}) + {lab(c)} does not reassociate",
             )
     return CheckReport.passing("pam-axioms")
+
+
+# -- reference scans ---------------------------------------------------------
+#
+# The loops that rel.compose_rows, rel.transpose_rows and the mask-built
+# lax square replaced, kept verbatim in behaviour: each returns the same
+# rows or the same whole report as the relmon function it is named after.
+
+
+def compose_rows_by_loop(rows, orows):
+    """Row a is the OR of orows[b] over the set bits b of rows[a]."""
+    out = []
+    for row in rows:
+        acc = 0
+        m = row
+        while m:
+            low = m & -m
+            acc |= orows[low.bit_length() - 1]
+            m ^= low
+        out.append(acc)
+    return tuple(out)
+
+
+def closure_rows_by_squaring(rows):
+    """Reflexive-transitive closure: seed with the diagonal, square to fixpoint."""
+    rows = tuple(row | (1 << a) for a, row in enumerate(rows))
+    while True:
+        squared = compose_rows_by_loop(rows, rows)
+        if squared == rows:
+            return rows
+        rows = squared
+
+
+def _lowest(mask):
+    return (mask & -mask).bit_length() - 1
+
+
+def preorder_report(f):
+    for a, row in enumerate(f.rows):
+        if not row >> a & 1:
+            return CheckReport.failing(
+                "preorder", "reflexivity", (a, a), f"missing ({a}, {a})"
+            )
+    for a, row in enumerate(f.rows):
+        acc = 0
+        for b in bits(row):
+            acc |= f.rows[b]
+        extra = acc & ~row
+        if extra:
+            c = _lowest(extra)
+            return CheckReport.failing(
+                "preorder",
+                "transitivity",
+                (a, c),
+                f"({a}, {c}) is reachable in two steps but not related",
+            )
+    return CheckReport.passing("preorder")
+
+
+def partial_order_report(f):
+    """Antisymmetry probed pair by pair, after the preorder scan."""
+    rep = preorder_report(f)
+    if not rep.ok:
+        return CheckReport.failing("partial-order", rep.failed, rep.witness, rep.message)
+    for a, row in enumerate(f.rows):
+        for b in bits(row):
+            if a != b and f.rows[b] >> a & 1:
+                return CheckReport.failing(
+                    "partial-order",
+                    "antisymmetry",
+                    (a, b),
+                    f"({a}, {b}) and ({b}, {a}) both related",
+                )
+    return CheckReport.passing("partial-order")
+
+
+def _asymmetric_pair(rows):
+    for a, row in enumerate(rows):
+        for b in bits(row):
+            if not rows[b] >> a & 1:
+                return a, b
+    return None
+
+
+def equivalence_report(f):
+    """Symmetry probed pair by pair, after the preorder scan."""
+    rep = preorder_report(f)
+    if not rep.ok:
+        return CheckReport.failing("equivalence", rep.failed, rep.witness, rep.message)
+    pair = _asymmetric_pair(f.rows)
+    if pair is not None:
+        a, b = pair
+        return CheckReport.failing(
+            "equivalence", "symmetry", pair, f"({a}, {b}) related but ({b}, {a}) is not"
+        )
+    return CheckReport.passing("equivalence")
+
+
+def left_adjoint_rel_report(f, g):
+    """The unit and counit inclusions, one round trip per element."""
+    for a in range(f.dom.size):
+        acc = 0
+        for b in bits(f.rows[a]):
+            acc |= g.rows[b]
+        if not acc >> a & 1:
+            return CheckReport.failing(
+                "left-adjoint-rel",
+                "unit",
+                (a, a),
+                f"({a}, {a}) is missing from the round trip through f and g",
+            )
+    for b in range(g.dom.size):
+        acc = 0
+        for a in bits(g.rows[b]):
+            acc |= f.rows[a]
+        extra = acc & ~(1 << b)
+        if extra:
+            c = _lowest(extra)
+            return CheckReport.failing(
+                "left-adjoint-rel",
+                "counit",
+                (b, c),
+                f"({b}, {c}) appears in the round trip through g and f",
+            )
+    return CheckReport.passing("left-adjoint-rel")
+
+
+def square_witness_by_search(src, rows, dst):
+    """First (a1, a2, a, b) of the lax square with no (b1, b2)*b above it.
+
+    Source triples ascending, then b ascending; for each b, the pairs
+    (b1, b2) under (a1, a2) are searched until one has b as a product.
+    """
+    m = dst.n
+    dpm = dst.prod_masks
+    for a1, a2, a in src.triples:
+        for b in bits(rows[a]):
+            if not any(
+                dpm[b1 * m + b2] >> b & 1
+                for b1 in bits(rows[a1])
+                for b2 in bits(rows[a2])
+            ):
+                return a1, a2, a, b
+    return None
+
+
+def _stray_unit(src, rows, dst):
+    for y in src.unit_list:
+        stray = rows[y] & ~dst.units_mask
+        if stray:
+            return y, _lowest(stray)
+    return None
+
+
+def lax_morphism_report(h):
+    src, dst, rows = h.src, h.dst, h.rel.rows
+    square = square_witness_by_search(src, rows, dst)
+    if square is not None:
+        a1, a2, a, b = square
+        return CheckReport.failing(
+            "lax-morphism",
+            "square",
+            square,
+            f"product {src.carrier.render((a1, a2, a))} maps to "
+            f"{dst.carrier.label(b)} with no product decomposition above it",
+        )
+    preserved_wit = _stray_unit(src, rows, dst)
+    reached = 0
+    for y in src.unit_list:
+        reached |= rows[y]
+    uncovered = dst.units_mask & ~reached
+    covered_wit = (_lowest(uncovered),) if uncovered else None
+    details = {
+        "units_preserved": preserved_wit is None,
+        "units_covered": covered_wit is None,
+    }
+    if preserved_wit is not None:
+        details["units_preserved_witness"] = preserved_wit
+    if covered_wit is not None:
+        details["units_covered_witness"] = covered_wit
+    if preserved_wit is not None:
+        y, b = preserved_wit
+        return CheckReport.failing(
+            "lax-morphism",
+            "triangle",
+            preserved_wit,
+            f"unit {src.carrier.label(y)} maps to non-unit {dst.carrier.label(b)}",
+            **details,
+        )
+    return CheckReport.passing("lax-morphism", **details)
+
+
+def monad_conditions_report(base, order):
+    rep = preorder_report(order)
+    if not rep.ok:
+        return CheckReport.failing("monad", rep.failed, rep.witness, rep.message)
+    rows = order.rows
+    square = square_witness_by_search(base, rows, base)
+    if square is not None:
+        a1, a2, a, ap = square
+        return CheckReport.failing(
+            "monad",
+            "square",
+            square,
+            f"product {base.carrier.render((a1, a2, a))} does not "
+            f"propagate up to {base.carrier.label(ap)}",
+        )
+    stray = _stray_unit(base, rows, base)
+    if stray is not None:
+        y, x = stray
+        return CheckReport.failing(
+            "monad",
+            "unit",
+            stray,
+            f"non-unit {base.carrier.label(x)} lies above unit "
+            f"{base.carrier.label(y)}",
+        )
+    return CheckReport.passing("monad")
+
+
+def adjunction_monad_report(c):
+    """Monad conditions, then symmetry probed pair by pair."""
+    rep = monad_conditions_report(c.base, c.order)
+    if not rep.ok:
+        return CheckReport.failing(
+            "adjunction-monad", rep.failed, rep.witness, rep.message
+        )
+    pair = _asymmetric_pair(c.order.rows)
+    if pair is not None:
+        a, b = pair
+        return CheckReport.failing(
+            "adjunction-monad",
+            "symmetry",
+            pair,
+            f"({a}, {b}) related but ({b}, {a}) is not",
+        )
+    return CheckReport.passing("adjunction-monad")

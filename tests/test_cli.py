@@ -228,6 +228,15 @@ def test_verify_json(capsys):
     assert json.loads(out)["ok"] is True
 
 
+@pytest.mark.parametrize("key", ["compose-associativity", "dagger-laws"])
+def test_verify_above_max_size_is_refused(key, capsys):
+    # both laws enumerate carriers up to the size; 3 is past their max of 2
+    code, out, err = run(capsys, "verify", "--property", key, "--size", "3")
+    assert code == 2
+    assert out == ""
+    assert "safety bound" in err
+
+
 def test_verify_unknown_property_lists_keys(capsys):
     code, _, err = run(capsys, "verify", "--property", "flux")
     assert code == 2

@@ -11,6 +11,7 @@ from relmon.monoid import (
     LaxMorphism,
     MonadCandidate,
     RelMonoid,
+    _monad_conditions,
     check_monoid_axioms,
     check_reflection_universal,
     from_category,
@@ -33,7 +34,7 @@ from relmon.monoid import (
 from relmon.pam import to_relmonoid
 from relmon.rel import Carrier, FinRel, refl_trans_closure
 from relmon.report import InputError, PreconditionError
-from relmon.search import _pams
+from relmon.search import _pams, _relmonoids
 
 Z2 = catalog.z2_monoid()
 
@@ -318,20 +319,27 @@ def test_degree_map_fails_factorization():
 
 
 def test_left_adjoint_kernel_matches_fiber_scan():
-    # every lax arrow between the labeled monoids on at most 2 points and
-    # the monoids of the PAMs on at most 3 points, one per isomorphism class
+    # every relation between the labeled monoids on at most 2 points and
+    # the monoids of the PAMs on at most 3 points, one per isomorphism class:
+    # the whole lax-morphism report against the per-b square search, then
+    # every lax arrow's left-adjoint report against the fiber scan
     monoids = [m for n in range(3) for m in labeled_monoids(n)]
     monoids += [to_relmonoid(p) for n in range(1, 4) for p in _pams(n, True)]
+    lax_clauses = Counter()
     clauses = Counter()
     for src, dst in itertools.product(monoids, repeat=2):
         for rows in itertools.product(range(1 << dst.n), repeat=src.n):
             h = LaxMorphism(src, dst, FinRel(src.carrier, dst.carrier, rows))
-            if not is_lax_morphism(h).ok:
+            lax = is_lax_morphism(h)
+            assert lax.to_json() == oracles.lax_morphism_report(h).to_json()
+            lax_clauses[lax.failed] += 1
+            if not lax.ok:
                 continue
             rep = is_left_adjoint_relmon(h)
             assert rep.to_json() == oracles.left_adjoint_report(h).to_json()
             clauses[rep.failed] += 1
-    assert sum(clauses.values()) == 7232
+    assert sum(clauses.values()) == lax_clauses[None] == 7232
+    assert set(lax_clauses) == {None, "square", "triangle"}
     assert set(clauses) == {None, "mapping", "factorization", "unit-reflection"}
 
 
@@ -400,6 +408,30 @@ def test_monad_matches_oracle_on_size_two():
             assert got == oracles.monad_ok(*oracle_view(m), set(f.pairs()))
             verdicts.add(got)
     assert verdicts == {True, False}
+
+
+def test_monad_conditions_match_reference_scans():
+    # every preorder over every labeled relational monoid on at most 3 points
+    clauses = Counter()
+    for n in range(4):
+        carrier = Carrier(n)
+        preorders = [
+            FinRel(carrier, carrier, rows)
+            for rows in itertools.product(range(1 << n), repeat=n)
+            if oracles.is_preorder(n, set(FinRel(carrier, carrier, rows).pairs()))
+        ]
+        for m in _relmonoids(n, False):
+            for order in preorders:
+                rep = _monad_conditions(m, order)
+                ref = oracles.monad_conditions_report(m, order)
+                assert rep.to_json() == ref.to_json()
+                cand = MonadCandidate(m, order)
+                adj = monad_from_adjunction_conditions(cand)
+                assert adj.to_json() == oracles.adjunction_monad_report(cand).to_json()
+                clauses[rep.failed, adj.failed] += 1
+    assert set(clauses) == {
+        (None, None), (None, "symmetry"), ("square", "square"), ("unit", "unit")
+    }
 
 
 def test_induced_monad_of_identity():
@@ -499,14 +531,32 @@ def test_reflection_rejects_non_lax_endo():
 
 def test_reflection_universal_property_examples():
     m = catalog.truncated_nat_monoid(8)
-    f = catalog.doubling_endo(8)
-    cl = refl_trans_closure(f)
-    u = FinRel.identity(m.carrier)
-    assert check_reflection_universal(m, f, m, cl, u).ok
+    endo = LaxMorphism(m, m, catalog.doubling_endo(8))
+    cl = refl_trans_closure(endo.rel)
+    u = LaxMorphism(m, m, FinRel.identity(m.carrier))
+    assert check_reflection_universal(endo, MonadCandidate(m, cl), u).ok
 
     with pytest.raises(PreconditionError):
         # identity u against the identity order cannot absorb doubling
-        check_reflection_universal(m, f, m, FinRel.identity(m.carrier), u)
+        check_reflection_universal(
+            endo, MonadCandidate(m, FinRel.identity(m.carrier)), u
+        )
+
+
+def test_reflection_universal_rejects_mismatched_monoids():
+    triv = catalog.trivial_monoid()
+    ident = LaxMorphism(Z2, Z2, FinRel.identity(Z2.carrier))
+    order = MonadCandidate(Z2, FinRel.identity(Z2.carrier))
+    to_triv = LaxMorphism(Z2, triv, FinRel.full(Z2.carrier, triv.carrier))
+    from_triv = LaxMorphism(triv, Z2, FinRel.from_pairs(triv.carrier, Z2.carrier, [(0, 0)]))
+    for endo, monad, u in [
+        (to_triv, order, ident),
+        (ident, order, to_triv),
+        (ident, order, from_triv),
+        (ident, MonadCandidate(triv, FinRel.identity(triv.carrier)), ident),
+    ]:
+        with pytest.raises(InputError):
+            check_reflection_universal(endo, monad, u)
 
 
 # -- quotients of relational monoids -----------------------------------------

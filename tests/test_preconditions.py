@@ -1,9 +1,9 @@
 """Every entry point that needs a valid structure raises PreconditionError.
 
-The axiom, lax-morphism, left-adjoint, PAM and congruence verdicts are
-cached on the structure they check, so each case calls its entry point twice
-on the same instances: a cached failing verdict must raise again, with the
-same message.
+The axiom, lax-morphism, left-adjoint, monad, PAM and congruence verdicts
+are cached on the structure they check, so each case calls its entry point
+twice on the same instances: a cached failing verdict must raise again, with
+the same message.
 """
 
 import pytest
@@ -148,12 +148,12 @@ CASES = {
     ),
     "check_reflection_universal-f": (
         check_reflection_universal,
-        (Z2, BAD_ENDO, Z2, ID2, ID2),
+        (NOT_LAX, MonadCandidate(Z2, ID2), LaxMorphism(Z2, Z2, ID2)),
         f"f is not a lax endomorphism: {SQUARE_FAIL}",
     ),
     "check_reflection_universal-leq": (
         check_reflection_universal,
-        (Z2, ID2, Z2, FULL2, ID2),
+        (LaxMorphism(Z2, Z2, ID2), MonadCandidate(Z2, FULL2), LaxMorphism(Z2, Z2, ID2)),
         f"leq is not a monad order: monad: {UNIT_FAIL}",
     ),
     "quotient_relmonoid": (
@@ -187,6 +187,8 @@ CACHED = {
     "congruence-fail": (check_congruence, NOT_EQUIVALENCE),
     "left-adjoint-ok": (is_left_adjoint_relmon, LaxMorphism(Z2, Z2, ID2)),
     "left-adjoint-fail": (is_left_adjoint_relmon, NOT_ADJOINT),
+    "monad-ok": (is_monad, MonadCandidate(Z2, ID2)),
+    "monad-fail": (is_monad, MonadCandidate(Z2, FULL2)),
 }
 
 

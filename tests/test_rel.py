@@ -1,5 +1,8 @@
 """Relation algebra: frozen examples plus randomized algebraic laws."""
 
+from collections import Counter
+from itertools import product
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,6 +14,7 @@ from relmon.rel import (
     FinRel,
     is_equivalence,
     is_left_adjoint_rel,
+    is_partial_order,
     is_preorder,
     is_subcell,
     kernel,
@@ -331,3 +335,69 @@ def test_carrier_validation():
         Carrier(2, ("x",))
     with pytest.raises(InputError):
         Carrier(2, ("x", "x"))
+
+
+# -- kernels against the reference scans -------------------------------------
+
+
+def _rels(na, nb):
+    ca, cb = Carrier(na), Carrier(nb)
+    return [FinRel(ca, cb, rows) for rows in product(range(1 << nb), repeat=na)]
+
+
+ENDO_RELS = [f for n in range(4) for f in _rels(n, n)]
+
+
+def test_order_checks_match_reference_scans():
+    # whole reports on every relation on at most 3 points
+    outcomes = Counter()
+    for f in ENDO_RELS:
+        for check, scan in (
+            (is_preorder, oracles.preorder_report),
+            (is_partial_order, oracles.partial_order_report),
+            (is_equivalence, oracles.equivalence_report),
+        ):
+            rep = check(f)
+            assert rep.to_json() == scan(f).to_json()
+            outcomes[rep.check, rep.failed] += 1
+    assert set(outcomes) == {
+        (check, failed)
+        for check, clauses in (
+            ("preorder", ()),
+            ("partial-order", ("antisymmetry",)),
+            ("equivalence", ("symmetry",)),
+        )
+        for failed in (None, "reflexivity", "transitivity") + clauses
+    }
+
+
+def test_closure_and_compose_match_reference_loop():
+    # every relation on at most 3 points, then every composable pair on at
+    # most 2, and every relation of at most 3 x 3 against its transpose
+    for f in ENDO_RELS:
+        assert refl_trans_closure(f).rows == oracles.closure_rows_by_squaring(f.rows)
+        assert f.compose(f).rows == oracles.compose_rows_by_loop(f.rows, f.rows)
+    for na, nb, nc in product(range(3), repeat=3):
+        for f in _rels(na, nb):
+            for g in _rels(nb, nc):
+                assert f.compose(g).rows == oracles.compose_rows_by_loop(f.rows, g.rows)
+    for na, nb in product(range(4), repeat=2):
+        for f in _rels(na, nb):
+            d = f.dagger()
+            assert f.compose(d).rows == oracles.compose_rows_by_loop(f.rows, d.rows)
+            assert d.compose(f).rows == oracles.compose_rows_by_loop(d.rows, f.rows)
+
+
+def test_left_adjoint_rel_matches_reference_scan():
+    # every pair f: A -> B, g: B -> A with |A|, |B| <= 3 and |A| * |B| <= 6
+    clauses = Counter()
+    for na, nb in product(range(4), repeat=2):
+        if na * nb > 6:
+            continue
+        all_g = _rels(nb, na)
+        for f in _rels(na, nb):
+            for g in all_g:
+                rep = is_left_adjoint_rel(f, g)
+                assert rep.to_json() == oracles.left_adjoint_rel_report(f, g).to_json()
+                clauses[rep.failed] += 1
+    assert set(clauses) == {None, "unit", "counit"}
