@@ -88,7 +88,7 @@ KIND_LIMITS = {
     "relmonoid": 3,
     "monad-order": 6,
     "congruence": 6,
-    "lattice": 6,
+    "lattice": 7,
     "pam": 6,
 }
 
@@ -321,30 +321,60 @@ def _is_lattice_rows(
         return None
 
 
-def _gen_lattices(n: int, dedup: bool) -> list[FinLattice]:
-    """All lattices on {0..n-1}, from the labeled posets that pass the filter.
+def _poset_key(rows: Sequence[int]) -> tuple[int, ...]:
+    """The choices (d_k, u_k), k = 1..n-1, that build rows in _labeled_posets."""
+    down = transpose_rows(rows, len(rows))
+    return tuple(
+        m[k] & ((1 << k) - 1) for k in range(1, len(rows)) for m in (down, rows)
+    )
 
-    The posets are partial orders by construction, so each lattice is built
-    from the tables the filter returns, without validating the order again.
-    With dedup on, the posets are walked in ascending row order, skipping
-    the orbits of the lattices already kept (relabeling preserves lattices),
-    so each class keeps its least labeling, as in _dedup_min, and no other
-    lattice's tables are held.
+
+def _gen_lattices(n: int, dedup: bool) -> Iterator[FinLattice]:
+    """All lattices on {0..n-1}, as bounded completions of smaller posets.
+
+    For n >= 2 a lattice has a bottom b and a top t with b != t, and removing
+    them leaves an arbitrary poset on the other labels; so the labeled
+    lattices are exactly the (b, t, poset on n-2 points) whose completion
+    passes _is_lattice_rows (Heitzig and Reinhold, "Counting finite
+    lattices"), which returns the tables each lattice is built from. The
+    one-point lattice is the case b = t. The labeled stream keeps the order
+    of _labeled_posets(n): that recursion picks, for k = 1..n-1, the labels
+    below k and then those above it among 0..k-1, each ascending, so its
+    order is the lexicographic order of _poset_key. With dedup on, each
+    class keeps its least labeling, as in _dedup_min. That labeling has its
+    top at 0 (row 0 is then 1, the least it can be) and its bottom at n-1
+    (moving the bottom last shifts the higher bits of the rows before it
+    down and puts a row below the full one where it stood). So only
+    (b, t) = (n-1, 0) is walked, in ascending row order, skipping the orbits
+    of the lattices already kept under the relabelings fixing 0 and n-1.
     """
     carrier = Carrier(n)
-    posets = _labeled_posets(n)
+    if dedup:
+        ends = [(n - 1, 0)] if n else []
+        perms = [p for p in _perms_fixing_zero(n) if p[-1] == n - 1]
+    else:
+        ends = [(b, t) for b, t in product(range(n), repeat=2) if b != t or n == 1]
+    cands = []
+    for b, t in ends:
+        mid = [a for a in range(n) if a not in (b, t)]
+        moved = [1 << a for a in mid]
+        for poset in _labeled_posets(len(mid)):
+            rows = [1 << t] * n
+            rows[b] = (1 << n) - 1
+            for a, row in zip(mid, compose_rows(poset, moved)):
+                rows[a] |= row
+            cands.append(tuple(rows))
+    cands.sort(key=None if dedup else _poset_key)
     seen: set = set()
-    out = []
-    for rows in sorted(posets) if dedup else posets:
+    for rows in cands:
         if rows in seen:
             continue
         meet_join = _is_lattice_rows(rows)
         if meet_join is None:
             continue
-        out.append(FinLattice(FinRel(carrier, carrier, rows), *meet_join))
+        yield FinLattice(FinRel(carrier, carrier, rows), *meet_join)
         if dedup:
-            seen.update(_permute_rows(rows, p) for p in _perms(n))
-    return out
+            seen.update(_permute_rows(rows, p) for p in perms)
 
 
 @lru_cache(maxsize=None)
@@ -620,7 +650,7 @@ def enumerate_structures(spec: EnumSpec) -> Iterator[object]:
     if spec.kind == "relmonoid":
         return iter(_relmonoids(spec.size, spec.dedup))
     if spec.kind == "lattice":
-        return iter(_lattices(spec.size, spec.dedup))
+        return _gen_lattices(spec.size, spec.dedup)
     if spec.kind == "pam":
         return iter(_pams(spec.size, spec.dedup))
     if spec.kind == "monad-order":
@@ -1510,15 +1540,15 @@ PROPERTIES: dict[str, _Law] = {
         "symmetric monad orders are exactly the class-map kernels",
     ),
     "qa-monad-iff-modular": _Law(
-        _law_qa_monad_iff_modular, 6, 6,
+        _law_qa_monad_iff_modular, 6, 7,
         "quotient-order monad property coincides with modularity",
     ),
     "star-star-iff-modular": _Law(
-        _law_star_star_iff_modular, 6, 6,
+        _law_star_star_iff_modular, 6, 7,
         "perspectivity decomposition coincides with modularity",
     ),
     "trivial-quotient-arrow": _Law(
-        _law_trivial_quotient_arrow, 6, 6,
+        _law_trivial_quotient_arrow, 6, 7,
         "trivial quotients only point at trivial quotients",
     ),
     "q-functorial": _Law(
@@ -1542,7 +1572,7 @@ PROPERTIES: dict[str, _Law] = {
         "zero-faithful congruences give left-adjoint quotient maps",
     ),
     "oml-effect-algebra": _Law(
-        _law_oml_effect_algebra, 6, 6,
+        _law_oml_effect_algebra, 6, 7,
         "orthomodular lattices give lattice-ordered effect algebras",
     ),
     "dimeq-b-matches-square": _Law(

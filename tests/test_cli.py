@@ -174,6 +174,39 @@ def test_enumerate_lattices(capsys):
         FinLattice.from_json(json.loads(line))
 
 
+# A child interpreter that prints the sha256 of each `relmon enumerate` stream
+# of lattices on 1..6 points, keyed as in perfbench/expected.json.
+_LATTICE_STREAMS = """
+import contextlib, hashlib, io, json
+from relmon.cli import main
+out = {}
+for n in range(1, 7):
+    for form, flags in (("dedup", []), ("labeled", ["--no-dedup"])):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(["enumerate", "--kind", "lattice", "--size", str(n)] + flags) == 0
+        out[f"lattice.{n}.{form}"] = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+print(json.dumps(out))
+"""
+
+
+def test_lattice_streams_do_not_depend_on_the_hash_seed():
+    pinned = json.loads((ROOT / "perfbench" / "expected.json").read_text())["enumerate"]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    for seed in ("0", "1"):
+        env["PYTHONHASHSEED"] = seed
+        proc = subprocess.run(
+            [sys.executable, "-c", _LATTICE_STREAMS],
+            capture_output=True, text=True, env=env, cwd=ROOT,
+        )
+        assert proc.returncode == 0, proc.stderr
+        streams = json.loads(proc.stdout)
+        assert len(streams) == 12
+        for key, digest in streams.items():
+            assert digest == pinned[key]["sha256"], (seed, key)
+
+
 def test_enumerate_congruences_from_base(capsys):
     code, out, _ = run(
         capsys, "enumerate", "--kind", "congruence", "--base", SAMPLES / "chain5_pam.json"

@@ -15,6 +15,7 @@ from relmon.search import (
     EnumSpec,
     _additive_maps,
     _equivalence_rows,
+    _gen_lattices,
     _gen_pams,
     _labeled_posets,
     _pams,
@@ -249,30 +250,52 @@ def test_lattices_are_valid_and_non_isomorphic():
             assert not isomorphic_orders(l1.order.rows, l2.order.rows)
 
 
-# Lattices on n = 1..6 points: up to isomorphism OEIS A006966; labeled,
-# recorded regression values.
-LATTICE_COUNTS = {False: [1, 2, 6, 36, 380, 6390], True: [1, 1, 1, 2, 5, 15]}
+# Lattices on n = 1..7 points: up to isomorphism OEIS A006966; labeled
+# OEIS A055512 (the labeled-lattice sequence), not only recorded values.
+LATTICE_COUNTS = {
+    False: [1, 2, 6, 36, 380, 6390, 157962],
+    True: [1, 1, 1, 2, 5, 15, 53],
+}
 
 
 @pytest.mark.parametrize("dedup", [False, True])
 def test_lattice_counts_are_pinned(dedup):
+    # the labeled stream at n = 7 takes about 14 s; the orbit-stabilizer
+    # test below pins that count from the 53 classes instead
     counts = [
         sum(1 for _ in enumerate_structures(EnumSpec("lattice", n, dedup=dedup)))
         for n in range(1, 7)
     ]
-    assert counts == LATTICE_COUNTS[dedup]
+    assert counts == LATTICE_COUNTS[dedup][:6]
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 8))
 def test_lattice_orbit_stabilizer(n):
-    # each representative stands for n!/|Aut| labelings
+    # each representative stands for n!/|Aut| labelings; an automorphism
+    # keeps the size of every up-set, which cheaply rules out most perms
     perms = list(itertools.permutations(range(n)))
     labeled = 0
-    for lat in enumerate_structures(EnumSpec("lattice", n)):
+    reps = list(enumerate_structures(EnumSpec("lattice", n)))
+    for lat in reps:
         rows = lat.order.rows
-        aut = sum(1 for p in perms if permute_rows(rows, p) == rows)
+        ups = [bin(r).count("1") for r in rows]
+        aut = sum(
+            1
+            for p in perms
+            if all(ups[p[a]] == ups[a] for a in range(n))
+            and permute_rows(rows, p) == rows
+        )
         labeled += factorial(n) // aut
+    assert len(reps) == LATTICE_COUNTS[True][n - 1]
     assert labeled == LATTICE_COUNTS[False][n - 1]
+
+
+@pytest.mark.parametrize("dedup", [False, True])
+@pytest.mark.parametrize("n", range(7))
+def test_lattice_generator_matches_poset_filter(n, dedup):
+    # same rows in the same order as filtering every labeled n-point poset
+    rows = [lat.order.rows for lat in _gen_lattices(n, dedup)]
+    assert rows == oracles.lattices_by_poset_filter(n, dedup)
 
 
 # Published counts of the building blocks, n = 0, 1, 2, ...: labeled posets
@@ -443,6 +466,26 @@ def test_law_holds_at_reduced_size(key):
 
 def test_reflection_least_holds_at_its_max_size():
     assert verify_universal("reflection-least", size=3).ok
+
+
+LATTICE_LAWS = (
+    "qa-monad-iff-modular",
+    "star-star-iff-modular",
+    "trivial-quotient-arrow",
+    "oml-effect-algebra",
+)
+
+
+def test_lattice_laws_hold_at_size_seven():
+    # the four share one pool: the 78 lattice classes on 1..7 points
+    details = {key: verify_universal(key, size=7).to_json() for key in LATTICE_LAWS}
+    assert all(rep["ok"] for rep in details.values()), details
+    assert details["qa-monad-iff-modular"]["details"] == {"lattices_checked": 78}
+    assert details["star-star-iff-modular"]["details"] == {"lattices_checked": 78}
+    assert details["oml-effect-algebra"]["details"] == {"structures_checked": 6}
+    for key in LATTICE_LAWS:
+        with pytest.raises(InputError, match="safety bound"):
+            verify_universal(key, size=8)
 
 
 def test_verify_universal_rejects_bad_requests():
