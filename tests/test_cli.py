@@ -175,34 +175,37 @@ def test_enumerate_lattices(capsys):
 
 
 # A child interpreter that prints the sha256 of each `relmon enumerate` stream
-# of lattices on 1..6 points, keyed as in perfbench/expected.json.
-_LATTICE_STREAMS = """
+# of PAMs on 1..5 points, lattices on 1..6 and relational monoids on 0..3,
+# keyed as in perfbench/expected.json.
+_ENUMERATE_STREAMS = """
 import contextlib, hashlib, io, json
 from relmon.cli import main
 out = {}
-for n in range(1, 7):
-    for form, flags in (("dedup", []), ("labeled", ["--no-dedup"])):
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            assert main(["enumerate", "--kind", "lattice", "--size", str(n)] + flags) == 0
-        out[f"lattice.{n}.{form}"] = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+for kind, sizes in (("pam", range(1, 6)), ("lattice", range(1, 7)), ("relmonoid", range(4))):
+    for n in sizes:
+        for form, flags in (("dedup", []), ("labeled", ["--no-dedup"])):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                assert main(["enumerate", "--kind", kind, "--size", str(n)] + flags) == 0
+            out[f"{kind}.{n}.{form}"] = hashlib.sha256(buf.getvalue().encode()).hexdigest()
 print(json.dumps(out))
 """
 
 
-def test_lattice_streams_do_not_depend_on_the_hash_seed():
+def test_enumerate_streams_do_not_depend_on_the_hash_seed():
+    # dedup keeps orbits in a set; the streams must not follow its hash order
     pinned = json.loads((ROOT / "perfbench" / "expected.json").read_text())["enumerate"]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     for seed in ("0", "1"):
         env["PYTHONHASHSEED"] = seed
         proc = subprocess.run(
-            [sys.executable, "-c", _LATTICE_STREAMS],
+            [sys.executable, "-c", _ENUMERATE_STREAMS],
             capture_output=True, text=True, env=env, cwd=ROOT,
         )
         assert proc.returncode == 0, proc.stderr
         streams = json.loads(proc.stdout)
-        assert len(streams) == 12
+        assert len(streams) == 30
         for key, digest in streams.items():
             assert digest == pinned[key]["sha256"], (seed, key)
 
@@ -265,6 +268,16 @@ def test_verify_json(capsys):
 def test_verify_above_max_size_is_refused(key, capsys):
     # both laws enumerate carriers up to the size; 3 is past their max of 2
     code, out, err = run(capsys, "verify", "--property", key, "--size", "3")
+    assert code == 2
+    assert out == ""
+    assert "safety bound" in err
+
+
+def test_verify_enumeration_deterministic_stops_at_three(capsys):
+    # relational monoids stop at 3, so size 4 would repeat the size-3 streams
+    code, out, err = run(
+        capsys, "verify", "--property", "enumeration-deterministic", "--size", "4"
+    )
     assert code == 2
     assert out == ""
     assert "safety bound" in err

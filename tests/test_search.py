@@ -1,6 +1,7 @@
 """Enumeration of small structures and the universal-law registry."""
 
 import itertools
+import types
 from math import factorial
 
 import pytest
@@ -17,10 +18,13 @@ from relmon.search import (
     _equivalence_rows,
     _gen_lattices,
     _gen_pams,
+    _gen_relmonoids,
     _labeled_posets,
     _pams,
     _perms_fixing_zero,
     _preorders,
+    _relmonoid_key,
+    _relmonoids,
     enumerate_structures,
     property_keys,
     serialize_structure,
@@ -125,6 +129,12 @@ def test_relmonoid_orbit_stabilizer(n):
         aut = sum(1 for p in perms if relabel_monoid(m, p) == monoid_key(m))
         labeled += factorial(n) // aut
     assert labeled == RELMONOID_COUNTS[False][n]
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_relmonoid_representatives_ascend_by_key(n):
+    keys = [_relmonoid_key(m) for m in _gen_relmonoids(n, True)]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 def test_relmonoids_all_satisfy_axioms():
@@ -379,6 +389,13 @@ def test_pam_orbit_stabilizer(n):
     assert labeled == PAM_COUNTS[False][n - 1]
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_labeled_pams_ascend_by_plus(n):
+    # dedup keeps the first of each orbit from this stream, with no sort
+    plus = [p.plus for p in _gen_pams(n, False)]
+    assert all(a < b for a, b in zip(plus, plus[1:]))
+
+
 @pytest.mark.parametrize("n", range(1, 5))
 def test_pam_generation_matches_brute_filter(n):
     assert sorted(p.plus for p in _gen_pams(n, False)) == oracles.pams_by_filter(n)
@@ -407,6 +424,22 @@ def test_pam_enumeration_deterministic():
     a = [p.plus for p in enumerate_structures(EnumSpec("pam", 3))]
     b = [p.plus for p in enumerate_structures(EnumSpec("pam", 3))]
     assert a == b
+
+
+def test_enumerate_structures_streams_base_free_kinds():
+    # generators all the way: the laws' cached pools stay empty
+    _pams.cache_clear()
+    _relmonoids.cache_clear()
+    kinds = (("pam", range(1, 5)), ("relmonoid", range(3)), ("lattice", range(1, 5)))
+    for kind, sizes in kinds:
+        for n in sizes:
+            for dedup in (False, True):
+                stream = enumerate_structures(EnumSpec(kind, n, dedup=dedup))
+                assert isinstance(stream, types.GeneratorType)
+                for _ in stream:
+                    pass
+    assert _pams.cache_info().currsize == 0
+    assert _relmonoids.cache_info().currsize == 0
 
 
 # -- serialization --------------------------------------------------------------------
