@@ -73,7 +73,7 @@ class FinLattice:
         if not isinstance(size, int) or isinstance(size, bool):
             raise InputError("field 'carrier' must be an integer size")
         carrier = Carrier(size)
-        rel = FinRel.from_pairs(carrier, carrier, obj["order"])
+        rel = FinRel.from_field(carrier, carrier, obj, "order")
         # reflexive pairs may be omitted in files
         rel = FinRel(carrier, carrier, tuple(row | 1 << a for a, row in enumerate(rel.rows)))
         return lattice_from_order(rel)

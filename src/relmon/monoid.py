@@ -164,7 +164,7 @@ class LaxMorphism:
                 raise InputError(f"morphism JSON missing field {key!r}")
         src = RelMonoid.from_json(obj["src"])
         dst = RelMonoid.from_json(obj["dst"])
-        rel = FinRel.from_pairs(src.carrier, dst.carrier, obj["rel"])
+        rel = FinRel.from_field(src.carrier, dst.carrier, obj, "rel")
         return cls(src, dst, rel)
 
 
@@ -196,7 +196,7 @@ class MonadCandidate:
             if key not in obj:
                 raise InputError(f"monad candidate JSON missing field {key!r}")
         base = RelMonoid.from_json(obj["base"])
-        order = FinRel.from_pairs(base.carrier, base.carrier, obj["order"])
+        order = FinRel.from_field(base.carrier, base.carrier, obj, "order")
         return cls(base, order)
 
 
@@ -514,9 +514,18 @@ def _square_witness(
     (built on first use), so OR-ing it over the b1 related to a1 gives every
     product above (a1, a2); the least b of rows[a] left out is the witness.
     The OR stops once it covers rows[a].
+
+    When rows is a map f, the only pair above (a1, a2) is (f(a1), f(a2)), so
+    each triple is one lookup of f(a) in the products of that pair.
     """
     m = dst.n
     dpm = dst.prod_masks
+    if all(r.bit_count() == 1 for r in rows):
+        f = [r.bit_length() - 1 for r in rows]
+        for a1, a2, a in src.triples:
+            if not dpm[f[a1] * m + f[a2]] >> f[a] & 1:
+                return a1, a2, a, f[a]
+        return None
     right: list[tuple[int, ...] | None] = [None] * m
     for a1, a2, a in src.triples:
         want = rows[a]

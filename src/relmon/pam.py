@@ -381,7 +381,7 @@ class CongruenceCandidate:
             if key not in obj:
                 raise InputError(f"congruence JSON missing field {key!r}")
         base = PartialAbelianMonoid.from_json(obj["base"])
-        rel = FinRel.from_pairs(base.carrier, base.carrier, obj["classes"])
+        rel = FinRel.from_field(base.carrier, base.carrier, obj, "classes")
         return cls(base, rel)
 
 

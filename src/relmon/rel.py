@@ -135,6 +135,14 @@ class FinRel:
         return cls(dom, cod, tuple(rows))
 
     @classmethod
+    def from_field(cls, dom: Carrier, cod: Carrier, obj: dict, key: str) -> "FinRel":
+        """The [[a, b], ...] relation in field key of obj; errors name the field."""
+        try:
+            return cls.from_pairs(dom, cod, obj[key])
+        except InputError as e:
+            raise InputError(f"field {key!r}: {e}") from None
+
+    @classmethod
     def identity(cls, carrier: Carrier) -> "FinRel":
         return cls(carrier, carrier, tuple(1 << a for a in range(carrier.size)))
 
@@ -208,7 +216,7 @@ class FinRel:
             raise InputError("field 'cod' must be an integer")
         if not isinstance(pairs, list):
             raise InputError("field 'pairs' must be a list of [a, b] pairs")
-        return cls.from_pairs(Carrier(dom), Carrier(cod), pairs)
+        return cls.from_field(Carrier(dom), Carrier(cod), obj, "pairs")
 
 
 @dataclass(frozen=True)

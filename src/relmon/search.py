@@ -429,16 +429,28 @@ def _gen_monad_orders(base: RelMonoid) -> list[MonadCandidate]:
     return [c for c in candidates if is_monad(c).ok]
 
 
+@lru_cache(maxsize=None)
+def _congruence_rows(base: PartialAbelianMonoid) -> tuple[tuple[int, ...], ...]:
+    """The class rows of every congruence on a valid base, in
+    _equivalence_rows order: the sweep runs once per PAM, and the pool keeps
+    rows, not candidates."""
+    carrier = base.carrier
+    return tuple(
+        rows
+        for rows in _equivalence_rows(base.n)
+        if check_congruence(CongruenceCandidate(base, FinRel(carrier, carrier, rows))).ok
+    )
+
+
 def _gen_congruences(base: PartialAbelianMonoid) -> list[CongruenceCandidate]:
     rep = check_pam_axioms(base)
     if not rep.ok:
         raise InputError(f"base is not a partial abelian monoid: {rep.summary()}")
-    out = []
-    for rows in _equivalence_rows(base.n):
-        cand = CongruenceCandidate(base, FinRel(base.carrier, base.carrier, rows))
-        if check_congruence(cand).ok:
-            out.append(cand)
-    return out
+    carrier = base.carrier
+    return [
+        CongruenceCandidate(base, FinRel(carrier, carrier, rows))
+        for rows in _congruence_rows(base)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -1183,14 +1195,16 @@ def _law_quotient_pam_valid(size: int, rng: random.Random) -> CheckReport:
 def _additive_maps(
     psrc: PartialAbelianMonoid, pdst: PartialAbelianMonoid
 ) -> Iterator[tuple[int, ...]]:
-    """Maps v with v[0] the target zero and v[a]+v[b] = v[c] for every source
-    cell a+b = c, in product order of v[1:]: v[i] is placed ascending, and a
-    cell is checked as soon as its largest index is placed."""
-    n, m, plus = psrc.n, pdst.n, pdst.plus
+    """Zero-reflecting additive maps: v[0] is the target zero, no other v[i]
+    is, and v[a]+v[b] = v[c] for every source cell a+b = c; the others fail
+    unit-reflection, so no left adjoint is lost. In product order of v[1:]:
+    v[i] is placed ascending, and a cell is checked once its largest index is."""
+    n, m, plus, zero = psrc.n, pdst.n, pdst.plus, pdst.zero
     due: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     for cell in psrc.cells:
         due[max(cell)].append(cell)
-    v = [pdst.zero] * n
+    v = [zero] * n
+    points = [x for x in range(m) if x != zero]
 
     def place(i: int) -> Iterator[tuple[int, ...]]:
         if not all(plus[v[a] * m + v[b]] == v[c] for a, b, c in due[i - 1]):
@@ -1198,7 +1212,7 @@ def _additive_maps(
         if i == n:
             yield tuple(v)
             return
-        for x in range(m):
+        for x in points:
             v[i] = x
             yield from place(i + 1)
 
@@ -1207,11 +1221,10 @@ def _additive_maps(
 
 def _law_adjoint_induces_congruence(size: int, rng: random.Random) -> CheckReport:
     pams = [p for n in range(1, size + 1) for p in _pams(n, True)]
+    monoids = [to_relmonoid(p) for p in pams]
     adjoints = 0
-    for psrc in pams:
-        msrc = to_relmonoid(psrc)
-        for pdst in pams:
-            mdst = to_relmonoid(pdst)
+    for psrc, msrc in zip(pams, monoids):
+        for pdst, mdst in zip(pams, monoids):
             for values in _additive_maps(psrc, pdst):
                 rel = FinRel(
                     psrc.carrier, pdst.carrier, tuple(1 << v for v in values)

@@ -5,7 +5,9 @@ asserts the published runtime budget. Run with -v to get the per-criterion
 pass/fail lines; the printed timing shows up under -rA or -s.
 """
 
+import json
 import time
+from pathlib import Path
 
 from relmon import catalog
 from relmon.lattice import check_qa_monad_iff_modular
@@ -20,6 +22,8 @@ from relmon.monoid import (
 from relmon.pam import has_rdp, is_dimension_equivalence
 from relmon.rel import FinRel
 from relmon.search import verify_universal
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _ok(key, size):
@@ -77,11 +81,22 @@ def test_criterion_5_rdp_iff_reverse_order_monad():
     _stamp(5, t0, 120)
 
 
+PAM_LAWS = (
+    "quotient-pam-valid",
+    "faithful-congruence-adjoint",
+    "adjoint-induces-congruence",
+    "rdp-iff-monad",
+)
+
+
 def test_criterion_6_congruences_quotients_adjoints():
+    # whole reports at default sizes, so a dropped adjoint or PAM moves a
+    # counter (adjoints_checked, pams_checked) and fails here; the pins are
+    # the benchmark's, only read
     t0 = time.perf_counter()
-    _ok("quotient-pam-valid", 5)
-    _ok("adjoint-induces-congruence", 4)
-    _ok("faithful-congruence-adjoint", 5)
+    pinned = json.loads((ROOT / "perfbench" / "expected.json").read_text())["laws"]
+    for key in PAM_LAWS:
+        assert verify_universal(key).to_json() == pinned[key], key
     _stamp(6, t0, 120)
 
 

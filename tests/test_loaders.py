@@ -235,3 +235,41 @@ def test_from_json_loads_or_raises_input_error(loader):
             pass
 
     check()
+
+
+# A relation embedded in a larger object: the error names its field.
+FIELD_ERRORS = {
+    "rel-pairs": (
+        FinRel,
+        {"dom": 2, "cod": 2, "pairs": [[0, 2]]},
+        "field 'pairs': relation pair (0, 2) out of range",
+    ),
+    "morphism-rel": (
+        LaxMorphism,
+        {"src": TRIVIAL, "dst": TRIVIAL, "rel": [[0, 1]]},
+        "field 'rel': relation pair (0, 1) out of range",
+    ),
+    "monad-order": (
+        MonadCandidate,
+        {"base": TRIVIAL, "order": {"dom": 1, "cod": 1, "pairs": [[0, 0]]}},
+        "field 'order': relation pairs must be a list of [a, b] pairs, not dict",
+    ),
+    "lattice-order": (
+        FinLattice,
+        {"carrier": 2, "order": [[0, 1], [1, True]]},
+        "field 'order': relation pair [1, True] must hold integers",
+    ),
+    "congruence-classes": (
+        CongruenceCandidate,
+        {"base": CHAIN2_PAM, "classes": [[0, 0], [1, 1], [0, 2]]},
+        "field 'classes': relation pair (0, 2) out of range",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIELD_ERRORS))
+def test_embedded_relation_errors_name_the_field(case):
+    loader, obj, message = FIELD_ERRORS[case]
+    with pytest.raises(InputError) as info:
+        loader.from_json(json.loads(json.dumps(obj)))
+    assert str(info.value) == message

@@ -8,14 +8,27 @@ import pytest
 
 import oracles
 from relmon import catalog
-from relmon.monoid import RelMonoid, check_monoid_axioms, is_monad
-from relmon.pam import CongruenceCandidate, check_congruence, check_pam_axioms
+from relmon.monoid import (
+    LaxMorphism,
+    RelMonoid,
+    check_monoid_axioms,
+    is_left_adjoint_relmon,
+    is_monad,
+)
+from relmon.pam import (
+    CongruenceCandidate,
+    check_congruence,
+    check_pam_axioms,
+    to_relmonoid,
+)
 from relmon.rel import Carrier, FinRel, is_partial_order
 from relmon.report import InputError
 from relmon.search import (
     EnumSpec,
     _additive_maps,
+    _congruence_rows,
     _equivalence_rows,
+    _gen_congruences,
     _gen_lattices,
     _gen_pams,
     _gen_relmonoids,
@@ -239,6 +252,29 @@ def test_boolean_congruences_include_atom_gluing():
     assert gluing in rows
 
 
+def test_congruence_pool_matches_candidate_filter():
+    # the pool keeps each PAM's passing class rows, one sweep per PAM; it is
+    # an lru_cache, which perfbench's cold enumerations clear like the rest
+    _congruence_rows.cache_clear()
+    total = 0
+    for p in [p for n in range(1, 6) for p in _pams(n, True)]:
+        carrier = p.carrier
+        expect = [
+            rows
+            for rows in _equivalence_rows(p.n)
+            if check_congruence(CongruenceCandidate(p, FinRel(carrier, carrier, rows))).ok
+        ]
+        pool = _congruence_rows(p)
+        assert list(pool) == expect
+        assert all(type(rows) is tuple and all(type(r) is int for r in rows) for rows in pool)
+        assert [c.classes.rows for c in _gen_congruences(p)] == expect
+        total += len(pool)
+    assert total == 2917
+    assert _congruence_rows.cache_info().currsize == 354
+    _congruence_rows.cache_clear()
+    assert _congruence_rows.cache_info().currsize == 0
+
+
 # -- lattices ----------------------------------------------------------------------
 
 
@@ -403,14 +439,38 @@ def test_pam_generation_matches_brute_filter(n):
 
 def test_additive_maps_match_product_filter():
     # every pair of PAMs up to 4 points, one per isomorphism class: the same
-    # maps in the same order as filtering all of itertools.product
+    # maps in the same order as filtering all of itertools.product down to
+    # the zero-reflecting ones
     pams = [p for n in range(1, 5) for p in _pams(n, True)]
-    total = 0
+    total = streamed = 0
     for psrc, pdst in itertools.product(pams, repeat=2):
         maps = list(_additive_maps(psrc, pdst))
-        assert maps == oracles.additive_maps_by_filter(psrc, pdst)
-        total += len(maps)
+        additive = oracles.additive_maps_by_filter(psrc, pdst)
+        assert maps == [v for v in additive if pdst.zero not in v[1:]]
+        total += len(additive)
+        streamed += len(maps)
     assert total == 32529
+    assert streamed == 10390
+
+
+def test_zero_reflecting_maps_keep_every_left_adjoint():
+    # the left adjoints among all 32,529 additive maps are exactly those
+    # among the streamed ones, in the same order
+    pams = [p for n in range(1, 5) for p in _pams(n, True)]
+    monoids = [to_relmonoid(p) for p in pams]
+
+    def adjoints(maps_of):
+        out = []
+        for (psrc, msrc), (pdst, mdst) in itertools.product(zip(pams, monoids), repeat=2):
+            for values in maps_of(psrc, pdst):
+                rel = FinRel(psrc.carrier, pdst.carrier, tuple(1 << v for v in values))
+                if is_left_adjoint_relmon(LaxMorphism(msrc, mdst, rel)).ok:
+                    out.append((psrc.plus, pdst.plus, values))
+        return out
+
+    expect = adjoints(oracles.additive_maps_by_filter)
+    assert len(expect) == 1493
+    assert adjoints(_additive_maps) == expect
 
 
 def test_pam_enumeration_contains_named_examples():
