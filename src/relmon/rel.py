@@ -216,7 +216,7 @@ class FinRel:
             raise InputError("field 'cod' must be an integer")
         if not isinstance(pairs, list):
             raise InputError("field 'pairs' must be a list of [a, b] pairs")
-        return cls.from_field(Carrier(dom), Carrier(cod), obj, "pairs")
+        return cls.from_pairs(Carrier(dom), Carrier(cod), pairs)
 
 
 @dataclass(frozen=True)

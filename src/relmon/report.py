@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import wraps
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, TypeVar
+
+T = TypeVar("T")
 
 
 class ToolkitError(Exception):
@@ -92,24 +94,31 @@ class CheckReport:
         return out
 
 
-def cached_verdict(check: Callable[[Any], CheckReport]) -> Callable[[Any], CheckReport]:
+def cached_verdict(check: Callable[[Any], T]) -> Callable[[Any], T]:
     """Run a checker at most once per frozen structure instance.
 
-    The report is kept in the instance's __dict__ under the checker's name,
-    as functools.cached_property keeps its values, so every later call on the
-    same instance returns the same CheckReport. A call that raises keeps
-    nothing, and raises again the next time.
+    The report (or any other result but None) is kept in the instance's
+    __dict__ under the checker's name, as functools.cached_property keeps its
+    values, so every later call on the same instance returns the same object
+    and it goes when the instance does. A call that raises keeps nothing, and
+    raises again the next time.
     """
     key = check.__name__
 
     @wraps(check)
-    def cached(x: Any) -> CheckReport:
+    def cached(x: Any) -> T:
         rep = x.__dict__.get(key)
         if rep is None:
             rep = x.__dict__[key] = check(x)
         return rep
 
     return cached
+
+
+def record_verdict(check: Callable[[Any], T], x: Any, rep: T) -> None:
+    """Keep rep as cached_verdict's result of check on x, for an instance
+    rebuilt from one that is already known to have given rep."""
+    x.__dict__[check.__name__] = rep
 
 
 def _jsonable(value: Any) -> Any:

@@ -81,7 +81,7 @@ from .rel import (
     refl_trans_closure,
     transpose_rows,
 )
-from .report import CheckReport, InputError
+from .report import CheckReport, InputError, cached_verdict, record_verdict
 
 
 KIND_LIMITS = {
@@ -429,11 +429,12 @@ def _gen_monad_orders(base: RelMonoid) -> list[MonadCandidate]:
     return [c for c in candidates if is_monad(c).ok]
 
 
-@lru_cache(maxsize=None)
+@cached_verdict
 def _congruence_rows(base: PartialAbelianMonoid) -> tuple[tuple[int, ...], ...]:
     """The class rows of every congruence on a valid base, in
-    _equivalence_rows order: the sweep runs once per PAM, and the pool keeps
-    rows, not candidates."""
+    _equivalence_rows order. The sweep runs once per base instance and its
+    rows, not candidates, stay on the instance, so both congruence laws share
+    it over the PAM pool and a caller's base takes them along when it goes."""
     carrier = base.carrier
     return tuple(
         rows
@@ -447,10 +448,13 @@ def _gen_congruences(base: PartialAbelianMonoid) -> list[CongruenceCandidate]:
     if not rep.ok:
         raise InputError(f"base is not a partial abelian monoid: {rep.summary()}")
     carrier = base.carrier
-    return [
-        CongruenceCandidate(base, FinRel(carrier, carrier, rows))
-        for rows in _congruence_rows(base)
-    ]
+    passed = CheckReport.passing("congruence")
+    out = []
+    for rows in _congruence_rows(base):
+        cand = CongruenceCandidate(base, FinRel(carrier, carrier, rows))
+        record_verdict(check_congruence, cand, passed)  # quotient_pam's precondition
+        out.append(cand)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -239,11 +239,6 @@ def test_from_json_loads_or_raises_input_error(loader):
 
 # A relation embedded in a larger object: the error names its field.
 FIELD_ERRORS = {
-    "rel-pairs": (
-        FinRel,
-        {"dom": 2, "cod": 2, "pairs": [[0, 2]]},
-        "field 'pairs': relation pair (0, 2) out of range",
-    ),
     "morphism-rel": (
         LaxMorphism,
         {"src": TRIVIAL, "dst": TRIVIAL, "rel": [[0, 1]]},

@@ -17,6 +17,7 @@ from relmon.monoid import (
 )
 from relmon.pam import (
     CongruenceCandidate,
+    PartialAbelianMonoid,
     check_congruence,
     check_pam_axioms,
     to_relmonoid,
@@ -253,9 +254,9 @@ def test_boolean_congruences_include_atom_gluing():
 
 
 def test_congruence_pool_matches_candidate_filter():
-    # the pool keeps each PAM's passing class rows, one sweep per PAM; it is
-    # an lru_cache, which perfbench's cold enumerations clear like the rest
-    _congruence_rows.cache_clear()
+    # the pool keeps each PAM's passing class rows on the PAM instance, one
+    # sweep per instance; a fresh equal PAM (as after clearing _pams) sweeps
+    # again and shares nothing with the old one
     total = 0
     for p in [p for n in range(1, 6) for p in _pams(n, True)]:
         carrier = p.carrier
@@ -267,12 +268,19 @@ def test_congruence_pool_matches_candidate_filter():
         pool = _congruence_rows(p)
         assert list(pool) == expect
         assert all(type(rows) is tuple and all(type(r) is int for r in rows) for rows in pool)
-        assert [c.classes.rows for c in _gen_congruences(p)] == expect
+        cands = _gen_congruences(p)
+        assert [c.classes.rows for c in cands] == expect
+        # each candidate carries the verdict its rows gave in the sweep
+        for c in cands:
+            assert c.__dict__["check_congruence"] == check_congruence(
+                CongruenceCandidate(p, c.classes)
+            )
+        assert _congruence_rows(p) is pool
+        fresh = PartialAbelianMonoid(p.carrier, p.zero, p.plus)
+        assert fresh == p and "_congruence_rows" not in fresh.__dict__
+        assert _congruence_rows(fresh) == pool and _congruence_rows(fresh) is not pool
         total += len(pool)
     assert total == 2917
-    assert _congruence_rows.cache_info().currsize == 354
-    _congruence_rows.cache_clear()
-    assert _congruence_rows.cache_info().currsize == 0
 
 
 # -- lattices ----------------------------------------------------------------------
