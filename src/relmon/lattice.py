@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .monoid import MonadCandidate, RelMonoid, from_poset_quotients, is_monad, quotient_pairs
 from .rel import Carrier, FinRel, bits, is_partial_order, lowest_bit
-from .report import CheckReport, InputError, PreconditionError
+from .report import CheckReport, InputError, PreconditionError, json_fields
 
 
 @dataclass(frozen=True)
@@ -64,12 +64,7 @@ class FinLattice:
 
     @classmethod
     def from_json(cls, obj: object) -> "FinLattice":
-        if not isinstance(obj, dict):
-            raise InputError("lattice JSON must be an object")
-        for key in ("carrier", "order"):
-            if key not in obj:
-                raise InputError(f"lattice JSON missing field {key!r}")
-        size = obj["carrier"]
+        size, _ = json_fields(obj, "lattice", "carrier", "order")
         if not isinstance(size, int) or isinstance(size, bool):
             raise InputError("field 'carrier' must be an integer size")
         carrier = Carrier(size)
@@ -223,6 +218,27 @@ def check_qa_monad_iff_modular(lat: FinLattice) -> CheckReport:
     )
 
 
+def hom_defect(f: Sequence[int], src: FinLattice, dst: FinLattice) -> tuple | None:
+    """First ("meet" or "join", x, y) that x -> f[x] fails to preserve, or None.
+
+    Pairs go in row-major order, the meet checked first. The tables are
+    symmetric and x meet x = x, so only pairs x < y can be first to fail.
+    """
+    for x in range(src.n):
+        for y in range(x + 1, src.n):
+            if f[src.meet_of(x, y)] != dst.meet_of(f[x], f[y]):
+                return ("meet", x, y)
+            if f[src.join_of(x, y)] != dst.join_of(f[x], f[y]):
+                return ("join", x, y)
+    return None
+
+
+def quotient_map(f: Sequence[int], src: FinLattice, dst: FinLattice) -> tuple[int, ...]:
+    """Index of f(b)/f(a) among dst's quotients per quotient b/a of src; f unchecked."""
+    index = {q: i for i, q in enumerate(quotient_pairs(dst.order))}
+    return tuple(index[(f[a], f[b])] for a, b in quotient_pairs(src.order))
+
+
 def q_functor(v: FinRel, src: FinLattice, dst: FinLattice) -> FinRel:
     """Quotient map b/a -> v(b)/v(a) of a lattice homomorphism v.
 
@@ -233,19 +249,8 @@ def q_functor(v: FinRel, src: FinLattice, dst: FinLattice) -> FinRel:
     if not v.is_map():
         raise PreconditionError("lattice homomorphism must be a mapping")
     f = [lowest_bit(row) for row in v.rows]
-    for x in range(src.n):
-        for y in range(src.n):
-            if f[src.meet_of(x, y)] != dst.meet_of(f[x], f[y]):
-                raise PreconditionError(
-                    f"map does not preserve the meet of ({x}, {y})"
-                )
-            if f[src.join_of(x, y)] != dst.join_of(f[x], f[y]):
-                raise PreconditionError(
-                    f"map does not preserve the join of ({x}, {y})"
-                )
-    src_quots = quotient_pairs(src.order)
-    dst_index = {q: i for i, q in enumerate(quotient_pairs(dst.order))}
-    rows = tuple(1 << dst_index[(f[a], f[b])] for a, b in src_quots)
-    return FinRel(
-        Carrier(len(src_quots)), Carrier(len(dst_index)), rows
-    )
+    defect = hom_defect(f, src, dst)
+    if defect is not None:
+        raise PreconditionError("map does not preserve the %s of (%d, %d)" % defect)
+    rows = tuple(1 << i for i in quotient_map(f, src, dst))
+    return FinRel(Carrier(len(rows)), Carrier(len(quotient_pairs(dst.order))), rows)

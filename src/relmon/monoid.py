@@ -32,7 +32,7 @@ from .rel import (
     lowest_bit,
     refl_trans_closure,
 )
-from .report import CheckReport, InputError, PreconditionError, cached_verdict
+from .report import CheckReport, InputError, PreconditionError, cached_verdict, json_fields
 
 
 @dataclass(frozen=True)
@@ -108,16 +108,9 @@ class RelMonoid:
 
     @classmethod
     def from_json(cls, obj: object) -> "RelMonoid":
-        if not isinstance(obj, dict):
-            raise InputError("monoid JSON must be an object")
-        for key in ("carrier", "units", "mult"):
-            if key not in obj:
-                raise InputError(f"monoid JSON missing field {key!r}")
-        size = obj["carrier"]
+        size, units, mult = json_fields(obj, "monoid", "carrier", "units", "mult")
         if not isinstance(size, int) or isinstance(size, bool):
             raise InputError("field 'carrier' must be an integer size")
-        units = obj["units"]
-        mult = obj["mult"]
         if not isinstance(units, list) or not all(type(y) is int for y in units):
             raise InputError("field 'units' must be a list of indices")
         if not isinstance(mult, list) or not all(
@@ -157,13 +150,8 @@ class LaxMorphism:
 
     @classmethod
     def from_json(cls, obj: object) -> "LaxMorphism":
-        if not isinstance(obj, dict):
-            raise InputError("morphism JSON must be an object")
-        for key in ("src", "dst", "rel"):
-            if key not in obj:
-                raise InputError(f"morphism JSON missing field {key!r}")
-        src = RelMonoid.from_json(obj["src"])
-        dst = RelMonoid.from_json(obj["dst"])
+        src, dst, _ = json_fields(obj, "morphism", "src", "dst", "rel")
+        src, dst = RelMonoid.from_json(src), RelMonoid.from_json(dst)
         rel = FinRel.from_field(src.carrier, dst.carrier, obj, "rel")
         return cls(src, dst, rel)
 
@@ -190,12 +178,8 @@ class MonadCandidate:
 
     @classmethod
     def from_json(cls, obj: object) -> "MonadCandidate":
-        if not isinstance(obj, dict):
-            raise InputError("monad candidate JSON must be an object")
-        for key in ("base", "order"):
-            if key not in obj:
-                raise InputError(f"monad candidate JSON missing field {key!r}")
-        base = RelMonoid.from_json(obj["base"])
+        base, _ = json_fields(obj, "monad candidate", "base", "order")
+        base = RelMonoid.from_json(base)
         order = FinRel.from_field(base.carrier, base.carrier, obj, "order")
         return cls(base, order)
 

@@ -38,7 +38,7 @@ from .rel import (
     is_partial_order,
     lowest_bit,
 )
-from .report import CheckReport, InputError, InternalCheckError, cached_verdict
+from .report import CheckReport, InputError, InternalCheckError, cached_verdict, json_fields
 
 
 @dataclass(frozen=True)
@@ -115,14 +115,7 @@ class PartialAbelianMonoid:
 
     @classmethod
     def from_json(cls, obj: object) -> "PartialAbelianMonoid":
-        if not isinstance(obj, dict):
-            raise InputError("partial monoid JSON must be an object")
-        for key in ("carrier", "zero", "plus"):
-            if key not in obj:
-                raise InputError(f"partial monoid JSON missing field {key!r}")
-        size = obj["carrier"]
-        zero = obj["zero"]
-        plus = obj["plus"]
+        size, zero, plus = json_fields(obj, "partial monoid", "carrier", "zero", "plus")
         if not isinstance(size, int) or isinstance(size, bool):
             raise InputError("field 'carrier' must be an integer size")
         if not isinstance(zero, int) or isinstance(zero, bool):
@@ -375,12 +368,8 @@ class CongruenceCandidate:
 
     @classmethod
     def from_json(cls, obj: object) -> "CongruenceCandidate":
-        if not isinstance(obj, dict):
-            raise InputError("congruence JSON must be an object")
-        for key in ("base", "classes"):
-            if key not in obj:
-                raise InputError(f"congruence JSON missing field {key!r}")
-        base = PartialAbelianMonoid.from_json(obj["base"])
+        base, _ = json_fields(obj, "congruence", "base", "classes")
+        base = PartialAbelianMonoid.from_json(base)
         rel = FinRel.from_field(base.carrier, base.carrier, obj, "classes")
         return cls(base, rel)
 
@@ -540,13 +529,8 @@ class OmlStructure:
 
     @classmethod
     def from_json(cls, obj: object) -> "OmlStructure":
-        if not isinstance(obj, dict):
-            raise InputError("orthomodular lattice JSON must be an object")
-        for key in ("lattice", "ortho"):
-            if key not in obj:
-                raise InputError(f"orthomodular lattice JSON missing field {key!r}")
-        lattice = FinLattice.from_json(obj["lattice"])
-        ortho = obj["ortho"]
+        lattice, ortho = json_fields(obj, "orthomodular lattice", "lattice", "ortho")
+        lattice = FinLattice.from_json(lattice)
         if not isinstance(ortho, list) or not all(
             isinstance(x, int) and not isinstance(x, bool) for x in ortho
         ):

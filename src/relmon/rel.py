@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .report import CheckReport, InputError, PreconditionError
+from .report import CheckReport, InputError, PreconditionError, json_fields
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -204,12 +204,7 @@ class FinRel:
 
     @classmethod
     def from_json(cls, obj: object) -> "FinRel":
-        if not isinstance(obj, dict):
-            raise InputError("relation JSON must be an object")
-        for key in ("dom", "cod", "pairs"):
-            if key not in obj:
-                raise InputError(f"relation JSON missing field {key!r}")
-        dom, cod, pairs = obj["dom"], obj["cod"], obj["pairs"]
+        dom, cod, pairs = json_fields(obj, "relation", "dom", "cod", "pairs")
         if not isinstance(dom, int) or isinstance(dom, bool):
             raise InputError("field 'dom' must be an integer")
         if not isinstance(cod, int) or isinstance(cod, bool):

@@ -25,6 +25,20 @@ class InternalCheckError(ToolkitError):
     """A cross-check that must hold by construction failed; indicates a bug here."""
 
 
+def json_fields(obj: object, what: str, *keys: str) -> tuple[Any, ...]:
+    """The values of the required fields of a JSON object, in key order.
+
+    Raises InputError if obj is not an object or lacks one of the keys,
+    naming the first missing key and the structure as what.
+    """
+    if not isinstance(obj, dict):
+        raise InputError(f"{what} JSON must be an object")
+    for key in keys:
+        if key not in obj:
+            raise InputError(f"{what} JSON missing field {key!r}")
+    return tuple(obj[key] for key in keys)
+
+
 @dataclass(frozen=True)
 class CheckReport:
     """Outcome of a checker: verdict, failed clause, and a concrete witness.

@@ -26,9 +26,10 @@ from .lattice import (
     build_quotient_order,
     check_qa_monad_iff_modular,
     check_star_star,
+    hom_defect,
     is_modular,
     meet_join_tables,
-    q_functor,
+    quotient_map,
 )
 from .monoid import (
     LaxMorphism,
@@ -47,6 +48,7 @@ from .monoid import (
     left_unit_of,
     monad_from_adjunction_conditions,
     monad_reflection,
+    quotient_pairs,
     quotient_relmonoid,
     right_unit_of,
 )
@@ -1091,8 +1093,6 @@ def _law_star_star_iff_modular(size: int, rng: random.Random) -> CheckReport:
 
 
 def _law_trivial_quotient_arrow(size: int, rng: random.Random) -> CheckReport:
-    from .monoid import quotient_pairs
-
     for lat in _lattice_pool(size):
         qo = build_quotient_order(lat)
         quots = quotient_pairs(lat.order)
@@ -1110,63 +1110,52 @@ def _law_trivial_quotient_arrow(size: int, rng: random.Random) -> CheckReport:
     return _pass("trivial-quotient-arrow")
 
 
-def _lattice_homs(src: FinLattice, dst: FinLattice) -> list[FinRel]:
-    out = []
-    for values in product(range(dst.n), repeat=src.n):
-        good = all(
-            values[src.meet_of(x, y)] == dst.meet_of(values[x], values[y])
-            and values[src.join_of(x, y)] == dst.join_of(values[x], values[y])
-            for x in range(src.n)
-            for y in range(src.n)
-        )
-        if good:
-            out.append(
-                FinRel(src.order.dom, dst.order.dom, tuple(1 << v for v in values))
-            )
-    return out
+def _lattice_homs(src: FinLattice, dst: FinLattice) -> dict[tuple, tuple]:
+    """Every homomorphism src -> dst, as a value tuple, to its quotient map."""
+    return {
+        f: quotient_map(f, src, dst)
+        for f in product(range(dst.n), repeat=src.n)
+        if hom_defect(f, src, dst) is None
+    }
+
+
+def _graph(f: Sequence[int], ncod: int) -> FinRel:
+    return FinRel(Carrier(len(f)), Carrier(ncod), tuple(1 << x for x in f))
 
 
 def _law_q_functorial(size: int, rng: random.Random) -> CheckReport:
-    from .monoid import quotient_pairs
-
     lats = _lattice_pool(size)
-    for lat in lats:
-        ident = FinRel.identity(lat.order.dom)
-        q_ident = q_functor(ident, lat, lat)
-        if q_ident.rows != FinRel.identity(Carrier(len(quotient_pairs(lat.order)))).rows:
+    homs = [[_lattice_homs(l1, l2) for l2 in lats] for l1 in lats]
+    for i, lat in enumerate(lats):
+        if homs[i][i].get(tuple(range(lat.n))) != tuple(range(len(quotient_pairs(lat.order)))):
             return _fail(
                 "q-functorial", "quotient map of the identity is not the identity",
                 lattice=lat.to_json(),
             )
-    for l1 in lats:
-        for l2 in lats:
-            homs12 = _lattice_homs(l1, l2)
-            mod12 = is_modular(l1).ok and is_modular(l2).ok
-            if mod12:
-                qo1, qo2 = build_quotient_order(l1), build_quotient_order(l2)
-            for v in homs12:
-                qv = q_functor(v, l1, l2)
-                if mod12:
-                    h = LaxMorphism(qo1.qmonoid, qo2.qmonoid, qv)
+    qos = [build_quotient_order(lat) if is_modular(lat).ok else None for lat in lats]
+    for l1, homs1, qo1 in zip(lats, homs, qos):
+        for l2, homs12, qo2, homs2 in zip(lats, homs1, qos, homs):
+            if qo1 and qo2:
+                for v, qv in homs12.items():
+                    h = LaxMorphism(qo1.qmonoid, qo2.qmonoid, _graph(qv, qo2.qmonoid.n))
                     if not is_lax_morphism(h).ok or not is_endo_square(
                         h, qo1.arrow, qo2.arrow
                     ).ok:
                         return _fail(
                             "q-functorial",
                             "quotient map of a homomorphism breaks the order square",
-                            src=l1.to_json(), dst=l2.to_json(), hom=v.to_json(),
+                            src=l1.to_json(), dst=l2.to_json(),
+                            hom=_graph(v, l2.n).to_json(),
                         )
-            for l3 in lats:
-                homs23 = _lattice_homs(l2, l3)
-                for v in homs12:
-                    for w in homs23:
-                        lhs = q_functor(v.compose(w), l1, l3)
-                        rhs = q_functor(v, l1, l2).compose(q_functor(w, l2, l3))
-                        if lhs.rows != rhs.rows:
+            for l3, homs13, homs23 in zip(lats, homs1, homs2):
+                for v, qv in homs12.items():
+                    for w, qw in homs23.items():
+                        if homs13.get(tuple(w[x] for x in v)) != tuple(qw[x] for x in qv):
                             return _fail(
                                 "q-functorial",
                                 "quotient construction fails to preserve composition",
-                                first=v.to_json(), second=w.to_json(),
+                                first=_graph(v, l2.n).to_json(),
+                                second=_graph(w, l3.n).to_json(),
                             )
     return _pass("q-functorial")
 

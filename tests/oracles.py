@@ -359,9 +359,10 @@ def pam_axioms_report(p):
 
 # -- reference scans ---------------------------------------------------------
 #
-# The loops that rel.compose_rows, rel.transpose_rows and the mask-built
-# lax square replaced, kept verbatim in behaviour: each returns the same
-# rows or the same whole report as the relmon function it is named after.
+# The loops that rel.compose_rows, rel.transpose_rows, the mask-built lax
+# square and lattice.hom_defect replaced, kept verbatim in behaviour: each
+# returns the same rows, defect or whole report as the relmon function it is
+# named after.
 
 
 def compose_rows_by_loop(rows, orows):
@@ -592,3 +593,14 @@ def adjunction_monad_report(c):
             f"({a}, {b}) related but ({b}, {a}) is not",
         )
     return CheckReport.passing("adjunction-monad")
+
+
+def hom_defect_by_loop(f, src, dst):
+    """Every pair in row-major order, the meet checked before the join."""
+    for x in range(src.n):
+        for y in range(src.n):
+            if f[src.meet_of(x, y)] != dst.meet_of(f[x], f[y]):
+                return ("meet", x, y)
+            if f[src.join_of(x, y)] != dst.join_of(f[x], f[y]):
+                return ("join", x, y)
+    return None

@@ -1,5 +1,7 @@
 """Lattices, the perspectivity order on quotients, and modularity."""
 
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,9 +13,11 @@ from relmon.lattice import (
     build_quotient_order,
     check_qa_monad_iff_modular,
     check_star_star,
+    hom_defect,
     is_modular,
     lattice_from_order,
     q_functor,
+    quotient_map,
 )
 from relmon.monoid import (
     LaxMorphism,
@@ -26,6 +30,7 @@ from relmon.monoid import (
 )
 from relmon.rel import Carrier, FinRel, bits, is_partial_order
 from relmon.report import InputError, PreconditionError
+from relmon.search import _lattice_pool
 
 
 def order_of(n, pairs):
@@ -234,11 +239,40 @@ def test_q_functor_rejects_non_hom():
     )
     with pytest.raises(PreconditionError, match="preserve the meet"):
         q_functor(bad, CHAIN2, B22)
+    # collapsing the atoms of B22 onto the bottom of the 2-chain keeps every
+    # meet but not their join, the top
+    collapse = FinRel.from_pairs(
+        B22.order.dom, CHAIN2.order.dom, [(0, 0), (1, 0), (2, 0), (3, 1)]
+    )
+    with pytest.raises(PreconditionError) as info:
+        q_functor(collapse, B22, CHAIN2)
+    assert str(info.value) == "map does not preserve the join of (1, 2)"
     with pytest.raises(InputError):
         q_functor(FinRel.identity(Carrier(3)), CHAIN2, B22)
     nonmap = FinRel.from_pairs(CHAIN2.order.dom, B22.order.dom, [(0, 0)])
     with pytest.raises(PreconditionError, match="mapping"):
         q_functor(nonmap, CHAIN2, B22)
+
+
+def test_hom_defect_matches_the_pairwise_loop():
+    # every map between the lattices of the default q-functorial pool
+    lats = _lattice_pool(4)
+    homs = 0
+    for src, dst in itertools.product(lats, repeat=2):
+        for f in itertools.product(range(dst.n), repeat=src.n):
+            defect = hom_defect(f, src, dst)
+            assert defect == oracles.hom_defect_by_loop(f, src, dst)
+            v = FinRel(src.order.dom, dst.order.dom, tuple(1 << x for x in f))
+            if defect is None:
+                homs += 1
+                rows = tuple(1 << i for i in quotient_map(f, src, dst))
+                assert q_functor(v, src, dst).rows == rows
+                continue
+            with pytest.raises(PreconditionError) as info:
+                q_functor(v, src, dst)
+            op, x, y = defect
+            assert str(info.value) == f"map does not preserve the {op} of ({x}, {y})"
+    assert homs == 221
 
 
 def test_q_functor_oplax_square_on_modular_lattices():

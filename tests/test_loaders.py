@@ -268,3 +268,35 @@ def test_embedded_relation_errors_name_the_field(case):
     with pytest.raises(InputError) as info:
         loader.from_json(json.loads(json.dumps(obj)))
     assert str(info.value) == message
+
+
+# Every loader's message for a non-object and for each missing field, by the
+# name the message gives the structure and the fields in the order checked.
+SHAPE_ERRORS = {
+    FinRel: ("relation", ("dom", "cod", "pairs")),
+    RelMonoid: ("monoid", ("carrier", "units", "mult")),
+    LaxMorphism: ("morphism", ("src", "dst", "rel")),
+    MonadCandidate: ("monad candidate", ("base", "order")),
+    FinLattice: ("lattice", ("carrier", "order")),
+    PartialAbelianMonoid: ("partial monoid", ("carrier", "zero", "plus")),
+    CongruenceCandidate: ("congruence", ("base", "classes")),
+    OmlStructure: ("orthomodular lattice", ("lattice", "ortho")),
+}
+
+
+@pytest.mark.parametrize("loader", list(SHAPE_ERRORS), ids=lambda c: c.__name__)
+def test_from_json_names_non_objects_and_missing_fields(loader):
+    what, keys = SHAPE_ERRORS[loader]
+    assert set(keys) <= set(VALID[loader])
+    for bad in ([], None, 3, "x"):
+        with pytest.raises(InputError) as info:
+            loader.from_json(bad)
+        assert str(info.value) == f"{what} JSON must be an object"
+    for key in keys:
+        obj = {k: v for k, v in VALID[loader].items() if k != key}
+        with pytest.raises(InputError) as info:
+            loader.from_json(obj)
+        assert str(info.value) == f"{what} JSON missing field {key!r}"
+    with pytest.raises(InputError) as info:
+        loader.from_json({})
+    assert str(info.value) == f"{what} JSON missing field {keys[0]!r}"

@@ -7,7 +7,7 @@ from math import factorial
 import pytest
 
 import oracles
-from relmon import catalog
+from relmon import catalog, search
 from relmon.monoid import (
     LaxMorphism,
     RelMonoid,
@@ -567,6 +567,30 @@ def test_law_holds_at_reduced_size(key):
 
 def test_reflection_least_holds_at_its_max_size():
     assert verify_universal("reflection-least", size=3).ok
+
+
+def test_q_functorial_holds_at_its_max_size():
+    assert verify_universal("q-functorial", size=5).ok
+
+
+def test_q_functorial_catches_a_broken_quotient_map(monkeypatch):
+    honest = search.quotient_map
+
+    def reversed_map(f, src, dst):
+        return honest(f, src, dst)[::-1]
+
+    def zeros_unless_injective(f, src, dst):
+        q = honest(f, src, dst)
+        return q if len(set(f)) == len(f) else (0,) * len(q)
+
+    for kernel, message in [
+        (reversed_map, "quotient map of the identity is not the identity"),
+        (zeros_unless_injective, "quotient construction fails to preserve composition"),
+    ]:
+        monkeypatch.setattr(search, "quotient_map", kernel)
+        rep = verify_universal("q-functorial")
+        assert not rep.ok
+        assert rep.message == message
 
 
 LATTICE_LAWS = (
