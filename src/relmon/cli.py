@@ -369,9 +369,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except PreconditionError as exc:
         print(f"precondition error: {exc}", file=sys.stderr)
         return 2

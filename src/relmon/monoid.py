@@ -233,42 +233,26 @@ def check_monoid_axioms(m: RelMonoid) -> CheckReport:
     n = m.n
     pm = m.prod_masks
     lab = m.carrier.label
-    for a in range(n):
-        if not any(pm[a * n + y] >> a & 1 for y in m.unit_list):
-            return CheckReport.failing(
-                "monoid-axioms",
-                "right-unit",
-                (a,),
-                f"element {lab(a)} has no right unit",
-            )
-        for y in m.unit_list:
-            extra = pm[a * n + y] & ~(1 << a)
-            if extra:
-                b = lowest_bit(extra)
+    for side in ("right", "left"):
+        for a in range(n):
+            masks = _unit_masks(m, a, side)
+            if not any(mask >> a & 1 for mask in masks):
                 return CheckReport.failing(
                     "monoid-axioms",
-                    "right-unit",
-                    (a, y, b),
-                    f"unit {lab(y)} multiplies {lab(a)} to {lab(b)} on the right",
+                    f"{side}-unit",
+                    (a,),
+                    f"element {lab(a)} has no {side} unit",
                 )
-    for a in range(n):
-        if not any(pm[y * n + a] >> a & 1 for y in m.unit_list):
-            return CheckReport.failing(
-                "monoid-axioms",
-                "left-unit",
-                (a,),
-                f"element {lab(a)} has no left unit",
-            )
-        for y in m.unit_list:
-            extra = pm[y * n + a] & ~(1 << a)
-            if extra:
-                b = lowest_bit(extra)
-                return CheckReport.failing(
-                    "monoid-axioms",
-                    "left-unit",
-                    (a, y, b),
-                    f"unit {lab(y)} multiplies {lab(a)} to {lab(b)} on the left",
-                )
+            for y, mask in zip(m.unit_list, masks):
+                extra = mask & ~(1 << a)
+                if extra:
+                    b = lowest_bit(extra)
+                    return CheckReport.failing(
+                        "monoid-axioms",
+                        f"{side}-unit",
+                        (a, y, b),
+                        f"unit {lab(y)} multiplies {lab(a)} to {lab(b)} on the {side}",
+                    )
     bad = _assoc_witness(pm, n)
     if bad is not None:
         a1, a2, a3, lhs, rhs = bad
@@ -283,30 +267,36 @@ def check_monoid_axioms(m: RelMonoid) -> CheckReport:
     return CheckReport.passing("monoid-axioms")
 
 
-def right_unit_of(m: RelMonoid, a: int) -> int:
-    """The unique unit y with (a, y)*a; errors if the unit axioms fail at a."""
+def _unit_masks(m: RelMonoid, a: int, side: str) -> list[int]:
+    """Products of a with each unit y, in unit_list order: (a, y) on the
+    "right" side, (y, a) on the "left"."""
+    n, pm = m.n, m.prod_masks
+    if side == "right":
+        return [pm[a * n + y] for y in m.unit_list]
+    return [pm[y * n + a] for y in m.unit_list]
+
+
+def _unit_of(m: RelMonoid, a: int, side: str) -> int:
     if not 0 <= a < m.n:
         raise InputError(f"element {a} out of range for carrier size {m.n}")
-    candidates = [y for y in m.unit_list if m.prod_masks[a * m.n + y] >> a & 1]
+    masks = _unit_masks(m, a, side)
+    candidates = [y for y, mask in zip(m.unit_list, masks) if mask >> a & 1]
     if len(candidates) != 1:
         raise PreconditionError(
             f"monoid axioms violated: element {m.carrier.label(a)} has "
-            f"{len(candidates)} right units"
+            f"{len(candidates)} {side} units"
         )
     return candidates[0]
+
+
+def right_unit_of(m: RelMonoid, a: int) -> int:
+    """The unique unit y with (a, y)*a; errors if the unit axioms fail at a."""
+    return _unit_of(m, a, "right")
 
 
 def left_unit_of(m: RelMonoid, a: int) -> int:
     """The unique unit y with (y, a)*a; errors if the unit axioms fail at a."""
-    if not 0 <= a < m.n:
-        raise InputError(f"element {a} out of range for carrier size {m.n}")
-    candidates = [y for y in m.unit_list if m.prod_masks[y * m.n + a] >> a & 1]
-    if len(candidates) != 1:
-        raise PreconditionError(
-            f"monoid axioms violated: element {m.carrier.label(a)} has "
-            f"{len(candidates)} left units"
-        )
-    return candidates[0]
+    return _unit_of(m, a, "left")
 
 
 # ---------------------------------------------------------------------------

@@ -267,6 +267,33 @@ def is_effect_algebra(p: PartialAbelianMonoid) -> CheckReport:
     )
 
 
+def _decomposition_witness(
+    p: PartialAbelianMonoid, rows: Sequence[int]
+) -> tuple[int, int, int] | None:
+    """First (x1, x2, y) where y in rows[x1+x2] is no y1+y2 with y1 in
+    rows[x1], y2 in rows[x2]; None if every such y decomposes.
+
+    This is the lax square of the relation over the partial addition, read
+    off the table: cells x1+x2 = s in row-major order, and per cell the OR of
+    the defined sums above (x1, x2); the witness is the least y of rows[s]
+    the OR misses. Riesz decomposition passes the down-sets of the canonical
+    order; dimension-equivalence clause B reads "y1 related to x1" in the
+    transpose direction, which is rows itself since it passes equivalences.
+    """
+    n, plus = p.n, p.plus
+    for x1, x2, s in p.cells:
+        got = 0
+        for y1 in bits(rows[x1]):
+            for y2 in bits(rows[x2]):
+                y = plus[y1 * n + y2]
+                if y >= 0:
+                    got |= 1 << y
+        missing = rows[s] & ~got
+        if missing:
+            return x1, x2, lowest_bit(missing)
+    return None
+
+
 def has_rdp(p: PartialAbelianMonoid) -> CheckReport:
     """Riesz decomposition: y below x1+x2 splits as y1+y2 with yi below xi.
 
@@ -274,33 +301,9 @@ def has_rdp(p: PartialAbelianMonoid) -> CheckReport:
     the underlying relational monoid; both sides are computed and compared,
     and a mismatch raises an internal error.
     """
-    order = canonical_order(p)
-    down = order.dagger().rows
-    witness = None
-    message = ""
-    for x1 in range(p.n):
-        if witness:
-            break
-        for x2 in range(p.n):
-            if not p.defined(x1, x2):
-                continue
-            s = p.value(x1, x2)
-            for y in bits(down[s]):
-                if not any(
-                    p.defined(y1, y2) and p.value(y1, y2) == y
-                    for y1 in bits(down[x1])
-                    for y2 in bits(down[x2])
-                ):
-                    witness = (x1, x2, y)
-                    message = (
-                        f"{p.carrier.label(y)} lies below "
-                        f"{p.carrier.label(x1)} + {p.carrier.label(x2)} "
-                        "but does not decompose along them"
-                    )
-                    break
-            if witness:
-                break
-    monad_rep = is_monad(MonadCandidate(to_relmonoid(p), order.dagger()))
+    down = canonical_order(p).dagger()
+    witness = _decomposition_witness(p, down.rows)
+    monad_rep = is_monad(MonadCandidate(to_relmonoid(p), down))
     if monad_rep.ok != (witness is None):
         raise InternalCheckError(
             "Riesz decomposition scan and the monad check disagree: "
@@ -308,8 +311,15 @@ def has_rdp(p: PartialAbelianMonoid) -> CheckReport:
         )
     if witness is None:
         return CheckReport.passing("rdp", monad_agrees=True)
+    x1, x2, y = witness
+    lab = p.carrier.label
     return CheckReport.failing(
-        "rdp", "decomposition", witness, message, monad_agrees=True
+        "rdp",
+        "decomposition",
+        witness,
+        f"{lab(y)} lies below {lab(x1)} + {lab(x2)} "
+        "but does not decompose along them",
+        monad_agrees=True,
     )
 
 
@@ -634,26 +644,6 @@ def _join_of(lat: FinLattice, fam: tuple[int, ...]) -> int:
     return acc
 
 
-def _dimension_clause_b(s: OmlStructure, sim: FinRel) -> tuple[int, int, int] | None:
-    """First failure of the decomposition-transfer clause, if any."""
-    lat = s.lattice
-    for a1 in range(lat.n):
-        for a2 in range(lat.n):
-            if not s.orthogonal(a1, a2):
-                continue
-            for b in bits(sim.rows[lat.join_of(a1, a2)]):
-                if not any(
-                    s.orthogonal(b1, b2)
-                    and lat.join_of(b1, b2) == b
-                    and sim.has(b1, a1)
-                    and sim.has(b2, a2)
-                    for b1 in range(lat.n)
-                    for b2 in range(lat.n)
-                ):
-                    return (a1, a2, b)
-    return None
-
-
 def is_dimension_equivalence(
     s: OmlStructure, sim: FinRel, literal_joins: bool = False
 ) -> CheckReport:
@@ -665,9 +655,7 @@ def is_dimension_equivalence(
     instead when literal_joins is set); (D) non-orthogonal elements dominate
     a related nonzero pair.
     """
-    rep = validate_oml(s)
-    if not rep.ok:
-        raise InputError(f"not an orthomodular lattice: {rep.summary()}")
+    p = oml_as_effect_algebra(s)
     lat = s.lattice
     if sim.dom.size != lat.n or sim.cod.size != lat.n:
         raise InputError("relation does not live on the lattice carrier")
@@ -684,7 +672,7 @@ def is_dimension_equivalence(
             (a,),
             f"nonzero {lab(a)} is related to the bottom",
         )
-    b_wit = _dimension_clause_b(s, sim)
+    b_wit = _decomposition_witness(p, sim.rows)
     if b_wit is not None:
         a1, a2, b = b_wit
         return CheckReport.failing(

@@ -18,6 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from heapq import merge
 from itertools import permutations, product
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -68,7 +69,7 @@ from .pam import (
     quotient_pam,
     to_relmonoid,
     validate_oml,
-    _dimension_clause_b,
+    _decomposition_witness,
 )
 from .rel import (
     Carrier,
@@ -333,6 +334,21 @@ def _poset_key(rows: Sequence[int]) -> tuple[int, ...]:
     )
 
 
+def _completions(n: int, b: int, t: int) -> Iterator[tuple[int, ...]]:
+    """Rows of the n-point posets with bottom b and top t, one per poset on
+    the other labels, in the order of _labeled_posets on them. That order
+    ascends by _poset_key, and b and t add the same bits at every position
+    of the key, so the completions ascend by _poset_key too."""
+    mid = [a for a in range(n) if a not in (b, t)]
+    moved = [1 << a for a in mid]
+    for poset in _labeled_posets(len(mid)):
+        rows = [1 << t] * n
+        rows[b] = (1 << n) - 1
+        for a, row in zip(mid, compose_rows(poset, moved)):
+            rows[a] |= row
+        yield tuple(rows)
+
+
 def _gen_lattices(n: int, dedup: bool) -> Iterator[FinLattice]:
     """All lattices on {0..n-1}, as bounded completions of smaller posets.
 
@@ -344,42 +360,31 @@ def _gen_lattices(n: int, dedup: bool) -> Iterator[FinLattice]:
     one-point lattice is the case b = t. The labeled stream keeps the order
     of _labeled_posets(n): that recursion picks, for k = 1..n-1, the labels
     below k and then those above it among 0..k-1, each ascending, so its
-    order is the lexicographic order of _poset_key. With dedup on, each
-    class keeps its least labeling, as in _least_per_class. That labeling
-    has its top at 0 (row 0 is then 1, the least it can be) and its bottom
-    at n-1 (moving the bottom last shifts the higher bits of the rows before
-    it down and puts a row below the full one where it stood). So only
-    (b, t) = (n-1, 0) is walked, in ascending row order, skipping the orbits
-    of the lattices already kept under the relabelings fixing 0 and n-1
-    before _is_lattice_rows runs on them.
+    order is the lexicographic order of _poset_key, and merging the
+    ascending completion streams of every (b, t) gives it. With dedup on,
+    each class keeps its least labeling. That labeling has its top at 0
+    (row 0 is then 1, the least it can be) and its bottom at n-1 (moving the
+    bottom last shifts the higher bits of the rows before it down and puts a
+    row below the full one where it stood). So only (b, t) = (n-1, 0) is
+    walked, in ascending row order through _least_per_class under the
+    relabelings fixing 0 and n-1; a candidate whose orbit is met already is
+    skipped before _is_lattice_rows runs on it.
     """
     carrier = Carrier(n)
     if dedup:
-        ends = [(n - 1, 0)] if n else []
         perms = [p for p in _perms_fixing_zero(n) if p[-1] == n - 1]
+        cands = _least_per_class(
+            sorted(_completions(n, n - 1, 0)) if n else (),
+            lambda rows: rows,
+            lambda rows: [_permute_rows(rows, p) for p in perms],
+        )
     else:
         ends = [(b, t) for b, t in product(range(n), repeat=2) if b != t or n == 1]
-    cands = []
-    for b, t in ends:
-        mid = [a for a in range(n) if a not in (b, t)]
-        moved = [1 << a for a in mid]
-        for poset in _labeled_posets(len(mid)):
-            rows = [1 << t] * n
-            rows[b] = (1 << n) - 1
-            for a, row in zip(mid, compose_rows(poset, moved)):
-                rows[a] |= row
-            cands.append(tuple(rows))
-    cands.sort(key=None if dedup else _poset_key)
-    seen: set = set()
+        cands = merge(*(_completions(n, b, t) for b, t in ends), key=_poset_key)
     for rows in cands:
-        if rows in seen:
-            continue
         meet_join = _is_lattice_rows(rows)
-        if meet_join is None:
-            continue
-        yield FinLattice(FinRel(carrier, carrier, rows), *meet_join)
-        if dedup:
-            seen.update(_permute_rows(rows, p) for p in perms)
+        if meet_join is not None:
+            yield FinLattice(FinRel(carrier, carrier, rows), *meet_join)
 
 
 @lru_cache(maxsize=None)
@@ -1323,10 +1328,11 @@ def _law_dimeq_b_matches_square(size: int, rng: random.Random) -> CheckReport:
 
     for k in range(1, size + 1):
         s = boolean_oml(k)
-        m = to_relmonoid(oml_as_effect_algebra(s))
+        p = oml_as_effect_algebra(s)
+        m = to_relmonoid(p)
         for rows in _equivalence_rows(1 << k):
             sim = FinRel(m.carrier, m.carrier, rows)
-            b_holds = _dimension_clause_b(s, sim) is None
+            b_holds = _decomposition_witness(p, rows) is None
             rep = _monad_conditions(m, sim)
             square_holds = rep.ok or rep.failed != "square"
             if b_holds != square_holds:

@@ -604,3 +604,48 @@ def hom_defect_by_loop(f, src, dst):
             if f[src.join_of(x, y)] != dst.join_of(f[x], f[y]):
                 return ("join", x, y)
     return None
+
+
+def rdp_witness_by_loop(p):
+    """First (x1, x2, y) with y below x1+x2 and no y1+y2 = y, yi below xi.
+
+    Cells row-major, then y ascending; for each y, every pair of parts
+    below x1 and x2 is searched. Down-sets are read off the cells directly.
+    """
+    down = [0] * p.n
+    for a, _, c in p.cells:
+        down[c] |= 1 << a
+    for x1 in range(p.n):
+        for x2 in range(p.n):
+            if not p.defined(x1, x2):
+                continue
+            s = p.value(x1, x2)
+            for y in bits(down[s]):
+                if not any(
+                    p.defined(y1, y2) and p.value(y1, y2) == y
+                    for y1 in bits(down[x1])
+                    for y2 in bits(down[x2])
+                ):
+                    return x1, x2, y
+    return None
+
+
+def dimension_clause_b_by_loop(s, sim):
+    """First (a1, a2, b) with b related to a1 join a2 (a1, a2 orthogonal)
+    and no orthogonal b1, b2 joining to b with b1 ~ a1 and b2 ~ a2."""
+    lat = s.lattice
+    for a1 in range(lat.n):
+        for a2 in range(lat.n):
+            if not s.orthogonal(a1, a2):
+                continue
+            for b in bits(sim.rows[lat.join_of(a1, a2)]):
+                if not any(
+                    s.orthogonal(b1, b2)
+                    and lat.join_of(b1, b2) == b
+                    and sim.has(b1, a1)
+                    and sim.has(b2, a2)
+                    for b1 in range(lat.n)
+                    for b2 in range(lat.n)
+                ):
+                    return a1, a2, b
+    return None

@@ -98,6 +98,45 @@ def test_quotients_of_chain_with_unit_removed():
     assert rep.witness == (0,)
 
 
+@pytest.mark.parametrize(
+    "mult, failed, witness, message",
+    [
+        (
+            [(0, 0, 0)],
+            "right-unit",
+            (1,),
+            "element x has no right unit",
+        ),
+        (
+            [(0, 0, 0), (1, 0, 1), (1, 0, 0)],
+            "right-unit",
+            (1, 0, 0),
+            "unit e multiplies x to e on the right",
+        ),
+        (
+            [(0, 0, 0), (1, 0, 1)],
+            "left-unit",
+            (1,),
+            "element x has no left unit",
+        ),
+        (
+            [(0, 0, 0), (1, 0, 1), (0, 1, 1), (0, 1, 0)],
+            "left-unit",
+            (1, 0, 0),
+            "unit e multiplies x to e on the left",
+        ),
+    ],
+)
+def test_unit_failures_are_pinned(mult, failed, witness, message):
+    rep = check_monoid_axioms(RelMonoid.make(2, [0], mult, ["e", "x"]))
+    assert (rep.ok, rep.failed, rep.witness, rep.message) == (
+        False,
+        failed,
+        witness,
+        message,
+    )
+
+
 def test_axiom_checker_matches_oracle_on_size_two():
     # every unit set and multiplication relation on a 2-element carrier
     triples = [(a, b, c) for a in range(2) for b in range(2) for c in range(2)]
@@ -144,6 +183,17 @@ def test_unit_of_category_arrow():
     assert check_monoid_axioms(m).ok
     assert right_unit_of(m, 2) == 1  # identity at the target
     assert left_unit_of(m, 2) == 0
+
+
+def test_unit_of_counts_the_units_it_finds():
+    two_right = RelMonoid.make(2, [0, 1], [(0, 0, 0), (0, 1, 0)], ["e", "f"])
+    with pytest.raises(PreconditionError) as exc:
+        right_unit_of(two_right, 0)
+    assert str(exc.value) == "monoid axioms violated: element e has 2 right units"
+    no_left = RelMonoid.make(2, [0], [(0, 0, 0), (1, 0, 1)], ["e", "x"])
+    with pytest.raises(PreconditionError) as exc:
+        left_unit_of(no_left, 1)
+    assert str(exc.value) == "monoid axioms violated: element x has 0 left units"
 
 
 def test_unit_of_rejects_out_of_range():

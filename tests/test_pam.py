@@ -9,6 +9,7 @@ import oracles
 from relmon import catalog
 from relmon.monoid import (
     LaxMorphism,
+    _square_witness,
     from_poset_quotients,
     induced_monad,
     interval_monoid,
@@ -33,10 +34,17 @@ from relmon.pam import (
     quotient_pam,
     to_relmonoid,
     validate_oml,
+    _decomposition_witness,
 )
 from relmon.rel import Carrier, FinRel
 from relmon.report import InputError, PreconditionError
-from relmon.search import _equivalence_rows, _pams
+from relmon.search import (
+    _equivalence_rows,
+    _lattice_pool,
+    _orthocomplementations,
+    _pams,
+    _preorders,
+)
 
 
 def pam(size, zero, cells, labels=None):
@@ -207,6 +215,41 @@ def test_diamond_fails_rdp():
     assert not rep.ok
     assert rep.failed == "decomposition"
     assert rep.witness == (1, 1, 2)
+
+
+def test_rdp_witness_matches_the_reference_scan():
+    geas = [
+        p
+        for dedup, top in ((True, 5), (False, 4))
+        for n in range(1, top + 1)
+        for p in _pams(n, dedup)
+        if is_gea(p).ok
+    ]
+    assert len(geas) == 21 + 24
+    failing = 0
+    for p in geas:
+        rep = has_rdp(p)
+        assert rep.witness == oracles.rdp_witness_by_loop(p)
+        failing += not rep.ok
+    assert failing > 0
+
+
+def test_decomposition_witness_is_the_lax_square():
+    # the kernel's (x1, x2, y) is _square_witness's (a1, a2, a, b) less a
+    cases = [
+        (p, rows)
+        for n in range(1, 4)
+        for p in _pams(n, True)
+        for rows in itertools.product(range(1 << n), repeat=n)
+    ] + [(p, rows) for p in _pams(4, True) for rows in _preorders(4)]
+    failing = 0
+    for p, rows in cases:
+        m = to_relmonoid(p)
+        square = _square_witness(m, rows, m)
+        want = None if square is None else (square[0], square[1], square[3])
+        assert _decomposition_witness(p, rows) == want
+        failing += want is not None
+    assert 0 < failing < len(cases)
 
 
 # -- the relational-monoid bridge ----------------------------------------------
@@ -492,6 +535,23 @@ def test_dimension_clause_b_witness():
     rep = is_dimension_equivalence(s, equiv_from_blocks(4, [(0,), (1, 3), (2,)]))
     assert rep.failed == "B"
     assert rep.witness == (1, 2, 1)
+
+
+def test_dimension_clause_b_matches_the_reference_scan():
+    structures = [catalog.boolean_oml(k) for k in (1, 2, 3)] + [
+        OmlStructure(lat, ortho)
+        for lat in _lattice_pool(6)
+        for ortho in _orthocomplementations(lat)
+    ]
+    failing = 0
+    for s in structures:
+        p = oml_as_effect_algebra(s)
+        for rows in _equivalence_rows(s.lattice.n):
+            sim = FinRel(p.carrier, p.carrier, rows)
+            want = oracles.dimension_clause_b_by_loop(s, sim)
+            assert _decomposition_witness(p, rows) == want
+            failing += want is not None
+    assert failing > 0
 
 
 def test_dimension_clause_c_literal_joins():

@@ -27,6 +27,7 @@ from relmon.report import InputError
 from relmon.search import (
     EnumSpec,
     _additive_maps,
+    _completions,
     _congruence_rows,
     _equivalence_rows,
     _gen_congruences,
@@ -36,6 +37,7 @@ from relmon.search import (
     _labeled_posets,
     _pams,
     _perms_fixing_zero,
+    _poset_key,
     _preorders,
     _relmonoid_key,
     _relmonoids,
@@ -350,6 +352,17 @@ def test_lattice_generator_matches_poset_filter(n, dedup):
     # same rows in the same order as filtering every labeled n-point poset
     rows = [lat.order.rows for lat in _gen_lattices(n, dedup)]
     assert rows == oracles.lattices_by_poset_filter(n, dedup)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_each_completion_stream_ascends_by_poset_key(n):
+    # the labeled lattice walk merges these streams, so each must ascend
+    for b, t in itertools.product(range(n), repeat=2):
+        if b == t and n > 1:
+            continue
+        keys = [_poset_key(rows) for rows in _completions(n, b, t)]
+        assert len(keys) == LABELED_POSETS[max(n - 2, 0)]
+        assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
 
 
 # Published counts of the building blocks, n = 0, 1, 2, ...: labeled posets
