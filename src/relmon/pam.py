@@ -329,6 +329,7 @@ def to_relmonoid(p: PartialAbelianMonoid) -> RelMonoid:
     return RelMonoid(p.carrier, frozenset([p.zero]), frozenset(p.cells))
 
 
+@cached_verdict
 def pam_from_relmonoid(m: RelMonoid) -> PartialAbelianMonoid:
     """Inverse of to_relmonoid where it makes sense.
 

@@ -9,6 +9,7 @@ each class.
 
 verify_universal runs a named law over the relevant enumeration and reports
 the first counterexample, in enumeration order, with a full serialization.
+Each law registers itself where it is defined, with its key and size bounds.
 Most laws are exhaustive; compose-associativity, dagger-laws and
 product-functorial also draw random relations from the seeded generator.
 """
@@ -16,7 +17,7 @@ product-functorial also draw random relations from the seeded generator.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from heapq import merge
 from itertools import permutations, product
@@ -677,19 +678,44 @@ def serialize_structure(obj: object) -> dict:
 # the law registry
 
 
-def _fail(key: str, message: str, **details) -> CheckReport:
-    return CheckReport.failing(f"verify:{key}", "law", None, message, **details)
+@dataclass(frozen=True)
+class _Law:
+    fn: Callable[[int, random.Random], CheckReport]
+    default_size: int
+    max_size: int
 
 
-def _pass(key: str, **details) -> CheckReport:
-    return CheckReport.passing(f"verify:{key}", **details)
+PROPERTIES: dict[str, _Law] = {}
+
+
+def _law(key: str, default_size: int, max_size: int) -> Callable:
+    """Register the decorated function as the law named key, swept at
+    default_size unless a size up to max_size is asked for. Its docstring
+    states the law, as the README's law table does."""
+
+    def register(fn: Callable[[int, random.Random], CheckReport]) -> Callable:
+        PROPERTIES[key] = _Law(fn, default_size, max_size)
+        return fn
+
+    return register
+
+
+# verify_universal names the check of every law report
+def _fail(message: str, **details) -> CheckReport:
+    return CheckReport.failing("", "law", None, message, **details)
+
+
+def _pass(**details) -> CheckReport:
+    return CheckReport.passing("", **details)
 
 
 def _all_rels(na: int, nb: int) -> Iterator[tuple[int, ...]]:
     return product(range(1 << nb), repeat=na)
 
 
+@_law("left-adjoint-iff-map", 3, 3)
 def _law_left_adjoint_iff_map(size: int, rng: random.Random) -> CheckReport:
+    """adjunction in the relation 2-category = mapping with its transpose"""
     checked = 0
     for na in range(size + 1):
         for nb in range(size + 1):
@@ -705,17 +731,18 @@ def _law_left_adjoint_iff_map(size: int, rng: random.Random) -> CheckReport:
                     checked += 1
                     if actual != expected:
                         return _fail(
-                            "left-adjoint-iff-map",
                             "adjunction check disagrees with map-and-transpose",
                             f=f.to_json(),
                             g=g.to_json(),
                             adjoint=actual,
                             map_and_transpose=expected,
                         )
-    return _pass("left-adjoint-iff-map", pairs_checked=checked)
+    return _pass(pairs_checked=checked)
 
 
+@_law("monads-are-preorders", 3, 3)
 def _law_monads_are_preorders(size: int, rng: random.Random) -> CheckReport:
+    """preorder/equivalence checks agree with first-principles scans"""
     checked = 0
     for n in range(size + 1):
         carrier = Carrier(n)
@@ -739,17 +766,15 @@ def _law_monads_are_preorders(size: int, rng: random.Random) -> CheckReport:
             checked += 1
             if is_preorder(f).ok != (refl and trans):
                 return _fail(
-                    "monads-are-preorders",
                     "preorder check disagrees with reflexive+transitive scan",
                     rel=f.to_json(),
                 )
             if is_equivalence(f).ok != (refl and trans and sym):
                 return _fail(
-                    "monads-are-preorders",
                     "equivalence check disagrees with symmetric-preorder scan",
                     rel=f.to_json(),
                 )
-    return _pass("monads-are-preorders", relations_checked=checked)
+    return _pass(relations_checked=checked)
 
 
 def _random_rel(rng: random.Random, na: int, nb: int) -> FinRel:
@@ -758,7 +783,9 @@ def _random_rel(rng: random.Random, na: int, nb: int) -> FinRel:
     )
 
 
+@_law("compose-associativity", 2, 2)
 def _law_compose_associativity(size: int, rng: random.Random) -> CheckReport:
+    """relation composition associates"""
     checked = 0
     for na, nb, nc, nd in product(range(size + 1), repeat=4):
         cs = [Carrier(k) for k in (na, nb, nc, nd)]
@@ -772,7 +799,6 @@ def _law_compose_associativity(size: int, rng: random.Random) -> CheckReport:
                     checked += 1
                     if fg.compose(h).rows != f.compose(g.compose(h)).rows:
                         return _fail(
-                            "compose-associativity",
                             "composition fails to associate",
                             f=f.to_json(), g=g.to_json(), h=h.to_json(),
                         )
@@ -784,27 +810,27 @@ def _law_compose_associativity(size: int, rng: random.Random) -> CheckReport:
         checked += 1
         if f.compose(g).compose(h).rows != f.compose(g.compose(h)).rows:
             return _fail(
-                "compose-associativity",
                 "composition fails to associate",
                 f=f.to_json(), g=g.to_json(), h=h.to_json(),
             )
-    return _pass("compose-associativity", triples_checked=checked)
+    return _pass(triples_checked=checked)
 
 
+@_law("dagger-laws", 2, 2)
 def _law_dagger_laws(size: int, rng: random.Random) -> CheckReport:
+    """transpose is an involution reversing composition"""
     checked = 0
     for na, nb, nc in product(range(size + 1), repeat=3):
         ca, cb, cc = Carrier(na), Carrier(nb), Carrier(nc)
         for frows in _all_rels(na, nb):
             f = FinRel(ca, cb, frows)
             if f.dagger().dagger().rows != f.rows:
-                return _fail("dagger-laws", "transpose is not an involution", f=f.to_json())
+                return _fail("transpose is not an involution", f=f.to_json())
             for grows in _all_rels(nb, nc):
                 g = FinRel(cb, cc, grows)
                 checked += 1
                 if f.compose(g).dagger().rows != g.dagger().compose(f.dagger()).rows:
                     return _fail(
-                        "dagger-laws",
                         "transpose fails to reverse composition",
                         f=f.to_json(), g=g.to_json(),
                     )
@@ -815,14 +841,15 @@ def _law_dagger_laws(size: int, rng: random.Random) -> CheckReport:
         checked += 1
         if f.compose(g).dagger().rows != g.dagger().compose(f.dagger()).rows:
             return _fail(
-                "dagger-laws",
                 "transpose fails to reverse composition",
                 f=f.to_json(), g=g.to_json(),
             )
-    return _pass("dagger-laws", pairs_checked=checked)
+    return _pass(pairs_checked=checked)
 
 
+@_law("closure-least-preorder", 3, 3)
 def _law_closure_least_preorder(size: int, rng: random.Random) -> CheckReport:
+    """reflexive-transitive closure is the least preorder over a relation"""
     for n in range(size + 1):
         carrier = Carrier(n)
         pres = _preorders(n)
@@ -831,7 +858,6 @@ def _law_closure_least_preorder(size: int, rng: random.Random) -> CheckReport:
             cl = refl_trans_closure(f)
             if not is_preorder(cl).ok or not cl.contains(f):
                 return _fail(
-                    "closure-least-preorder",
                     "closure is not a preorder containing the input",
                     rel=f.to_json(),
                 )
@@ -839,15 +865,16 @@ def _law_closure_least_preorder(size: int, rng: random.Random) -> CheckReport:
                 if all(rows[a] & ~prows[a] == 0 for a in range(n)):
                     if any(cl.rows[a] & ~prows[a] for a in range(n)):
                         return _fail(
-                            "closure-least-preorder",
                             "a preorder contains the input but not its closure",
                             rel=f.to_json(),
                             preorder=FinRel(carrier, carrier, prows).to_json(),
                         )
-    return _pass("closure-least-preorder")
+    return _pass()
 
 
+@_law("kernel-equivalence", 3, 4)
 def _law_kernel_equivalence(size: int, rng: random.Random) -> CheckReport:
+    """kernels of mappings are equivalences"""
     for na in range(size + 1):
         for nb in range(1, size + 1):
             ca, cb = Carrier(na), Carrier(nb)
@@ -855,14 +882,15 @@ def _law_kernel_equivalence(size: int, rng: random.Random) -> CheckReport:
                 f = FinRel(ca, cb, tuple(1 << v for v in values))
                 if not is_equivalence(kernel(f)).ok:
                     return _fail(
-                        "kernel-equivalence",
                         "kernel of a mapping is not an equivalence",
                         f=f.to_json(),
                     )
-    return _pass("kernel-equivalence")
+    return _pass()
 
 
+@_law("product-functorial", 2, 2)
 def _law_product_functorial(size: int, rng: random.Random) -> CheckReport:
+    """componentwise product preserves identities and composition"""
     checked = 0
 
     def agree(f: FinRel, h: FinRel, g: FinRel, k: FinRel) -> bool:
@@ -874,10 +902,7 @@ def _law_product_functorial(size: int, rng: random.Random) -> CheckReport:
         c = Carrier(n)
         ident = FinRel.identity(c)
         if product_rel(ident, ident).rows != FinRel.identity(Carrier(n * n)).rows:
-            return _fail(
-                "product-functorial", "product of identities is not the identity",
-                size=n,
-            )
+            return _fail("product of identities is not the identity", size=n)
     sizes = [1, 2]
     for a1, b1, c1 in product(sizes, repeat=3):
         for frows in _all_rels(a1, b1):
@@ -891,15 +916,16 @@ def _law_product_functorial(size: int, rng: random.Random) -> CheckReport:
                     checked += 1
                     if not agree(f, h, g, k):
                         return _fail(
-                            "product-functorial",
                             "product relation fails to preserve composition",
                             f=f.to_json(), h=h.to_json(),
                             g=g.to_json(), k=k.to_json(),
                         )
-    return _pass("product-functorial", quadruples_checked=checked)
+    return _pass(quadruples_checked=checked)
 
 
+@_law("unit-uniqueness", 3, 3)
 def _law_unit_uniqueness(size: int, rng: random.Random) -> CheckReport:
+    """every element of a valid monoid has unique one-sided units"""
     count = 0
     for n in range(size + 1):
         for m in _relmonoids(n, False):
@@ -907,29 +933,26 @@ def _law_unit_uniqueness(size: int, rng: random.Random) -> CheckReport:
             for a in range(n):
                 right_unit_of(m, a)
                 left_unit_of(m, a)
-    return _pass("unit-uniqueness", monoids_checked=count)
+    return _pass(monoids_checked=count)
 
 
+@_law("adjoint-transpose-lax", 2, 2)
 def _law_adjoint_transpose_lax(size: int, rng: random.Random) -> CheckReport:
+    """the transpose of a left adjoint is a lax morphism"""
     for ns in range(size + 1):
         for nd in range(size + 1):
             for src in _relmonoids(ns, True):
                 for dst in _relmonoids(nd, True):
-                    for rows in _all_rels(ns, nd):
-                        rel = FinRel(src.carrier, dst.carrier, rows)
-                        h = LaxMorphism(src, dst, rel)
-                        if not is_lax_morphism(h).ok:
-                            continue
+                    for h in _lax_rels(src, dst):
                         if not is_left_adjoint_relmon(h).ok:
                             continue
-                        back = LaxMorphism(dst, src, rel.dagger())
+                        back = LaxMorphism(dst, src, h.rel.dagger())
                         if not is_lax_morphism(back).ok:
                             return _fail(
-                                "adjoint-transpose-lax",
                                 "transpose of a left adjoint is not lax",
                                 morphism=h.to_json(),
                             )
-    return _pass("adjoint-transpose-lax")
+    return _pass()
 
 
 def _lax_rels(src: RelMonoid, dst: RelMonoid) -> list[LaxMorphism]:
@@ -941,7 +964,9 @@ def _lax_rels(src: RelMonoid, dst: RelMonoid) -> list[LaxMorphism]:
     return [h for h in candidates if is_lax_morphism(h).ok]
 
 
+@_law("morphism-closure-ops", 2, 2)
 def _law_morphism_closure_ops(size: int, rng: random.Random) -> CheckReport:
+    """lax morphisms are closed under composition and union"""
     monoids = [m for n in range(size + 1) for m in _relmonoids(n, True)]
     lax = {
         (i, j): [h.rel for h in _lax_rels(src, dst)]
@@ -959,7 +984,6 @@ def _law_morphism_closure_ops(size: int, rng: random.Random) -> CheckReport:
                 )
                 if not is_lax_morphism(LaxMorphism(src, dst, u)).ok:
                     return _fail(
-                        "morphism-closure-ops",
                         "union of lax morphisms is not lax",
                         first=r1.to_json(), second=r2.to_json(),
                     )
@@ -968,14 +992,15 @@ def _law_morphism_closure_ops(size: int, rng: random.Random) -> CheckReport:
                 for r2 in lax[(j, k)]:
                     if not is_lax_morphism(LaxMorphism(src, mid, r1.compose(r2))).ok:
                         return _fail(
-                            "morphism-closure-ops",
                             "composite of lax morphisms is not lax",
                             first=r1.to_json(), second=r2.to_json(),
                         )
-    return _pass("morphism-closure-ops")
+    return _pass()
 
 
+@_law("category-axioms", 4, 4)
 def _law_category_axioms(size: int, rng: random.Random) -> CheckReport:
+    """finite categories satisfy the monoid axioms"""
     count = 0
     for narr in range(size + 1):
         for nobj, arrows, comp in _gen_categories(narr):
@@ -983,15 +1008,16 @@ def _law_category_axioms(size: int, rng: random.Random) -> CheckReport:
             count += 1
             if not check_monoid_axioms(m).ok:
                 return _fail(
-                    "category-axioms",
                     "a finite category fails the monoid axioms",
                     objects=nobj, arrows=list(arrows),
                     comp={f"{i},{j}": v for (i, j), v in comp.items()},
                 )
-    return _pass("category-axioms", categories_checked=count)
+    return _pass(categories_checked=count)
 
 
+@_law("reflection-least", 2, 3)
 def _law_reflection_least(size: int, rng: random.Random) -> CheckReport:
+    """closure of a lax endomorphism is the least monad order over it"""
     for n in range(size + 1):
         for m in _relmonoids(n, True):
             orders = [c.order for c in _gen_monad_orders(m)]
@@ -999,21 +1025,21 @@ def _law_reflection_least(size: int, rng: random.Random) -> CheckReport:
                 cand = monad_reflection(m, f)
                 if not is_monad(cand).ok or not cand.order.contains(f):
                     return _fail(
-                        "reflection-least",
                         "closure of a lax endomorphism is not a monad order over it",
                         monoid=m.to_json(), endo=f.to_json(),
                     )
                 for leq in orders:
                     if leq.contains(f) and not leq.contains(cand.order):
                         return _fail(
-                            "reflection-least",
                             "a monad order contains the endomorphism but not its closure",
                             monoid=m.to_json(), endo=f.to_json(), order=leq.to_json(),
                         )
-    return _pass("reflection-least")
+    return _pass()
 
 
+@_law("reflection-universal", 2, 2)
 def _law_reflection_universal(size: int, rng: random.Random) -> CheckReport:
+    """every cocone out of an endomorphism factors through its closure"""
     monoids = [m for n in range(size + 1) for m in _relmonoids(n, True)]
     monads = [_gen_monad_orders(other) for other in monoids]
     for m in monoids:
@@ -1028,16 +1054,17 @@ def _law_reflection_universal(size: int, rng: random.Random) -> CheckReport:
                             continue
                         if not check_reflection_universal(endo, cand, u).ok:
                             return _fail(
-                                "reflection-universal",
                                 "a cocone fails to factor through the closure",
                                 monoid=m.to_json(), endo=f.to_json(),
                                 target=other.to_json(), order=cand.order.to_json(),
                                 arrow=u.rel.to_json(),
                             )
-    return _pass("reflection-universal")
+    return _pass()
 
 
+@_law("adjunction-monads-symmetric", 3, 3)
 def _law_adjunction_monads_symmetric(size: int, rng: random.Random) -> CheckReport:
+    """symmetric monad orders are exactly the class-map kernels"""
     for n in range(size + 1):
         for m in _relmonoids(n, True):
             for rows in _equivalence_rows(n):
@@ -1048,56 +1075,54 @@ def _law_adjunction_monads_symmetric(size: int, rng: random.Random) -> CheckRepo
                 quot, h = quotient_relmonoid(m, order)
                 if not is_left_adjoint_relmon(h).ok:
                     return _fail(
-                        "adjunction-monads-symmetric",
                         "class map of a symmetric monad order is not a left adjoint",
                         monoid=m.to_json(), order=order.to_json(),
                     )
                 induced = induced_monad(h)
                 if induced.order.rows != order.rows:
                     return _fail(
-                        "adjunction-monads-symmetric",
                         "adjunction-induced order differs from the original",
                         monoid=m.to_json(), order=order.to_json(),
                     )
                 if not monad_from_adjunction_conditions(induced).ok:
                     return _fail(
-                        "adjunction-monads-symmetric",
                         "induced order is not a symmetric monad order",
                         monoid=m.to_json(), order=order.to_json(),
                     )
-    return _pass("adjunction-monads-symmetric")
+    return _pass()
 
 
 def _lattice_pool(size: int) -> list[FinLattice]:
     return [lat for n in range(1, size + 1) for lat in _lattices(n, True)]
 
 
+@_law("qa-monad-iff-modular", 6, 7)
 def _law_qa_monad_iff_modular(size: int, rng: random.Random) -> CheckReport:
+    """quotient-order monad property coincides with modularity"""
     lats = _lattice_pool(size)
     for lat in lats:
         rep = check_qa_monad_iff_modular(lat)
         if not rep.ok:
-            return _fail(
-                "qa-monad-iff-modular",
-                rep.message,
-                lattice=lat.to_json(),
-            )
-    return _pass("qa-monad-iff-modular", lattices_checked=len(lats))
+            return _fail(rep.message, lattice=lat.to_json())
+    return _pass(lattices_checked=len(lats))
 
 
+@_law("star-star-iff-modular", 6, 7)
 def _law_star_star_iff_modular(size: int, rng: random.Random) -> CheckReport:
+    """perspectivity decomposition coincides with modularity"""
     lats = _lattice_pool(size)
     for lat in lats:
         if check_star_star(lat).ok != is_modular(lat).ok:
             return _fail(
-                "star-star-iff-modular",
                 "perspectivity decomposition disagrees with modularity",
                 lattice=lat.to_json(),
             )
-    return _pass("star-star-iff-modular", lattices_checked=len(lats))
+    return _pass(lattices_checked=len(lats))
 
 
+@_law("trivial-quotient-arrow", 6, 7)
 def _law_trivial_quotient_arrow(size: int, rng: random.Random) -> CheckReport:
+    """trivial quotients only point at trivial quotients"""
     for lat in _lattice_pool(size):
         qo = build_quotient_order(lat)
         quots = quotient_pairs(lat.order)
@@ -1108,11 +1133,10 @@ def _law_trivial_quotient_arrow(size: int, rng: random.Random) -> CheckReport:
                 c, d = quots[j]
                 if c != d:
                     return _fail(
-                        "trivial-quotient-arrow",
                         "a trivial quotient points at a nontrivial one",
                         lattice=lat.to_json(), source=[a, b], target=[c, d],
                     )
-    return _pass("trivial-quotient-arrow")
+    return _pass()
 
 
 def _lattice_homs(src: FinLattice, dst: FinLattice) -> dict[tuple, tuple]:
@@ -1128,13 +1152,15 @@ def _graph(f: Sequence[int], ncod: int) -> FinRel:
     return FinRel(Carrier(len(f)), Carrier(ncod), tuple(1 << x for x in f))
 
 
+@_law("q-functorial", 4, 5)
 def _law_q_functorial(size: int, rng: random.Random) -> CheckReport:
+    """the quotient construction is functorial on lattice homomorphisms"""
     lats = _lattice_pool(size)
     homs = [[_lattice_homs(l1, l2) for l2 in lats] for l1 in lats]
     for i, lat in enumerate(lats):
         if homs[i][i].get(tuple(range(lat.n))) != tuple(range(len(quotient_pairs(lat.order)))):
             return _fail(
-                "q-functorial", "quotient map of the identity is not the identity",
+                "quotient map of the identity is not the identity",
                 lattice=lat.to_json(),
             )
     qos = [build_quotient_order(lat) if is_modular(lat).ok else None for lat in lats]
@@ -1147,7 +1173,6 @@ def _law_q_functorial(size: int, rng: random.Random) -> CheckReport:
                         h, qo1.arrow, qo2.arrow
                     ).ok:
                         return _fail(
-                            "q-functorial",
                             "quotient map of a homomorphism breaks the order square",
                             src=l1.to_json(), dst=l2.to_json(),
                             hom=_graph(v, l2.n).to_json(),
@@ -1157,15 +1182,16 @@ def _law_q_functorial(size: int, rng: random.Random) -> CheckReport:
                     for w, qw in homs23.items():
                         if homs13.get(tuple(w[x] for x in v)) != tuple(qw[x] for x in qv):
                             return _fail(
-                                "q-functorial",
                                 "quotient construction fails to preserve composition",
                                 first=_graph(v, l2.n).to_json(),
                                 second=_graph(w, l3.n).to_json(),
                             )
-    return _pass("q-functorial")
+    return _pass()
 
 
+@_law("rdp-iff-monad", 5, 5)
 def _law_rdp_iff_monad(size: int, rng: random.Random) -> CheckReport:
+    """Riesz decomposition coincides with the reverse order being a monad"""
     geas = [
         p
         for n in range(1, size + 1)
@@ -1174,20 +1200,21 @@ def _law_rdp_iff_monad(size: int, rng: random.Random) -> CheckReport:
     ]
     for p in geas:
         has_rdp(p)  # raises InternalCheckError if its monad cross-check disagrees
-    return _pass("rdp-iff-monad", geas_checked=len(geas))
+    return _pass(geas_checked=len(geas))
 
 
+@_law("quotient-pam-valid", 5, 5)
 def _law_quotient_pam_valid(size: int, rng: random.Random) -> CheckReport:
+    """quotients by valid congruences satisfy the axioms"""
     pams = [p for n in range(1, size + 1) for p in _pams(n, True)]
     for p in pams:
         for cand in _gen_congruences(p):
             if not check_pam_axioms(quotient_pam(cand)).ok:
                 return _fail(
-                    "quotient-pam-valid",
                     "quotient by a valid congruence fails the axioms",
                     congruence=cand.to_json(),
                 )
-    return _pass("quotient-pam-valid", pams_checked=len(pams))
+    return _pass(pams_checked=len(pams))
 
 
 def _additive_maps(
@@ -1217,7 +1244,9 @@ def _additive_maps(
     return place(1)
 
 
+@_law("adjoint-induces-congruence", 4, 4)
 def _law_adjoint_induces_congruence(size: int, rng: random.Random) -> CheckReport:
+    """left adjoints between partial-addition monoids induce congruences"""
     pams = [p for n in range(1, size + 1) for p in _pams(n, True)]
     monoids = [to_relmonoid(p) for p in pams]
     adjoints = 0
@@ -1233,14 +1262,15 @@ def _law_adjoint_induces_congruence(size: int, rng: random.Random) -> CheckRepor
                 adjoints += 1
                 if not adjoint_induces_c1c2c5(h).ok:
                     return _fail(
-                        "adjoint-induces-congruence",
                         "a left adjoint induces a non-congruence",
                         morphism=h.to_json(),
                     )
-    return _pass("adjoint-induces-congruence", adjoints_checked=adjoints)
+    return _pass(adjoints_checked=adjoints)
 
 
+@_law("faithful-congruence-adjoint", 5, 5)
 def _law_faithful_congruence_adjoint(size: int, rng: random.Random) -> CheckReport:
+    """zero-faithful congruences give left-adjoint quotient maps"""
     pams = [p for n in range(1, size + 1) for p in _pams(n, True)]
     for p in pams:
         for cand in _gen_congruences(p):
@@ -1249,11 +1279,10 @@ def _law_faithful_congruence_adjoint(size: int, rng: random.Random) -> CheckRepo
             rep = quotient_map_is_left_adjoint(cand)
             if not rep.ok or not rep.details.get("induced_equals_classes"):
                 return _fail(
-                    "faithful-congruence-adjoint",
                     "a zero-faithful congruence fails to give a left-adjoint quotient map",
                     congruence=cand.to_json(),
                 )
-    return _pass("faithful-congruence-adjoint", pams_checked=len(pams))
+    return _pass(pams_checked=len(pams))
 
 
 def _complement_candidates(lat: FinLattice) -> list[list[int]]:
@@ -1294,7 +1323,9 @@ def _orthocomplementations(lat: FinLattice) -> list[tuple[int, ...]]:
     return out
 
 
+@_law("oml-effect-algebra", 6, 7)
 def _law_oml_effect_algebra(size: int, rng: random.Random) -> CheckReport:
+    """orthomodular lattices give lattice-ordered effect algebras"""
     count = 0
     for lat in _lattice_pool(size):
         for ortho in _orthocomplementations(lat):
@@ -1303,27 +1334,26 @@ def _law_oml_effect_algebra(size: int, rng: random.Random) -> CheckReport:
             count += 1
             if not is_effect_algebra(p).ok:
                 return _fail(
-                    "oml-effect-algebra",
                     "orthomodular structure fails to give an effect algebra",
                     oml=s.to_json(),
                 )
             for a in range(p.n):
                 if p.defined(a, a) and a != p.zero:
                     return _fail(
-                        "oml-effect-algebra",
                         "a nonzero element is summable with itself",
                         oml=s.to_json(), element=a,
                     )
             if canonical_order(p).rows != lat.order.rows:
                 return _fail(
-                    "oml-effect-algebra",
                     "canonical order differs from the lattice order",
                     oml=s.to_json(),
                 )
-    return _pass("oml-effect-algebra", structures_checked=count)
+    return _pass(structures_checked=count)
 
 
+@_law("dimeq-b-matches-square", 3, 3)
 def _law_dimeq_b_matches_square(size: int, rng: random.Random) -> CheckReport:
+    """the decomposition clause matches the lax square on Boolean algebras"""
     from .catalog import boolean_oml
 
     for k in range(1, size + 1):
@@ -1337,11 +1367,10 @@ def _law_dimeq_b_matches_square(size: int, rng: random.Random) -> CheckReport:
             square_holds = rep.ok or rep.failed != "square"
             if b_holds != square_holds:
                 return _fail(
-                    "dimeq-b-matches-square",
                     "decomposition clause disagrees with the lax square",
                     exponent=k, sim=sim.to_json(),
                 )
-    return _pass("dimeq-b-matches-square")
+    return _pass()
 
 
 def _naive_relmonoids(n: int) -> list[tuple[int, tuple[tuple[int, int, int], ...]]]:
@@ -1365,21 +1394,21 @@ def _naive_pams(n: int) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
+@_law("enumeration-complete", 2, 2)
 def _law_enumeration_complete(size: int, rng: random.Random) -> CheckReport:
+    """optimized enumerators agree with naive subset filters"""
     for n in range(size + 1):
         fast = sorted(
             (m.units_mask, m.triples) for m in _gen_relmonoids(n, False)
         )
         if fast != _naive_relmonoids(n):
             return _fail(
-                "enumeration-complete",
                 f"relational monoid enumeration differs from the naive filter at size {n}",
             )
     for n in range(1, size + 1):
         fast = sorted(p.plus for p in _gen_pams(n, False))
         if fast != _naive_pams(n):
             return _fail(
-                "enumeration-complete",
                 f"partial monoid enumeration differs from the naive filter at size {n}",
             )
     for n in range(1, size + 1):
@@ -1398,7 +1427,6 @@ def _law_enumeration_complete(size: int, rng: random.Random) -> CheckReport:
         fast = sorted(lat.order.rows for lat in _gen_lattices(n, False))
         if fast != naive_lat:
             return _fail(
-                "enumeration-complete",
                 f"lattice enumeration differs from the naive filter at size {n}",
             )
         naive_pre = sorted(
@@ -1408,7 +1436,6 @@ def _law_enumeration_complete(size: int, rng: random.Random) -> CheckReport:
         )
         if sorted(_preorders(n)) != naive_pre:
             return _fail(
-                "enumeration-complete",
                 f"preorder enumeration differs from the naive filter at size {n}",
             )
     for base in _gen_relmonoids(2, False):
@@ -1422,7 +1449,6 @@ def _law_enumeration_complete(size: int, rng: random.Random) -> CheckReport:
         fast = [c.order.rows for c in _gen_monad_orders(base)]
         if sorted(fast) != sorted(naive):
             return _fail(
-                "enumeration-complete",
                 "monad-order enumeration differs from the naive filter",
                 base=base.to_json(),
             )
@@ -1437,154 +1463,30 @@ def _law_enumeration_complete(size: int, rng: random.Random) -> CheckReport:
         fast = [c.classes.rows for c in _gen_congruences(base)]
         if sorted(fast) != sorted(naive):
             return _fail(
-                "enumeration-complete",
                 "congruence enumeration differs from the naive filter",
                 base=base.to_json(),
             )
-    return _pass("enumeration-complete")
+    return _pass()
 
 
+@_law("enumeration-deterministic", 3, 3)
 def _law_enumeration_deterministic(size: int, rng: random.Random) -> CheckReport:
+    """repeated enumeration runs emit identical sequences"""
     for n in range(size + 1):
         first = [(m.units_mask, m.triples) for m in _gen_relmonoids(n, True)]
         second = [(m.units_mask, m.triples) for m in _gen_relmonoids(n, True)]
         if first != second:
-            return _fail(
-                "enumeration-deterministic",
-                f"two monoid enumeration runs differ at size {n}",
-            )
+            return _fail(f"two monoid enumeration runs differ at size {n}")
     for n in range(1, size + 1):
         if [p.plus for p in _gen_pams(n, True)] != [
             p.plus for p in _gen_pams(n, True)
         ]:
-            return _fail(
-                "enumeration-deterministic",
-                f"two partial-monoid enumeration runs differ at size {n}",
-            )
+            return _fail(f"two partial-monoid enumeration runs differ at size {n}")
         if [l.order.rows for l in _gen_lattices(n, True)] != [
             l.order.rows for l in _gen_lattices(n, True)
         ]:
-            return _fail(
-                "enumeration-deterministic",
-                f"two lattice enumeration runs differ at size {n}",
-            )
-    return _pass("enumeration-deterministic")
-
-
-@dataclass(frozen=True)
-class _Law:
-    fn: Callable[[int, random.Random], CheckReport]
-    default_size: int
-    max_size: int
-    doc: str
-
-
-PROPERTIES: dict[str, _Law] = {
-    "left-adjoint-iff-map": _Law(
-        _law_left_adjoint_iff_map, 3, 3,
-        "adjunction in the relation 2-category = mapping with its transpose",
-    ),
-    "monads-are-preorders": _Law(
-        _law_monads_are_preorders, 3, 3,
-        "preorder/equivalence checks agree with first-principles scans",
-    ),
-    "compose-associativity": _Law(
-        _law_compose_associativity, 2, 2,
-        "relation composition associates",
-    ),
-    "dagger-laws": _Law(
-        _law_dagger_laws, 2, 2,
-        "transpose is an involution reversing composition",
-    ),
-    "closure-least-preorder": _Law(
-        _law_closure_least_preorder, 3, 3,
-        "reflexive-transitive closure is the least preorder over a relation",
-    ),
-    "kernel-equivalence": _Law(
-        _law_kernel_equivalence, 3, 4,
-        "kernels of mappings are equivalences",
-    ),
-    "product-functorial": _Law(
-        _law_product_functorial, 2, 2,
-        "componentwise product preserves identities and composition",
-    ),
-    "unit-uniqueness": _Law(
-        _law_unit_uniqueness, 3, 3,
-        "every element of a valid monoid has unique one-sided units",
-    ),
-    "adjoint-transpose-lax": _Law(
-        _law_adjoint_transpose_lax, 2, 2,
-        "the transpose of a left adjoint is a lax morphism",
-    ),
-    "morphism-closure-ops": _Law(
-        _law_morphism_closure_ops, 2, 2,
-        "lax morphisms are closed under composition and union",
-    ),
-    "category-axioms": _Law(
-        _law_category_axioms, 4, 4,
-        "finite categories satisfy the monoid axioms",
-    ),
-    "reflection-least": _Law(
-        _law_reflection_least, 2, 3,
-        "closure of a lax endomorphism is the least monad order over it",
-    ),
-    "reflection-universal": _Law(
-        _law_reflection_universal, 2, 2,
-        "every cocone out of an endomorphism factors through its closure",
-    ),
-    "adjunction-monads-symmetric": _Law(
-        _law_adjunction_monads_symmetric, 3, 3,
-        "symmetric monad orders are exactly the class-map kernels",
-    ),
-    "qa-monad-iff-modular": _Law(
-        _law_qa_monad_iff_modular, 6, 7,
-        "quotient-order monad property coincides with modularity",
-    ),
-    "star-star-iff-modular": _Law(
-        _law_star_star_iff_modular, 6, 7,
-        "perspectivity decomposition coincides with modularity",
-    ),
-    "trivial-quotient-arrow": _Law(
-        _law_trivial_quotient_arrow, 6, 7,
-        "trivial quotients only point at trivial quotients",
-    ),
-    "q-functorial": _Law(
-        _law_q_functorial, 4, 5,
-        "the quotient construction is functorial on lattice homomorphisms",
-    ),
-    "rdp-iff-monad": _Law(
-        _law_rdp_iff_monad, 5, 5,
-        "Riesz decomposition coincides with the reverse order being a monad",
-    ),
-    "quotient-pam-valid": _Law(
-        _law_quotient_pam_valid, 5, 5,
-        "quotients by valid congruences satisfy the axioms",
-    ),
-    "adjoint-induces-congruence": _Law(
-        _law_adjoint_induces_congruence, 4, 4,
-        "left adjoints between partial-addition monoids induce congruences",
-    ),
-    "faithful-congruence-adjoint": _Law(
-        _law_faithful_congruence_adjoint, 5, 5,
-        "zero-faithful congruences give left-adjoint quotient maps",
-    ),
-    "oml-effect-algebra": _Law(
-        _law_oml_effect_algebra, 6, 7,
-        "orthomodular lattices give lattice-ordered effect algebras",
-    ),
-    "dimeq-b-matches-square": _Law(
-        _law_dimeq_b_matches_square, 3, 3,
-        "the decomposition clause matches the lax square on Boolean algebras",
-    ),
-    "enumeration-complete": _Law(
-        _law_enumeration_complete, 2, 2,
-        "optimized enumerators agree with naive subset filters",
-    ),
-    "enumeration-deterministic": _Law(
-        _law_enumeration_deterministic, 3, 3,
-        "repeated enumeration runs emit identical sequences",
-    ),
-}
+            return _fail(f"two lattice enumeration runs differ at size {n}")
+    return _pass()
 
 
 def property_keys() -> list[str]:
@@ -1606,5 +1508,4 @@ def verify_universal(key: str, size: int | None = None, seed: int = 0) -> CheckR
         raise InputError(
             f"size {size} exceeds the safety bound {law.max_size} for {key!r}"
         )
-    rng = random.Random(seed)
-    return law.fn(size, rng)
+    return replace(law.fn(size, random.Random(seed)), check=f"verify:{key}")

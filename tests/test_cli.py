@@ -17,6 +17,7 @@ from relmon.cli import build_parser, main
 from relmon.lattice import FinLattice
 from relmon.monoid import MonadCandidate
 from relmon.pam import PartialAbelianMonoid
+from relmon.search import PROPERTIES, property_keys
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLES = ROOT / "samples"
@@ -350,18 +351,26 @@ def test_threads_option_is_a_usage_error(command, capsys):
 # -- docs ---------------------------------------------------------------------------
 
 
-def readme_subcommand_rows():
-    """(subcommand, flags) for each row of the README's subcommand table."""
+def readme_table_rows(header):
+    """The body rows of the README table whose header row starts with header."""
     rows = []
     in_table = False
     for line in (ROOT / "README.md").read_text().splitlines():
-        if line.startswith("| Subcommand |"):
+        if line.startswith(header):
             in_table = True
         elif in_table and line.startswith("| `"):
-            usage = line.split("`")[1]
-            rows.append((usage.split()[0], re.findall(r"--[a-z][a-z-]*", usage)))
+            rows.append(line)
         elif in_table and not line.startswith("|"):
             break
+    return rows
+
+
+def readme_subcommand_rows():
+    """(subcommand, flags) for each row of the README's subcommand table."""
+    rows = []
+    for line in readme_table_rows("| Subcommand |"):
+        usage = line.split("`")[1]
+        rows.append((usage.split()[0], re.findall(r"--[a-z][a-z-]*", usage)))
     return rows
 
 
@@ -375,6 +384,19 @@ def test_readme_subcommand_table_matches_parser():
         accepted = subparsers[name]._option_string_actions
         for flag in flags:
             assert flag in accepted, f"README lists {flag} for {name}"
+
+
+def test_readme_law_table_matches_registry():
+    rows = [
+        [cell.strip() for cell in line.strip("|").split("|")]
+        for line in readme_table_rows("| Key | Law |")
+    ]
+    assert [key.strip("`") for key, *_ in rows] == property_keys()
+    for key, law, default_size, max_size in rows:
+        entry = PROPERTIES[key.strip("`")]
+        assert (int(default_size), int(max_size)) == (entry.default_size, entry.max_size), key
+        # the docstring with its line breaks and indentation collapsed to single spaces
+        assert " ".join(entry.fn.__doc__.split()) == law, key
 
 
 # -- installed entry point --------------------------------------------------------------

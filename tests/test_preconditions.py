@@ -35,6 +35,7 @@ from relmon.pam import (
     is_cancellative,
     is_gea,
     is_positive,
+    pam_from_relmonoid,
     quotient_map_is_left_adjoint,
     quotient_pam,
     to_relmonoid,
@@ -189,6 +190,7 @@ CACHED = {
     "left-adjoint-fail": (is_left_adjoint_relmon, NOT_ADJOINT),
     "monad-ok": (is_monad, MonadCandidate(Z2, ID2)),
     "monad-fail": (is_monad, MonadCandidate(Z2, FULL2)),
+    "pam-from-relmonoid": (pam_from_relmonoid, Z2),
 }
 
 

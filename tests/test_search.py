@@ -23,7 +23,7 @@ from relmon.pam import (
     to_relmonoid,
 )
 from relmon.rel import Carrier, FinRel, is_partial_order
-from relmon.report import InputError
+from relmon.report import CheckReport, InputError
 from relmon.search import (
     EnumSpec,
     _additive_maps,
@@ -604,6 +604,101 @@ def test_q_functorial_catches_a_broken_quotient_map(monkeypatch):
         rep = verify_universal("q-functorial")
         assert not rep.ok
         assert rep.message == message
+
+
+# law -> (name on search, stand-in that breaks it, the whole report), one law per layer
+FORCED_FAILURES = {
+    "left-adjoint-iff-map": (
+        "is_left_adjoint_rel",
+        lambda f, g: CheckReport.passing("stub"),
+        {
+            "check": "verify:left-adjoint-iff-map",
+            "ok": False,
+            "failed": "law",
+            "message": "adjunction check disagrees with map-and-transpose",
+            "details": {
+                "f": {"dom": 1, "cod": 0, "pairs": []},
+                "g": {"dom": 0, "cod": 1, "pairs": []},
+                "adjoint": True,
+                "map_and_transpose": False,
+            },
+        },
+    ),
+    "category-axioms": (
+        "check_monoid_axioms",
+        lambda m: CheckReport.failing("stub", "stub", None),
+        {
+            "check": "verify:category-axioms",
+            "ok": False,
+            "failed": "law",
+            "message": "a finite category fails the monoid axioms",
+            "details": {"objects": 0, "arrows": [], "comp": {}},
+        },
+    ),
+    "star-star-iff-modular": (
+        "check_star_star",
+        lambda lat: CheckReport.passing("stub"),
+        {
+            "check": "verify:star-star-iff-modular",
+            "ok": False,
+            "failed": "law",
+            "message": "perspectivity decomposition disagrees with modularity",
+            "details": {
+                "lattice": {
+                    "carrier": 5,
+                    "order": [
+                        [0, 0], [1, 0], [1, 1], [2, 0], [2, 2], [3, 0], [3, 1],
+                        [3, 3], [4, 0], [4, 1], [4, 2], [4, 3], [4, 4],
+                    ],
+                },
+            },
+        },
+    ),
+    "dimeq-b-matches-square": (
+        "_decomposition_witness",
+        lambda p, rows: None,
+        {
+            "check": "verify:dimeq-b-matches-square",
+            "ok": False,
+            "failed": "law",
+            "message": "decomposition clause disagrees with the lax square",
+            "details": {
+                "exponent": 2,
+                "sim": {
+                    "dom": 4,
+                    "cod": 4,
+                    "pairs": [
+                        [0, 0], [0, 1], [0, 3], [1, 0], [1, 1],
+                        [1, 3], [2, 2], [3, 0], [3, 1], [3, 3],
+                    ],
+                },
+            },
+        },
+    ),
+    "quotient-pam-valid": (
+        "quotient_pam",
+        lambda cand: PartialAbelianMonoid(Carrier(1), 0, (-1,)),
+        {
+            "check": "verify:quotient-pam-valid",
+            "ok": False,
+            "failed": "law",
+            "message": "quotient by a valid congruence fails the axioms",
+            "details": {
+                "congruence": {
+                    "base": {"carrier": 1, "zero": 0, "plus": [[0, 0, 0]]},
+                    "classes": [[0, 0]],
+                },
+            },
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(FORCED_FAILURES))
+def test_a_broken_kernel_gives_the_pinned_law_report(key, monkeypatch):
+    name, stub, expected = FORCED_FAILURES[key]
+    monkeypatch.setattr(search, name, stub)
+    assert verify_universal(key).to_json() == expected
 
 
 LATTICE_LAWS = (
