@@ -12,7 +12,7 @@ message, by plain scans; the congruence and left-adjoint ones take their
 preconditions and C1 from relmon. Slow on purpose; keep carriers tiny.
 """
 
-from itertools import product
+from itertools import permutations, product
 
 from relmon.monoid import is_lax_morphism
 from relmon.pam import PartialAbelianMonoid, check_pam_axioms
@@ -155,6 +155,30 @@ def pams_by_filter(n):
         if check_pam_axioms(p).ok:
             out.append(p.plus)
     return sorted(out)
+
+
+def relabel_pam(p, perm):
+    """The addition table of p with every element a renamed perm[a]."""
+    n = p.n
+    image = [-1] * (n * n)
+    for a, b, c in p.cells:
+        image[perm[a] * n + perm[b]] = perm[c]
+    return tuple(image)
+
+
+def least_pams_per_orbit(stream):
+    """The addition table of the first PAM of each isomorphism class met in
+    stream: post-hoc deduplication, which keeps the relabelings (zero fixed)
+    of every kept table in a set. On a stream ascending by table it gives
+    the least table of each class, in ascending order.
+    """
+    seen = set()
+    out = []
+    for p in stream:
+        if p.plus not in seen:
+            seen.update(relabel_pam(p, (0,) + rest) for rest in permutations(range(1, p.n)))
+            out.append(p.plus)
+    return out
 
 
 def lattices_by_poset_filter(n, dedup):

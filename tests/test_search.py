@@ -12,6 +12,7 @@ from relmon.monoid import (
     LaxMorphism,
     RelMonoid,
     check_monoid_axioms,
+    is_lax_morphism,
     is_left_adjoint_relmon,
     is_monad,
 )
@@ -35,6 +36,7 @@ from relmon.search import (
     _gen_pams,
     _gen_relmonoids,
     _labeled_posets,
+    _lax_rels,
     _pams,
     _perms_fixing_zero,
     _poset_key,
@@ -398,48 +400,41 @@ def test_pam_enumeration_size_two_exact():
         assert check_pam_axioms(p).ok
 
 
-def relabel_pam(p, perm):
-    """The addition table of p with every element a renamed perm[a]."""
-    n = p.n
-    image = [-1] * (n * n)
-    for a, b, c in p.cells:
-        image[perm[a] * n + perm[b]] = perm[c]
-    return tuple(image)
-
-
 def pam_isomorphic(p1, p2):
     # zero stays put, the rest may be relabeled
     n = p1.n
     if p2.n != n:
         return False
     return any(
-        relabel_pam(p1, (0,) + rest) == p2.plus
+        oracles.relabel_pam(p1, (0,) + rest) == p2.plus
         for rest in itertools.permutations(range(1, n))
     )
 
 
 # Recorded regression values, not a published sequence: the number of
-# partial abelian monoids on n = 1..5 points with the zero at 0, labeled
+# partial abelian monoids on n = 1..6 points with the zero at 0, labeled
 # (every labeling that fixes the zero) and up to isomorphism.
-PAM_COUNTS = {False: [1, 3, 19, 255, 5326], True: [1, 3, 11, 53, 286]}
+PAM_COUNTS = {False: [1, 3, 19, 255, 5326, 171562], True: [1, 3, 11, 53, 286, 1886]}
 
 
 @pytest.mark.parametrize("dedup", [False, True])
 def test_pam_counts_are_pinned(dedup):
+    # the labeled stream at 6 takes about 30 s; orbit-stabilizer pins its count
+    sizes = range(1, 7) if dedup else range(1, 6)
     counts = [
         sum(1 for _ in enumerate_structures(EnumSpec("pam", n, dedup=dedup)))
-        for n in range(1, 6)
+        for n in sizes
     ]
-    assert counts == PAM_COUNTS[dedup]
+    assert counts == PAM_COUNTS[dedup][: len(sizes)]
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 7))
 def test_pam_orbit_stabilizer(n):
     # each representative stands for (n-1)!/|Aut| labelings, the zero fixed
     labeled = 0
     for p in enumerate_structures(EnumSpec("pam", n)):
         aut = sum(
-            1 for perm in _perms_fixing_zero(n) if relabel_pam(p, perm) == p.plus
+            1 for perm in _perms_fixing_zero(n) if oracles.relabel_pam(p, perm) == p.plus
         )
         assert factorial(n - 1) % aut == 0
         labeled += factorial(n - 1) // aut
@@ -448,9 +443,16 @@ def test_pam_orbit_stabilizer(n):
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_labeled_pams_ascend_by_plus(n):
-    # dedup keeps the first of each orbit from this stream, with no sort
+    # so the least table of each orbit is the first of it in this stream
     plus = [p.plus for p in _gen_pams(n, False)]
     assert all(a < b for a, b in zip(plus, plus[1:]))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_orderly_pams_match_post_hoc_dedup(n):
+    # the pruned walk keeps the least table of each orbit, in the same order
+    orderly = [p.plus for p in _gen_pams(n, True)]
+    assert orderly == oracles.least_pams_per_orbit(_gen_pams(n, False))
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -580,6 +582,24 @@ def test_law_holds_at_reduced_size(key):
 
 def test_reflection_least_holds_at_its_max_size():
     assert verify_universal("reflection-least", size=3).ok
+
+
+def test_lax_rels_is_one_table_per_monoid_pair():
+    # the laws that read lax arrows share one filter per (src, dst)
+    monoids = [m for n in range(3) for m in _relmonoids(n, True)]
+    for src, dst in itertools.product(monoids, repeat=2):
+        lax = _lax_rels(src, dst)
+        assert _lax_rels(src, dst) is lax
+        assert [h.rel.rows for h in lax] == [
+            rows
+            for rows in itertools.product(range(1 << dst.n), repeat=src.n)
+            if is_lax_morphism(LaxMorphism(src, dst, FinRel(src.carrier, dst.carrier, rows))).ok
+        ]
+
+
+def test_rdp_iff_monad_holds_at_its_max_size():
+    rep = verify_universal("rdp-iff-monad", size=6)
+    assert rep.ok and rep.details == {"geas_checked": 56}
 
 
 def test_q_functorial_holds_at_its_max_size():
