@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .lattice import (
     FinLattice,
@@ -54,6 +54,7 @@ from .report import (
     ToolkitError,
 )
 from .search import (
+    KINDS,
     EnumSpec,
     enumerate_structures,
     serialize_structure,
@@ -84,16 +85,18 @@ def _finish(rep: CheckReport, args: argparse.Namespace) -> int:
     return 0 if rep.ok else 1
 
 
-def _write_construction(payload: dict, args: argparse.Namespace) -> int:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+def _write_lines(lines: Iterable[str], args: argparse.Namespace) -> int:
+    """Write each line to the --out file, or to stdout without one."""
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+                for line in lines:
+                    fh.write(line + "\n")
         except OSError as exc:
             raise InputError(f"cannot write {args.out}: {exc}") from exc
     else:
-        print(text)
+        for line in lines:
+            print(line)
     return 0
 
 
@@ -123,8 +126,8 @@ def _cmd_check_monad(args: argparse.Namespace) -> int:
 
 def _cmd_reflect(args: argparse.Namespace) -> int:
     cand = MonadCandidate.from_json(_load(args.path))
-    closed = monad_reflection(cand.base, cand.order)
-    return _write_construction(closed.to_json(), args)
+    closed = monad_reflection(cand.base, cand.order).to_json()
+    return _write_lines([json.dumps(closed, indent=2, sort_keys=True)], args)
 
 
 def _cmd_check_lattice(args: argparse.Namespace) -> int:
@@ -185,7 +188,8 @@ def _cmd_check_congruence(args: argparse.Namespace) -> int:
 
 def _cmd_quotient(args: argparse.Namespace) -> int:
     cand = CongruenceCandidate.from_json(_load(args.path))
-    return _write_construction(quotient_pam(cand).to_json(), args)
+    quot = quotient_pam(cand).to_json()
+    return _write_lines([json.dumps(quot, indent=2, sort_keys=True)], args)
 
 
 def _cmd_check_dimeq(args: argparse.Namespace) -> int:
@@ -203,12 +207,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     base = None
     if args.base is not None:
         obj = _load(args.base)
-        if args.kind == "monad-order":
-            base = RelMonoid.from_json(obj)
-        elif args.kind == "congruence":
-            base = PartialAbelianMonoid.from_json(obj)
-        else:
+        base_type = KINDS[args.kind].base
+        if base_type is None:
             raise InputError(f"--base does not apply to kind {args.kind!r}")
+        base = base_type.from_json(obj)
     size = args.size
     if size is None:
         if base is None:
@@ -219,17 +221,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         json.dumps(serialize_structure(s), sort_keys=True, separators=(",", ":"))
         for s in enumerate_structures(spec)
     )
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                for line in lines:
-                    fh.write(line + "\n")
-        except OSError as exc:
-            raise InputError(f"cannot write {args.out}: {exc}") from exc
-    else:
-        for line in lines:
-            print(line)
-    return 0
+    return _write_lines(lines, args)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -341,11 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sp = add("enumerate", _cmd_enumerate, "stream all structures of a kind as JSON lines")
-    sp.add_argument(
-        "--kind",
-        required=True,
-        choices=["relmonoid", "monad-order", "congruence", "lattice", "pam"],
-    )
+    sp.add_argument("--kind", required=True, choices=list(KINDS))
     sp.add_argument("--size", type=int, default=None, help="carrier size")
     sp.add_argument(
         "--dedup",
@@ -353,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=True,
         help="emit one representative per isomorphism class (base-free kinds)",
     )
-    sp.add_argument("--base", help="base structure JSON (monad-order, congruence)")
+    based = ", ".join(key for key, kind in KINDS.items() if kind.base)
+    sp.add_argument("--base", help=f"base structure JSON ({based})")
     sp.add_argument("--out", help="write JSON lines here instead of stdout")
 
     sp = add("verify", _cmd_verify, "run a registered law over its enumeration")

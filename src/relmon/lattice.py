@@ -65,8 +65,8 @@ class FinLattice:
     @classmethod
     def from_json(cls, obj: object) -> "FinLattice":
         size, _ = json_fields(obj, "lattice", "carrier", "order")
-        if not isinstance(size, int) or isinstance(size, bool):
-            raise InputError("field 'carrier' must be an integer size")
+        if not isinstance(size, int) or isinstance(size, bool) or size < 0:
+            raise InputError("field 'carrier' must be a nonnegative integer size")
         carrier = Carrier(size)
         rel = FinRel.from_field(carrier, carrier, obj, "order")
         # reflexive pairs may be omitted in files

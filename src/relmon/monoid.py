@@ -109,8 +109,8 @@ class RelMonoid:
     @classmethod
     def from_json(cls, obj: object) -> "RelMonoid":
         size, units, mult = json_fields(obj, "monoid", "carrier", "units", "mult")
-        if not isinstance(size, int) or isinstance(size, bool):
-            raise InputError("field 'carrier' must be an integer size")
+        if not isinstance(size, int) or isinstance(size, bool) or size < 0:
+            raise InputError("field 'carrier' must be a nonnegative integer size")
         if not isinstance(units, list) or not all(type(y) is int for y in units):
             raise InputError("field 'units' must be a list of indices")
         if not isinstance(mult, list) or not all(

@@ -116,8 +116,8 @@ class PartialAbelianMonoid:
     @classmethod
     def from_json(cls, obj: object) -> "PartialAbelianMonoid":
         size, zero, plus = json_fields(obj, "partial monoid", "carrier", "zero", "plus")
-        if not isinstance(size, int) or isinstance(size, bool):
-            raise InputError("field 'carrier' must be an integer size")
+        if not isinstance(size, int) or isinstance(size, bool) or size < 0:
+            raise InputError("field 'carrier' must be a nonnegative integer size")
         if not isinstance(zero, int) or isinstance(zero, bool):
             raise InputError("field 'zero' must be an element index")
         if not isinstance(plus, list) or not all(

@@ -205,10 +205,10 @@ class FinRel:
     @classmethod
     def from_json(cls, obj: object) -> "FinRel":
         dom, cod, pairs = json_fields(obj, "relation", "dom", "cod", "pairs")
-        if not isinstance(dom, int) or isinstance(dom, bool):
-            raise InputError("field 'dom' must be an integer")
-        if not isinstance(cod, int) or isinstance(cod, bool):
-            raise InputError("field 'cod' must be an integer")
+        if not isinstance(dom, int) or isinstance(dom, bool) or dom < 0:
+            raise InputError("field 'dom' must be a nonnegative integer")
+        if not isinstance(cod, int) or isinstance(cod, bool) or cod < 0:
+            raise InputError("field 'cod' must be a nonnegative integer")
         if not isinstance(pairs, list):
             raise InputError("field 'pairs' must be a list of [a, b] pairs")
         return cls.from_pairs(Carrier(dom), Carrier(cod), pairs)

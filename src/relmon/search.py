@@ -3,9 +3,11 @@
 The enumerators are the brute-force oracles behind every universally
 quantified statement in the toolkit: relational monoids, monad orders over a
 fixed base, partial-addition congruences, lattices, and partial abelian
-monoids, each within a per-kind size limit. Generation is deterministic;
-isomorphism rejection (dedup) keeps the lexicographically least labeling of
-each class.
+monoids. Each kind is named once, in KINDS, with its size limit, its
+generator and the type of base it takes, if any; EnumSpec,
+enumerate_structures, the laws' cached pools and the CLI read that table.
+Generation is deterministic; isomorphism rejection (dedup) keeps the
+lexicographically least labeling of each class.
 
 verify_universal runs a named law over the relevant enumeration and reports
 the first counterexample, in enumeration order, with a full serialization.
@@ -88,13 +90,33 @@ from .rel import (
 from .report import CheckReport, InputError, cached_verdict, record_verdict
 
 
-KIND_LIMITS = {
-    "relmonoid": 3,
-    "monad-order": 6,
-    "congruence": 6,
-    "lattice": 7,
-    "pam": 6,
+@dataclass(frozen=True)
+class _Kind:
+    """An enumerable kind: its size limit, its stream for a valid EnumSpec,
+    and for a kind enumerated over a base, the base's type and article noun."""
+
+    limit: int
+    generate: Callable[["EnumSpec"], Iterator]
+    base: type | None = None
+    base_noun: str = ""
+
+
+# Each kind is named once. The streams look their generators up when called.
+KINDS: dict[str, _Kind] = {
+    "relmonoid": _Kind(3, lambda spec: _gen_relmonoids(spec.size, spec.dedup)),
+    "monad-order": _Kind(
+        6, lambda spec: iter(_gen_monad_orders(spec.base)), RelMonoid, "a monoid"
+    ),
+    "congruence": _Kind(
+        6,
+        lambda spec: iter(_gen_congruences(spec.base)),
+        PartialAbelianMonoid,
+        "a partial abelian monoid",
+    ),
+    "lattice": _Kind(7, lambda spec: _gen_lattices(spec.size, spec.dedup)),
+    "pam": _Kind(6, lambda spec: _gen_pams(spec.size, spec.dedup)),
 }
+KIND_LIMITS = {key: kind.limit for key, kind in KINDS.items()}
 
 
 @dataclass(frozen=True)
@@ -105,36 +127,22 @@ class EnumSpec:
     dedup: bool = True
 
     def __post_init__(self) -> None:
-        if self.kind not in KIND_LIMITS:
+        if self.kind not in KINDS:
             raise InputError(
-                f"unknown kind {self.kind!r}; expected one of "
-                + ", ".join(sorted(KIND_LIMITS))
+                f"unknown kind {self.kind!r}; expected one of " + ", ".join(sorted(KINDS))
             )
+        kind = KINDS[self.kind]
         if self.size < 0:
             raise InputError("size must be nonnegative")
-        if self.size > KIND_LIMITS[self.kind]:
-            raise InputError(
-                f"size {self.size} exceeds the {self.kind} limit "
-                f"{KIND_LIMITS[self.kind]}"
-            )
-        if self.kind == "monad-order":
-            if not isinstance(self.base, RelMonoid):
-                raise InputError("monad-order enumeration needs a monoid base")
-            if self.base.n != self.size:
-                raise InputError(
-                    f"base carrier has size {self.base.n}, not {self.size}"
-                )
-        elif self.kind == "congruence":
-            if not isinstance(self.base, PartialAbelianMonoid):
-                raise InputError(
-                    "congruence enumeration needs a partial abelian monoid base"
-                )
-            if self.base.n != self.size:
-                raise InputError(
-                    f"base carrier has size {self.base.n}, not {self.size}"
-                )
-        elif self.base is not None:
-            raise InputError(f"{self.kind} enumeration takes no base structure")
+        if self.size > kind.limit:
+            raise InputError(f"size {self.size} exceeds the {self.kind} limit {kind.limit}")
+        if kind.base is None:
+            if self.base is not None:
+                raise InputError(f"{self.kind} enumeration takes no base structure")
+        elif not isinstance(self.base, kind.base):
+            raise InputError(f"{self.kind} enumeration needs {kind.base_noun} base")
+        elif self.base.n != self.size:
+            raise InputError(f"base carrier has size {self.base.n}, not {self.size}")
 
 
 # ---------------------------------------------------------------------------
@@ -265,11 +273,6 @@ def _gen_relmonoids(n: int, dedup: bool) -> Iterator[RelMonoid]:
                 yield _monoid_from_pm(n, units_mask, pm)
 
 
-@lru_cache(maxsize=None)
-def _relmonoids(n: int, dedup: bool) -> tuple[RelMonoid, ...]:
-    return tuple(_gen_relmonoids(n, dedup))
-
-
 # ---------------------------------------------------------------------------
 # posets, preorders, lattices
 
@@ -388,11 +391,6 @@ def _gen_lattices(n: int, dedup: bool) -> Iterator[FinLattice]:
             yield FinLattice(FinRel(carrier, carrier, rows), *meet_join)
 
 
-@lru_cache(maxsize=None)
-def _lattices(n: int, dedup: bool) -> tuple[FinLattice, ...]:
-    return tuple(_gen_lattices(n, dedup))
-
-
 def _set_partitions(n: int) -> Iterator[list[int]]:
     """Partitions of {0..n-1} as block bitmasks, in restricted-growth-string
     order: each partition of {0..n-2} puts n-1 into each of its blocks in
@@ -475,10 +473,9 @@ def _gen_pams(n: int, dedup: bool) -> Iterator[PartialAbelianMonoid]:
 
     The zero row and column and commutativity are baked into the search;
     cells above the diagonal are assigned depth-first with incremental
-    associativity pruning and a full axiom verification at each leaf.
-    The cells are placed row-major with ascending values, and every cell
-    below the diagonal mirrors an earlier one, so the leaves come out in
-    ascending plus order.
+    associativity pruning. The cells are placed row-major with ascending
+    values, and every cell below the diagonal mirrors an earlier one, so the
+    leaves come out in ascending plus order.
 
     Each placed cell (a, b) rechecks P1 on its list of triples (x, y, z):
     those with a or b among x, y and z. A triple with a zero coordinate
@@ -487,7 +484,7 @@ def _gen_pams(n: int, dedup: bool) -> Iterator[PartialAbelianMonoid]:
     cells (y, z), (x, y), (x, y+z) and (x+y, z), and each of them has x, y
     or z as a coordinate. So when the last of those cells is placed, every
     cell the triple reads holds its final value and the triple lies in
-    that cell's list.
+    that cell's list, so every leaf is a partial abelian monoid.
 
     With dedup the generation is orderly (Read 1978, McKay 1998). After a
     placed cell passes P1, each permutation p fixing the zero maps t to u,
@@ -515,7 +512,6 @@ def _gen_pams(n: int, dedup: bool) -> Iterator[PartialAbelianMonoid]:
         for y in range(n)
         for z in range(n)
     ]
-    all_entries = [e for _, _, _, e in triples]
     touching = [
         [
             e
@@ -565,8 +561,7 @@ def _gen_pams(n: int, dedup: bool) -> Iterator[PartialAbelianMonoid]:
 
     def place(i: int) -> Iterator[PartialAbelianMonoid]:
         if i == len(cells):
-            if p1_ok(all_entries):
-                yield PartialAbelianMonoid(Carrier(n), 0, tuple(t))
+            yield PartialAbelianMonoid(Carrier(n), 0, tuple(t))
             return
         a, b = cells[i]
         entries = touching[i]
@@ -579,11 +574,6 @@ def _gen_pams(n: int, dedup: bool) -> Iterator[PartialAbelianMonoid]:
         t[b * n + a] = UNSET
 
     yield from place(0)
-
-
-@lru_cache(maxsize=None)
-def _pams(n: int, dedup: bool) -> tuple[PartialAbelianMonoid, ...]:
-    return tuple(_gen_pams(n, dedup))
 
 
 # ---------------------------------------------------------------------------
@@ -669,15 +659,18 @@ def enumerate_structures(spec: EnumSpec) -> Iterator[object]:
     labeling); based kinds (monad-order, congruence) are labeled by nature
     and ignore the flag.
     """
-    if spec.kind == "relmonoid":
-        return _gen_relmonoids(spec.size, spec.dedup)
-    if spec.kind == "lattice":
-        return _gen_lattices(spec.size, spec.dedup)
-    if spec.kind == "pam":
-        return _gen_pams(spec.size, spec.dedup)
-    if spec.kind == "monad-order":
-        return iter(_gen_monad_orders(spec.base))
-    return iter(_gen_congruences(spec.base))
+    return KINDS[spec.kind].generate(spec)
+
+
+@lru_cache(maxsize=None)
+def _pool(kind: str, n: int, dedup: bool) -> tuple:
+    """The laws' cached enumeration of a base-free kind on n points."""
+    return tuple(enumerate_structures(EnumSpec(kind, n, dedup=dedup)))
+
+
+def _pool_upto(kind: str, size: int) -> list:
+    """Every deduplicated structure of a base-free kind on at most size points."""
+    return [s for n in range(size + 1) for s in _pool(kind, n, True)]
 
 
 def serialize_structure(obj: object) -> dict:
@@ -940,7 +933,7 @@ def _law_unit_uniqueness(size: int, rng: random.Random) -> CheckReport:
     """every element of a valid monoid has unique one-sided units"""
     count = 0
     for n in range(size + 1):
-        for m in _relmonoids(n, False):
+        for m in _pool("relmonoid", n, False):
             count += 1
             for a in range(n):
                 right_unit_of(m, a)
@@ -953,8 +946,8 @@ def _law_adjoint_transpose_lax(size: int, rng: random.Random) -> CheckReport:
     """the transpose of a left adjoint is a lax morphism"""
     for ns in range(size + 1):
         for nd in range(size + 1):
-            for src in _relmonoids(ns, True):
-                for dst in _relmonoids(nd, True):
+            for src in _pool("relmonoid", ns, True):
+                for dst in _pool("relmonoid", nd, True):
                     for h in _lax_rels(src, dst):
                         if not is_left_adjoint_relmon(h).ok:
                             continue
@@ -980,7 +973,7 @@ def _lax_rels(src: RelMonoid, dst: RelMonoid) -> tuple[LaxMorphism, ...]:
 @_law("morphism-closure-ops", 2, 2)
 def _law_morphism_closure_ops(size: int, rng: random.Random) -> CheckReport:
     """lax morphisms are closed under composition and union"""
-    monoids = [m for n in range(size + 1) for m in _relmonoids(n, True)]
+    monoids = _pool_upto("relmonoid", size)
     lax = {
         (i, j): [h.rel for h in _lax_rels(src, dst)]
         for i, src in enumerate(monoids)
@@ -1032,7 +1025,7 @@ def _law_category_axioms(size: int, rng: random.Random) -> CheckReport:
 def _law_reflection_least(size: int, rng: random.Random) -> CheckReport:
     """closure of a lax endomorphism is the least monad order over it"""
     for n in range(size + 1):
-        for m in _relmonoids(n, True):
+        for m in _pool("relmonoid", n, True):
             orders = [c.order for c in _gen_monad_orders(m)]
             for f in (h.rel for h in _lax_rels(m, m)):
                 cand = monad_reflection(m, f)
@@ -1053,7 +1046,7 @@ def _law_reflection_least(size: int, rng: random.Random) -> CheckReport:
 @_law("reflection-universal", 2, 2)
 def _law_reflection_universal(size: int, rng: random.Random) -> CheckReport:
     """every cocone out of an endomorphism factors through its closure"""
-    monoids = [m for n in range(size + 1) for m in _relmonoids(n, True)]
+    monoids = _pool_upto("relmonoid", size)
     monads = [_gen_monad_orders(other) for other in monoids]
     for m in monoids:
         endos = _lax_rels(m, m)
@@ -1079,7 +1072,7 @@ def _law_reflection_universal(size: int, rng: random.Random) -> CheckReport:
 def _law_adjunction_monads_symmetric(size: int, rng: random.Random) -> CheckReport:
     """symmetric monad orders are exactly the class-map kernels"""
     for n in range(size + 1):
-        for m in _relmonoids(n, True):
+        for m in _pool("relmonoid", n, True):
             for rows in _equivalence_rows(n):
                 order = FinRel(m.carrier, m.carrier, rows)
                 cand = MonadCandidate(m, order)
@@ -1105,14 +1098,10 @@ def _law_adjunction_monads_symmetric(size: int, rng: random.Random) -> CheckRepo
     return _pass()
 
 
-def _lattice_pool(size: int) -> list[FinLattice]:
-    return [lat for n in range(1, size + 1) for lat in _lattices(n, True)]
-
-
 @_law("qa-monad-iff-modular", 6, 7)
 def _law_qa_monad_iff_modular(size: int, rng: random.Random) -> CheckReport:
     """quotient-order monad property coincides with modularity"""
-    lats = _lattice_pool(size)
+    lats = _pool_upto("lattice", size)
     for lat in lats:
         rep = check_qa_monad_iff_modular(lat)
         if not rep.ok:
@@ -1123,7 +1112,7 @@ def _law_qa_monad_iff_modular(size: int, rng: random.Random) -> CheckReport:
 @_law("star-star-iff-modular", 6, 7)
 def _law_star_star_iff_modular(size: int, rng: random.Random) -> CheckReport:
     """perspectivity decomposition coincides with modularity"""
-    lats = _lattice_pool(size)
+    lats = _pool_upto("lattice", size)
     for lat in lats:
         if check_star_star(lat).ok != is_modular(lat).ok:
             return _fail(
@@ -1136,7 +1125,7 @@ def _law_star_star_iff_modular(size: int, rng: random.Random) -> CheckReport:
 @_law("trivial-quotient-arrow", 6, 7)
 def _law_trivial_quotient_arrow(size: int, rng: random.Random) -> CheckReport:
     """trivial quotients only point at trivial quotients"""
-    for lat in _lattice_pool(size):
+    for lat in _pool_upto("lattice", size):
         qo = build_quotient_order(lat)
         quots = quotient_pairs(lat.order)
         for i, (a, b) in enumerate(quots):
@@ -1168,7 +1157,7 @@ def _graph(f: Sequence[int], ncod: int) -> FinRel:
 @_law("q-functorial", 4, 5)
 def _law_q_functorial(size: int, rng: random.Random) -> CheckReport:
     """the quotient construction is functorial on lattice homomorphisms"""
-    lats = _lattice_pool(size)
+    lats = _pool_upto("lattice", size)
     homs = [[_lattice_homs(l1, l2) for l2 in lats] for l1 in lats]
     for i, lat in enumerate(lats):
         if homs[i][i].get(tuple(range(lat.n))) != tuple(range(len(quotient_pairs(lat.order)))):
@@ -1205,12 +1194,7 @@ def _law_q_functorial(size: int, rng: random.Random) -> CheckReport:
 @_law("rdp-iff-monad", 5, 6)
 def _law_rdp_iff_monad(size: int, rng: random.Random) -> CheckReport:
     """Riesz decomposition coincides with the reverse order being a monad"""
-    geas = [
-        p
-        for n in range(1, size + 1)
-        for p in _pams(n, True)
-        if is_gea(p).ok
-    ]
+    geas = [p for p in _pool_upto("pam", size) if is_gea(p).ok]
     for p in geas:
         has_rdp(p)  # raises InternalCheckError if its monad cross-check disagrees
     return _pass(geas_checked=len(geas))
@@ -1219,7 +1203,7 @@ def _law_rdp_iff_monad(size: int, rng: random.Random) -> CheckReport:
 @_law("quotient-pam-valid", 5, 6)
 def _law_quotient_pam_valid(size: int, rng: random.Random) -> CheckReport:
     """quotients by valid congruences satisfy the axioms"""
-    pams = [p for n in range(1, size + 1) for p in _pams(n, True)]
+    pams = _pool_upto("pam", size)
     for p in pams:
         for cand in _gen_congruences(p):
             if not check_pam_axioms(quotient_pam(cand)).ok:
@@ -1260,7 +1244,7 @@ def _additive_maps(
 @_law("adjoint-induces-congruence", 4, 4)
 def _law_adjoint_induces_congruence(size: int, rng: random.Random) -> CheckReport:
     """left adjoints between partial-addition monoids induce congruences"""
-    pams = [p for n in range(1, size + 1) for p in _pams(n, True)]
+    pams = _pool_upto("pam", size)
     monoids = [to_relmonoid(p) for p in pams]
     adjoints = 0
     for psrc, msrc in zip(pams, monoids):
@@ -1284,7 +1268,7 @@ def _law_adjoint_induces_congruence(size: int, rng: random.Random) -> CheckRepor
 @_law("faithful-congruence-adjoint", 5, 6)
 def _law_faithful_congruence_adjoint(size: int, rng: random.Random) -> CheckReport:
     """zero-faithful congruences give left-adjoint quotient maps"""
-    pams = [p for n in range(1, size + 1) for p in _pams(n, True)]
+    pams = _pool_upto("pam", size)
     for p in pams:
         for cand in _gen_congruences(p):
             if cand.classes.rows[p.zero] != 1 << p.zero:
@@ -1340,7 +1324,7 @@ def _orthocomplementations(lat: FinLattice) -> list[tuple[int, ...]]:
 def _law_oml_effect_algebra(size: int, rng: random.Random) -> CheckReport:
     """orthomodular lattices give lattice-ordered effect algebras"""
     count = 0
-    for lat in _lattice_pool(size):
+    for lat in _pool_upto("lattice", size):
         for ortho in _orthocomplementations(lat):
             s = OmlStructure(lat, ortho)
             p = oml_as_effect_algebra(s)

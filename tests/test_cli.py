@@ -17,7 +17,7 @@ from relmon.cli import build_parser, main
 from relmon.lattice import FinLattice
 from relmon.monoid import MonadCandidate
 from relmon.pam import PartialAbelianMonoid
-from relmon.search import PROPERTIES, property_keys
+from relmon.search import KIND_LIMITS, PROPERTIES, property_keys
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLES = ROOT / "samples"
@@ -408,6 +408,29 @@ def test_readme_law_table_matches_registry():
         assert (int(default_size), int(max_size)) == (entry.default_size, entry.max_size), key
         # the docstring with its line breaks and indentation collapsed to single spaces
         assert " ".join(entry.fn.__doc__.split()) == law, key
+
+
+# the README's plural name for each enumerable kind
+KIND_NAMES = {
+    "relmonoid": "relational monoids",
+    "monad-order": "monad orders",
+    "congruence": "congruences",
+    "lattice": "lattices",
+    "pam": "partial abelian monoids",
+}
+
+
+def test_readme_kind_limits_match_the_kind_table():
+    text = " ".join((ROOT / "README.md").read_text().split())
+    listed = re.search(r"Enumeration size limits per kind: ([^.]*)\.", text).group(1)
+    assert [item.rsplit(" ", 1) for item in listed.split(", ")] == [
+        [KIND_NAMES[key], str(limit)] for key, limit in KIND_LIMITS.items()
+    ]
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    kind = subparsers["enumerate"]._option_string_actions["--kind"]
+    assert list(kind.choices) == list(KIND_LIMITS)
 
 
 # -- installed entry point --------------------------------------------------------------

@@ -30,7 +30,7 @@ from relmon.monoid import (
 )
 from relmon.rel import Carrier, FinRel, bits, is_partial_order
 from relmon.report import InputError, PreconditionError
-from relmon.search import _lattice_pool
+from relmon.search import _pool_upto
 
 
 def order_of(n, pairs):
@@ -256,7 +256,7 @@ def test_q_functor_rejects_non_hom():
 
 def test_hom_defect_matches_the_pairwise_loop():
     # every map between the lattices of the default q-functorial pool
-    lats = _lattice_pool(4)
+    lats = _pool_upto("lattice", 4)
     homs = 0
     for src, dst in itertools.product(lats, repeat=2):
         for f in itertools.product(range(dst.n), repeat=src.n):

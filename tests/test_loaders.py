@@ -270,6 +270,44 @@ def test_embedded_relation_errors_name_the_field(case):
     assert str(info.value) == message
 
 
+# A negative size fails the loader's integer check, which names the field.
+NEGATIVE_SIZES = {
+    "monoid-carrier": (
+        RelMonoid,
+        dict(TRIVIAL, carrier=-1),
+        "field 'carrier' must be a nonnegative integer size",
+    ),
+    "pam-carrier": (
+        PartialAbelianMonoid,
+        dict(CHAIN2_PAM, carrier=-1),
+        "field 'carrier' must be a nonnegative integer size",
+    ),
+    "lattice-carrier": (
+        FinLattice,
+        {"carrier": -1, "order": []},
+        "field 'carrier' must be a nonnegative integer size",
+    ),
+    "rel-dom": (
+        FinRel,
+        {"dom": -1, "cod": 2, "pairs": []},
+        "field 'dom' must be a nonnegative integer",
+    ),
+    "rel-cod": (
+        FinRel,
+        {"dom": 2, "cod": -1, "pairs": []},
+        "field 'cod' must be a nonnegative integer",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEGATIVE_SIZES))
+def test_negative_sizes_name_the_field(case):
+    loader, obj, message = NEGATIVE_SIZES[case]
+    with pytest.raises(InputError) as info:
+        loader.from_json(obj)
+    assert str(info.value) == message
+
+
 # Every loader's message for a non-object and for each missing field, by the
 # name the message gives the structure and the fields in the order checked.
 SHAPE_ERRORS = {

@@ -34,7 +34,7 @@ from relmon.monoid import (
 from relmon.pam import to_relmonoid
 from relmon.rel import Carrier, FinRel, refl_trans_closure
 from relmon.report import InputError, PreconditionError
-from relmon.search import _pams, _relmonoids
+from relmon.search import _pool, _pool_upto
 
 Z2 = catalog.z2_monoid()
 
@@ -374,7 +374,7 @@ def test_left_adjoint_kernel_matches_fiber_scan():
     # the whole lax-morphism report against the per-b square search, then
     # every lax arrow's left-adjoint report against the fiber scan
     monoids = [m for n in range(3) for m in labeled_monoids(n)]
-    monoids += [to_relmonoid(p) for n in range(1, 4) for p in _pams(n, True)]
+    monoids += [to_relmonoid(p) for p in _pool_upto("pam", 3)]
     lax_clauses = Counter()
     clauses = Counter()
     for src, dst in itertools.product(monoids, repeat=2):
@@ -470,7 +470,7 @@ def test_monad_conditions_match_reference_scans():
             for rows in itertools.product(range(1 << n), repeat=n)
             if oracles.is_preorder(n, set(FinRel(carrier, carrier, rows).pairs()))
         ]
-        for m in _relmonoids(n, False):
+        for m in _pool("relmonoid", n, False):
             for order in preorders:
                 rep = _monad_conditions(m, order)
                 ref = oracles.monad_conditions_report(m, order)

@@ -40,9 +40,9 @@ from relmon.rel import Carrier, FinRel
 from relmon.report import InputError, PreconditionError
 from relmon.search import (
     _equivalence_rows,
-    _lattice_pool,
     _orthocomplementations,
-    _pams,
+    _pool,
+    _pool_upto,
     _preorders,
 )
 
@@ -222,7 +222,7 @@ def test_rdp_witness_matches_the_reference_scan():
         p
         for dedup, top in ((True, 5), (False, 4))
         for n in range(1, top + 1)
-        for p in _pams(n, dedup)
+        for p in _pool("pam", n, dedup)
         if is_gea(p).ok
     ]
     assert len(geas) == 21 + 24
@@ -239,9 +239,9 @@ def test_decomposition_witness_is_the_lax_square():
     cases = [
         (p, rows)
         for n in range(1, 4)
-        for p in _pams(n, True)
+        for p in _pool("pam", n, True)
         for rows in itertools.product(range(1 << n), repeat=n)
-    ] + [(p, rows) for p in _pams(4, True) for rows in _preorders(4)]
+    ] + [(p, rows) for p in _pool("pam", 4, True) for rows in _preorders(4)]
     failing = 0
     for p, rows in cases:
         m = to_relmonoid(p)
@@ -326,12 +326,12 @@ def test_congruence_kernel_matches_nested_scan():
     # isomorphism class at 5, and a labeled carrier), then every relation on
     # the labeled PAMs up to 3 points; the whole report must agree
     labeled_b22 = PartialAbelianMonoid(Carrier(4, ("o", "a", "b", "t")), 0, B22.plus)
-    bases = [p for n in range(1, 6) for p in _pams(n, n == 5)] + [labeled_b22]
+    bases = [p for n in range(1, 6) for p in _pool("pam", n, n == 5)] + [labeled_b22]
     cases = [(p, rows) for p in bases for rows in _equivalence_rows(p.n)]
     cases += [
         (p, rows)
         for n in range(1, 4)
-        for p in _pams(n, False)
+        for p in _pool("pam", n, False)
         for rows in itertools.product(range(1 << n), repeat=n)
     ]
     clauses = Counter()
@@ -540,7 +540,7 @@ def test_dimension_clause_b_witness():
 def test_dimension_clause_b_matches_the_reference_scan():
     structures = [catalog.boolean_oml(k) for k in (1, 2, 3)] + [
         OmlStructure(lat, ortho)
-        for lat in _lattice_pool(6)
+        for lat in _pool_upto("lattice", 6)
         for ortho in _orthocomplementations(lat)
     ]
     failing = 0

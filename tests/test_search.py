@@ -37,12 +37,12 @@ from relmon.search import (
     _gen_relmonoids,
     _labeled_posets,
     _lax_rels,
-    _pams,
     _perms_fixing_zero,
+    _pool,
+    _pool_upto,
     _poset_key,
     _preorders,
     _relmonoid_key,
-    _relmonoids,
     enumerate_structures,
     property_keys,
     serialize_structure,
@@ -259,10 +259,10 @@ def test_boolean_congruences_include_atom_gluing():
 
 def test_congruence_pool_matches_candidate_filter():
     # the pool keeps each PAM's passing class rows on the PAM instance, one
-    # sweep per instance; a fresh equal PAM (as after clearing _pams) sweeps
+    # sweep per instance; a fresh equal PAM (as after clearing _pool) sweeps
     # again and shares nothing with the old one
     total = 0
-    for p in [p for n in range(1, 6) for p in _pams(n, True)]:
+    for p in _pool_upto("pam", 5):
         carrier = p.carrier
         expect = [
             rows
@@ -464,7 +464,7 @@ def test_additive_maps_match_product_filter():
     # every pair of PAMs up to 4 points, one per isomorphism class: the same
     # maps in the same order as filtering all of itertools.product down to
     # the zero-reflecting ones
-    pams = [p for n in range(1, 5) for p in _pams(n, True)]
+    pams = _pool_upto("pam", 4)
     total = streamed = 0
     for psrc, pdst in itertools.product(pams, repeat=2):
         maps = list(_additive_maps(psrc, pdst))
@@ -479,7 +479,7 @@ def test_additive_maps_match_product_filter():
 def test_zero_reflecting_maps_keep_every_left_adjoint():
     # the left adjoints among all 32,529 additive maps are exactly those
     # among the streamed ones, in the same order
-    pams = [p for n in range(1, 5) for p in _pams(n, True)]
+    pams = _pool_upto("pam", 4)
     monoids = [to_relmonoid(p) for p in pams]
 
     def adjoints(maps_of):
@@ -511,8 +511,7 @@ def test_pam_enumeration_deterministic():
 
 def test_enumerate_structures_streams_base_free_kinds():
     # generators all the way: the laws' cached pools stay empty
-    _pams.cache_clear()
-    _relmonoids.cache_clear()
+    _pool.cache_clear()
     kinds = (("pam", range(1, 5)), ("relmonoid", range(3)), ("lattice", range(1, 5)))
     for kind, sizes in kinds:
         for n in sizes:
@@ -521,8 +520,7 @@ def test_enumerate_structures_streams_base_free_kinds():
                 assert isinstance(stream, types.GeneratorType)
                 for _ in stream:
                     pass
-    assert _pams.cache_info().currsize == 0
-    assert _relmonoids.cache_info().currsize == 0
+    assert _pool.cache_info().currsize == 0
 
 
 # -- serialization --------------------------------------------------------------------
@@ -586,7 +584,7 @@ def test_reflection_least_holds_at_its_max_size():
 
 def test_lax_rels_is_one_table_per_monoid_pair():
     # the laws that read lax arrows share one filter per (src, dst)
-    monoids = [m for n in range(3) for m in _relmonoids(n, True)]
+    monoids = _pool_upto("relmonoid", 2)
     for src, dst in itertools.product(monoids, repeat=2):
         lax = _lax_rels(src, dst)
         assert _lax_rels(src, dst) is lax
