@@ -11,14 +11,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .lattice import (
     FinLattice,
-    build_quotient_order,
     check_qa_monad_iff_modular,
     check_star_star,
     is_modular,
+    is_qa_monad,
 )
 from .monoid import (
     LaxMorphism,
@@ -53,13 +53,7 @@ from .report import (
     PreconditionError,
     ToolkitError,
 )
-from .search import (
-    KINDS,
-    EnumSpec,
-    enumerate_structures,
-    serialize_structure,
-    verify_universal,
-)
+from .search import KINDS, EnumSpec, enumerate_structures, verify_universal
 
 
 def _load(path: str) -> object:
@@ -100,106 +94,97 @@ def _write_lines(lines: Iterable[str], args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_check_monoid(args: argparse.Namespace) -> int:
-    return _finish(check_monoid_axioms(RelMonoid.from_json(_load(args.path))), args)
-
-
-def _cmd_check_morphism(args: argparse.Namespace) -> int:
-    return _finish(is_lax_morphism(LaxMorphism.from_json(_load(args.path))), args)
-
-
-def _cmd_check_adjoint(args: argparse.Namespace) -> int:
-    return _finish(
-        is_left_adjoint_relmon(LaxMorphism.from_json(_load(args.path))), args
-    )
-
-
-def _cmd_check_monad(args: argparse.Namespace) -> int:
-    cand = MonadCandidate.from_json(_load(args.path))
-    rep = (
-        monad_from_adjunction_conditions(cand)
-        if args.from_adjunction
-        else is_monad(cand)
-    )
-    return _finish(rep, args)
-
-
-def _cmd_reflect(args: argparse.Namespace) -> int:
-    cand = MonadCandidate.from_json(_load(args.path))
-    closed = monad_reflection(cand.base, cand.order).to_json()
-    return _write_lines([json.dumps(closed, indent=2, sort_keys=True)], args)
-
-
-def _cmd_check_lattice(args: argparse.Namespace) -> int:
-    obj = _load(args.path)
+def _load_lattice(obj: object) -> FinLattice | CheckReport:
     try:
-        lat = FinLattice.from_json(obj)
+        return FinLattice.from_json(obj)
     except InputError as exc:
         msg = str(exc)
         if "not a lattice" in msg or "not a partial order" in msg:
             # shape was fine, the order itself fails; that is a verdict
-            return _finish(CheckReport.failing("lattice", "structure", None, msg), args)
+            return CheckReport.failing("lattice", "structure", None, msg)
         raise
-    if args.qa_monad:
-        return _finish(check_qa_monad_iff_modular(lat), args)
-    if args.star_star:
-        return _finish(check_star_star(lat), args)
-    if args.modular:
-        return _finish(is_modular(lat), args)
-    return _finish(
-        CheckReport.passing(
-            "lattice", f"{lat.n} elements", modular=is_modular(lat).ok
-        ),
-        args,
-    )
 
 
-def _cmd_check_qa(args: argparse.Namespace) -> int:
-    lat = FinLattice.from_json(_load(args.path))
-    qo = build_quotient_order(lat)
-    rep = is_monad(MonadCandidate(qo.qmonoid, qo.arrow))
-    return _finish(rep, args)
+def _lattice_summary(lat: FinLattice) -> CheckReport:
+    return CheckReport.passing("lattice", f"{lat.n} elements", modular=is_modular(lat).ok)
 
 
-def _cmd_check_pam(args: argparse.Namespace) -> int:
-    p = PartialAbelianMonoid.from_json(_load(args.path))
-    if args.positive:
-        rep = is_positive(p)
-    elif args.cancellative:
-        rep = is_cancellative(p)
-    elif args.gea:
-        rep = is_gea(p)
-    elif args.effect_algebra:
-        rep = is_effect_algebra(p)
-    else:
-        rep = check_pam_axioms(p)
-    return _finish(rep, args)
+class _FileCommand(NamedTuple):
+    """A subcommand that loads one JSON file and runs one function on it.
+
+    load turns the parsed JSON into the structure, or into a failing verdict
+    when the file is well formed but not the structure. run is the default
+    check; each (flag, check, help) in flags picks another. A row with an
+    out_help is a construction: run builds a structure, written as JSON to
+    --out or stdout.
+    """
+
+    name: str
+    help: str
+    path_help: str
+    load: Callable[[object], object]
+    run: Callable[[object], object]
+    flags: tuple[tuple[str, Callable[[object], CheckReport], str], ...] = ()
+    out_help: str | None = None
 
 
-def _cmd_check_rdp(args: argparse.Namespace) -> int:
-    return _finish(has_rdp(PartialAbelianMonoid.from_json(_load(args.path))), args)
+# in the order of the subcommand list in --help
+_FILE_COMMANDS = (
+    _FileCommand("check-monoid", "unit and associativity axioms", "relational monoid JSON file",
+                 RelMonoid.from_json, check_monoid_axioms),
+    _FileCommand("check-morphism", "lax morphism square and triangle",
+                 "morphism JSON file (src, dst, rel)", LaxMorphism.from_json, is_lax_morphism),
+    _FileCommand("check-adjoint",
+                 "left adjointness of a lax morphism (mapping, factorization, unit reflection)",
+                 "morphism JSON file (src, dst, rel)", LaxMorphism.from_json,
+                 is_left_adjoint_relmon),
+    _FileCommand("check-monad", "monad conditions for an order on a monoid",
+                 "candidate JSON file (base, order)", MonadCandidate.from_json, is_monad,
+                 (("--from-adjunction", monad_from_adjunction_conditions,
+                   "also require symmetry (orders induced by adjunctions)"),)),
+    _FileCommand("reflect", "close a lax endo relation into the least monad order over it",
+                 "candidate JSON file (base, order = the endo relation)",
+                 MonadCandidate.from_json, lambda cand: monad_reflection(cand.base, cand.order),
+                 out_help="write the closed candidate JSON here instead of stdout"),
+    _FileCommand("check-lattice", "lattice validity and named lattice laws",
+                 "lattice JSON file (carrier, order pairs)", _load_lattice, _lattice_summary,
+                 (("--modular", is_modular, "check the modular law"),
+                  ("--qa-monad", check_qa_monad_iff_modular,
+                   "agreement of the quotient-order monad check with modularity"),
+                  ("--star-star", check_star_star, "perspectivity decomposition property"))),
+    _FileCommand("check-qa", "monad conditions for the perspectivity order on lattice quotients",
+                 "lattice JSON file", FinLattice.from_json, is_qa_monad),
+    _FileCommand("check-pam", "partial abelian monoid axioms and subclasses",
+                 "partial monoid JSON file", PartialAbelianMonoid.from_json, check_pam_axioms,
+                 (("--positive", is_positive, "zero sums have zero parts"),
+                  ("--cancellative", is_cancellative, "sums cancel"),
+                  ("--gea", is_gea, "positive and cancellative"),
+                  ("--effect-algebra", is_effect_algebra,
+                   "generalized effect algebra with a top"))),
+    _FileCommand("check-rdp", "Riesz decomposition property of a GEA",
+                 "partial monoid JSON file", PartialAbelianMonoid.from_json, has_rdp),
+    _FileCommand("check-congruence", "C1/C2/C5 congruence conditions",
+                 "congruence JSON file (base, classes)", CongruenceCandidate.from_json,
+                 check_congruence),
+    _FileCommand("quotient", "quotient of a partial monoid by a congruence",
+                 "congruence JSON file (base, classes)", CongruenceCandidate.from_json,
+                 quotient_pam, out_help="write the quotient JSON here instead of stdout"),
+)
 
 
-def _cmd_check_congruence(args: argparse.Namespace) -> int:
-    return _finish(
-        check_congruence(CongruenceCandidate.from_json(_load(args.path))), args
-    )
+def _cmd_check(args: argparse.Namespace) -> int:
+    loaded = args.load(_load(args.path))
+    return _finish(loaded if isinstance(loaded, CheckReport) else args.run(loaded), args)
 
 
-def _cmd_quotient(args: argparse.Namespace) -> int:
-    cand = CongruenceCandidate.from_json(_load(args.path))
-    quot = quotient_pam(cand).to_json()
-    return _write_lines([json.dumps(quot, indent=2, sort_keys=True)], args)
+def _cmd_construct(args: argparse.Namespace) -> int:
+    built = args.run(args.load(_load(args.path))).to_json()
+    return _write_lines([json.dumps(built, indent=2, sort_keys=True)], args)
 
 
 def _cmd_check_dimeq(args: argparse.Namespace) -> int:
     oml = OmlStructure.from_json(_load(args.oml))
-    n = oml.lattice.n
     sim = FinRel.from_json(_load(args.sim))
-    if sim.dom.size != n or sim.cod.size != n:
-        raise InputError(
-            f"relation is {sim.dom.size}->{sim.cod.size} but the lattice has {n} elements"
-        )
     return _finish(is_dimension_equivalence(oml, sim, args.literal_joins), args)
 
 
@@ -218,15 +203,14 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         size = base.n
     spec = EnumSpec(args.kind, size, base, args.dedup)
     lines = (
-        json.dumps(serialize_structure(s), sort_keys=True, separators=(",", ":"))
+        json.dumps(s.to_json(), sort_keys=True, separators=(",", ":"))
         for s in enumerate_structures(spec)
     )
     return _write_lines(lines, args)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    rep = verify_universal(args.property, args.size, args.seed)
-    return _finish(rep, args)
+    return _finish(verify_universal(args.property, args.size, args.seed), args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -243,87 +227,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")
 
-    def add(name: str, handler, help_text: str, **kwargs) -> argparse.ArgumentParser:
-        sp = sub.add_parser(name, parents=[common], help=help_text, **kwargs)
+    def add(name: str, handler, help_text: str) -> argparse.ArgumentParser:
+        sp = sub.add_parser(name, parents=[common], help=help_text)
         sp.set_defaults(handler=handler)
         return sp
 
-    sp = add("check-monoid", _cmd_check_monoid, "unit and associativity axioms")
-    sp.add_argument("path", help="relational monoid JSON file")
+    for cmd in _FILE_COMMANDS:
+        sp = add(cmd.name, _cmd_construct if cmd.out_help else _cmd_check, cmd.help)
+        sp.add_argument("path", help=cmd.path_help)
+        sp.set_defaults(load=cmd.load, run=cmd.run)
+        if cmd.out_help:
+            sp.add_argument("--out", help=cmd.out_help)
+        if cmd.flags:  # argparse cannot format the help of an empty group
+            group = sp.add_mutually_exclusive_group()
+            for flag, check, help_text in cmd.flags:
+                group.add_argument(
+                    flag, action="store_const", const=check, dest="run", help=help_text
+                )
 
-    sp = add("check-morphism", _cmd_check_morphism, "lax morphism square and triangle")
-    sp.add_argument("path", help="morphism JSON file (src, dst, rel)")
-
-    sp = add(
-        "check-adjoint",
-        _cmd_check_adjoint,
-        "left adjointness of a lax morphism (mapping, factorization, unit reflection)",
-    )
-    sp.add_argument("path", help="morphism JSON file (src, dst, rel)")
-
-    sp = add("check-monad", _cmd_check_monad, "monad conditions for an order on a monoid")
-    sp.add_argument("path", help="candidate JSON file (base, order)")
-    sp.add_argument(
-        "--from-adjunction",
-        action="store_true",
-        help="also require symmetry (orders induced by adjunctions)",
-    )
-
-    sp = add(
-        "reflect",
-        _cmd_reflect,
-        "close a lax endo relation into the least monad order over it",
-    )
-    sp.add_argument("path", help="candidate JSON file (base, order = the endo relation)")
-    sp.add_argument("--out", help="write the closed candidate JSON here instead of stdout")
-
-    sp = add("check-lattice", _cmd_check_lattice, "lattice validity and named lattice laws")
-    sp.add_argument("path", help="lattice JSON file (carrier, order pairs)")
-    group = sp.add_mutually_exclusive_group()
-    group.add_argument("--modular", action="store_true", help="check the modular law")
-    group.add_argument(
-        "--qa-monad",
-        action="store_true",
-        help="agreement of the quotient-order monad check with modularity",
-    )
-    group.add_argument(
-        "--star-star",
-        action="store_true",
-        help="perspectivity decomposition property",
-    )
-
-    sp = add(
-        "check-qa",
-        _cmd_check_qa,
-        "monad conditions for the perspectivity order on lattice quotients",
-    )
-    sp.add_argument("path", help="lattice JSON file")
-
-    sp = add("check-pam", _cmd_check_pam, "partial abelian monoid axioms and subclasses")
-    sp.add_argument("path", help="partial monoid JSON file")
-    group = sp.add_mutually_exclusive_group()
-    group.add_argument("--positive", action="store_true", help="zero sums have zero parts")
-    group.add_argument("--cancellative", action="store_true", help="sums cancel")
-    group.add_argument("--gea", action="store_true", help="positive and cancellative")
-    group.add_argument(
-        "--effect-algebra", action="store_true", help="generalized effect algebra with a top"
-    )
-
-    sp = add("check-rdp", _cmd_check_rdp, "Riesz decomposition property of a GEA")
-    sp.add_argument("path", help="partial monoid JSON file")
-
-    sp = add("check-congruence", _cmd_check_congruence, "C1/C2/C5 congruence conditions")
-    sp.add_argument("path", help="congruence JSON file (base, classes)")
-
-    sp = add("quotient", _cmd_quotient, "quotient of a partial monoid by a congruence")
-    sp.add_argument("path", help="congruence JSON file (base, classes)")
-    sp.add_argument("--out", help="write the quotient JSON here instead of stdout")
-
-    sp = add(
-        "check-dimeq",
-        _cmd_check_dimeq,
-        "dimension-equivalence clauses on an orthomodular lattice",
-    )
+    sp = add("check-dimeq", _cmd_check_dimeq,
+             "dimension-equivalence clauses on an orthomodular lattice")
     sp.add_argument("oml", help="orthomodular lattice JSON file (lattice, ortho)")
     sp.add_argument("sim", help="relation JSON file (dom, cod, pairs)")
     sp.add_argument(

@@ -195,10 +195,15 @@ def check_star_star(lat: FinLattice) -> CheckReport:
     return CheckReport.passing("star-star")
 
 
+def is_qa_monad(lat: FinLattice) -> CheckReport:
+    """Monad conditions for the perspectivity order on the quotients of lat."""
+    qo = build_quotient_order(lat)
+    return is_monad(MonadCandidate(qo.qmonoid, qo.arrow))
+
+
 def check_qa_monad_iff_modular(lat: FinLattice) -> CheckReport:
     """Agreement between the quotient-order monad check and modularity."""
-    qo = build_quotient_order(lat)
-    monad_rep = is_monad(MonadCandidate(qo.qmonoid, qo.arrow))
+    monad_rep = is_qa_monad(lat)
     mod_rep = is_modular(lat)
     details = {
         "qa_monad": monad_rep.ok,

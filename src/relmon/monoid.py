@@ -29,6 +29,7 @@ from .rel import (
     is_partial_order,
     is_preorder,
     is_subcell,
+    json_labels,
     lowest_bit,
     refl_trans_closure,
 )
@@ -118,12 +119,7 @@ class RelMonoid:
             for t in mult
         ):
             raise InputError("field 'mult' must be a list of [a1, a2, a] triples")
-        labels = obj.get("labels")
-        if labels is not None and not (
-            isinstance(labels, list) and all(isinstance(s, str) for s in labels)
-        ):
-            raise InputError("field 'labels' must be a list of strings")
-        return cls.make(size, units, mult, labels)
+        return cls.make(size, units, mult, json_labels(obj, size))
 
 
 @dataclass(frozen=True)

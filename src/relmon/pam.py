@@ -36,6 +36,7 @@ from .rel import (
     class_partition,
     is_equivalence,
     is_partial_order,
+    json_labels,
     lowest_bit,
 )
 from .report import CheckReport, InputError, InternalCheckError, cached_verdict, json_fields
@@ -124,12 +125,7 @@ class PartialAbelianMonoid:
             isinstance(t, list) and len(t) == 3 for t in plus
         ):
             raise InputError("field 'plus' must be a list of [a, b, a+b] cells")
-        labels = obj.get("labels")
-        if labels is not None and not (
-            isinstance(labels, list) and all(isinstance(s, str) for s in labels)
-        ):
-            raise InputError("field 'labels' must be a list of strings")
-        return cls.from_cells(size, zero, plus, labels)
+        return cls.from_cells(size, zero, plus, json_labels(obj, size))
 
 
 # ---------------------------------------------------------------------------
@@ -526,11 +522,14 @@ class OmlStructure:
         n = self.lattice.n
         if len(self.ortho) != n:
             raise InputError(
-                f"orthocomplement lists {len(self.ortho)} values for {n} elements"
+                f"field 'ortho': orthocomplement lists {len(self.ortho)} values"
+                f" for {n} elements"
             )
         for a, c in enumerate(self.ortho):
             if not (type(c) is int and 0 <= c < n):
-                raise InputError(f"orthocomplement of {a} is {c!r}, out of range")
+                raise InputError(
+                    f"field 'ortho': orthocomplement of {a} is {c!r}, out of range"
+                )
 
     def orthogonal(self, a: int, b: int) -> bool:
         return self.lattice.leq(a, self.ortho[b])
@@ -656,10 +655,12 @@ def is_dimension_equivalence(
     instead when literal_joins is set); (D) non-orthogonal elements dominate
     a related nonzero pair.
     """
-    p = oml_as_effect_algebra(s)
     lat = s.lattice
     if sim.dom.size != lat.n or sim.cod.size != lat.n:
-        raise InputError("relation does not live on the lattice carrier")
+        raise InputError(
+            f"relation is {sim.dom.size}->{sim.cod.size} but the lattice has {lat.n} elements"
+        )
+    p = oml_as_effect_algebra(s)
     lab = lat.order.dom.label
     eq = is_equivalence(sim)
     if not eq.ok:

@@ -92,6 +92,20 @@ class Carrier:
         return "(" + ", ".join(self.label(i) for i in elems) + ")"
 
 
+def json_labels(obj: dict, size: int) -> tuple[str, ...] | None:
+    """The optional 'labels' field of a JSON structure on size elements,
+    checked as Carrier checks it, with the field named in every error."""
+    labels = obj.get("labels")
+    if labels is None:
+        return None
+    if not (isinstance(labels, list) and all(isinstance(s, str) for s in labels)):
+        raise InputError("field 'labels' must be a list of strings")
+    try:
+        return Carrier(size, tuple(labels)).labels
+    except InputError as exc:
+        raise InputError(f"field 'labels': {exc}") from None
+
+
 @dataclass(frozen=True)
 class FinRel:
     """A relation dom -> cod; rows[a] is the bitmask of b with (a, b) related."""

@@ -674,6 +674,7 @@ def _pool_upto(kind: str, size: int) -> list:
 
 
 def serialize_structure(obj: object) -> dict:
+    """The JSON form of an enumerated structure, as perfbench hashes its streams."""
     if hasattr(obj, "to_json"):
         return obj.to_json()
     raise InputError(f"cannot serialize {type(obj).__name__}")

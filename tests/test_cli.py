@@ -13,10 +13,36 @@ import pytest
 
 import relmon
 from relmon import catalog
-from relmon.cli import build_parser, main
-from relmon.lattice import FinLattice
-from relmon.monoid import MonadCandidate
-from relmon.pam import PartialAbelianMonoid
+from relmon.cli import _FILE_COMMANDS, build_parser, main
+from relmon.lattice import (
+    FinLattice,
+    check_qa_monad_iff_modular,
+    check_star_star,
+    is_modular,
+    is_qa_monad,
+)
+from relmon.monoid import (
+    LaxMorphism,
+    MonadCandidate,
+    RelMonoid,
+    check_monoid_axioms,
+    is_lax_morphism,
+    is_left_adjoint_relmon,
+    is_monad,
+    monad_from_adjunction_conditions,
+)
+from relmon.pam import (
+    CongruenceCandidate,
+    PartialAbelianMonoid,
+    check_congruence,
+    check_pam_axioms,
+    has_rdp,
+    is_cancellative,
+    is_effect_algebra,
+    is_gea,
+    is_positive,
+)
+from relmon.report import CheckReport
 from relmon.search import KIND_LIMITS, PROPERTIES, property_keys
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -120,6 +146,68 @@ def test_check_qa_direct(capsys):
 def test_check_congruence_sample(capsys):
     code, _, _ = run(capsys, "check-congruence", SAMPLES / "boolean22_congruence.json")
     assert code == 0
+
+
+# What each one-file check subcommand runs, by flag (None for no flag): the
+# loader, the checker and a sample. The report printed with --json must be
+# the checker's report on the loaded sample.
+CHECKS = {
+    ("check-monoid", None): (RelMonoid.from_json, check_monoid_axioms, "z2.json"),
+    ("check-morphism", None): (LaxMorphism.from_json, is_lax_morphism, "degree_map.json"),
+    ("check-adjoint", None): (LaxMorphism.from_json, is_left_adjoint_relmon, "degree_map.json"),
+    ("check-monad", None): (MonadCandidate.from_json, is_monad, "diamond_ge.json"),
+    ("check-monad", "--from-adjunction"): (
+        MonadCandidate.from_json, monad_from_adjunction_conditions, "diamond_ge.json"
+    ),
+    ("check-lattice", None): (
+        FinLattice.from_json,
+        lambda lat: CheckReport.passing(
+            "lattice", f"{lat.n} elements", modular=is_modular(lat).ok
+        ),
+        "n5.json",
+    ),
+    ("check-lattice", "--modular"): (FinLattice.from_json, is_modular, "n5.json"),
+    ("check-lattice", "--qa-monad"): (
+        FinLattice.from_json, check_qa_monad_iff_modular, "n5.json"
+    ),
+    ("check-lattice", "--star-star"): (FinLattice.from_json, check_star_star, "n5.json"),
+    ("check-qa", None): (FinLattice.from_json, is_qa_monad, "n5.json"),
+    ("check-pam", None): (PartialAbelianMonoid.from_json, check_pam_axioms, "diamond_pam.json"),
+    ("check-pam", "--positive"): (PartialAbelianMonoid.from_json, is_positive, "diamond_pam.json"),
+    ("check-pam", "--cancellative"): (
+        PartialAbelianMonoid.from_json, is_cancellative, "diamond_pam.json"
+    ),
+    ("check-pam", "--gea"): (PartialAbelianMonoid.from_json, is_gea, "diamond_pam.json"),
+    ("check-pam", "--effect-algebra"): (
+        PartialAbelianMonoid.from_json, is_effect_algebra, "diamond_pam.json"
+    ),
+    ("check-rdp", None): (PartialAbelianMonoid.from_json, has_rdp, "diamond_pam.json"),
+    ("check-congruence", None): (
+        CongruenceCandidate.from_json, check_congruence, "boolean22_congruence.json"
+    ),
+}
+
+FILE_CHECK_FLAGS = [
+    (cmd.name, flag)
+    for cmd in _FILE_COMMANDS
+    if cmd.out_help is None
+    for flag in (None, *(f for f, _, _ in cmd.flags))
+]
+
+
+@pytest.mark.parametrize("command, flag", FILE_CHECK_FLAGS)
+def test_each_flag_runs_its_checker(command, flag, capsys):
+    load, checker, sample = CHECKS[command, flag]
+    rep = checker(load(json.loads((SAMPLES / sample).read_text())))
+    argv = [command] + ([flag] if flag else []) + ["--json", SAMPLES / sample]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (
+        0 if rep.ok else 1, json.dumps(rep.to_json(), sort_keys=True) + "\n", ""
+    )
+
+
+def test_check_table_covers_every_flag():
+    assert sorted(CHECKS, key=str) == sorted(FILE_CHECK_FLAGS, key=str)
 
 
 # -- constructions ----------------------------------------------------------------
@@ -377,24 +465,43 @@ def readme_table_rows(header):
 
 
 def readme_subcommand_rows():
-    """(subcommand, flags) for each row of the README's subcommand table."""
+    """(subcommand, flags, "Does" text) for each row of the README's subcommand table."""
     rows = []
     for line in readme_table_rows("| Subcommand |"):
         usage = line.split("`")[1]
-        rows.append((usage.split()[0], re.findall(r"--[a-z][a-z-]*", usage)))
+        # the usage cell escapes its pipes, so " | " only separates cells
+        does = line.rstrip().rstrip("|").rsplit(" | ", 1)[1].strip()
+        rows.append((usage.split()[0], re.findall(r"--[a-z][a-z-]*", usage), does))
     return rows
 
 
-def test_readme_subcommand_table_matches_parser():
-    subparsers = next(
+def subcommands():
+    """The subparsers action of the relmon parser."""
+    return next(
         a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
-    ).choices
+    )
+
+
+def test_readme_subcommand_table_matches_parser():
+    action = subcommands()
+    subparsers = action.choices
+    helps = {choice.dest: choice.help for choice in action._choices_actions}
     rows = readme_subcommand_rows()
-    assert sorted(name for name, _ in rows) == sorted(subparsers)
-    for name, flags in rows:
+    assert sorted(name for name, _, _ in rows) == sorted(subparsers)
+    for name, flags, does in rows:
         accepted = subparsers[name]._option_string_actions
         for flag in flags:
             assert flag in accepted, f"README lists {flag} for {name}"
+        assert does == helps[name], name
+
+
+def test_every_help_text_formats():
+    # argparse checks some parser shapes (an empty mutually exclusive group)
+    # only when it formats the help
+    parser = build_parser()
+    assert parser.format_help().startswith("usage: relmon ")
+    for name, sp in subcommands().choices.items():
+        assert sp.format_help().startswith(f"usage: relmon {name} "), name
 
 
 def test_readme_law_table_matches_registry():
@@ -426,10 +533,7 @@ def test_readme_kind_limits_match_the_kind_table():
     assert [item.rsplit(" ", 1) for item in listed.split(", ")] == [
         [KIND_NAMES[key], str(limit)] for key, limit in KIND_LIMITS.items()
     ]
-    subparsers = next(
-        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
-    ).choices
-    kind = subparsers["enumerate"]._option_string_actions["--kind"]
+    kind = subcommands().choices["enumerate"]._option_string_actions["--kind"]
     assert list(kind.choices) == list(KIND_LIMITS)
 
 

@@ -308,6 +308,60 @@ def test_negative_sizes_name_the_field(case):
     assert str(info.value) == message
 
 
+# Labels and orthocomplements that fail the carrier's checks: the error
+# names the field, and the CLI exits 2 with it.
+FIELD_VALUE_ERRORS = {
+    "monoid-labels-short": (
+        RelMonoid,
+        dict(Z2, labels=["a"]),
+        "field 'labels': carrier has 2 elements but 1 labels",
+        ["check-monoid", "{}"],
+    ),
+    "monoid-labels-repeated": (
+        RelMonoid,
+        dict(Z2, labels=["a", "a"]),
+        "field 'labels': carrier labels must be distinct",
+        ["check-monoid", "{}"],
+    ),
+    "pam-labels-short": (
+        PartialAbelianMonoid,
+        dict(CHAIN2_PAM, labels=["a"]),
+        "field 'labels': carrier has 2 elements but 1 labels",
+        ["check-pam", "{}"],
+    ),
+    "pam-labels-repeated": (
+        PartialAbelianMonoid,
+        dict(CHAIN2_PAM, labels=["a", "a"]),
+        "field 'labels': carrier labels must be distinct",
+        ["check-rdp", "{}"],
+    ),
+    "oml-ortho-short": (
+        OmlStructure,
+        dict(MO2_OML, ortho=MO2_OML["ortho"][:1]),
+        "field 'ortho': orthocomplement lists 1 values for 6 elements",
+        ["check-dimeq", "{}", MO2_SIM],
+    ),
+    "oml-ortho-out-of-range": (
+        OmlStructure,
+        dict(MO2_OML, ortho=[6] + MO2_OML["ortho"][1:]),
+        "field 'ortho': orthocomplement of 0 is 6, out of range",
+        ["check-dimeq", "{}", MO2_SIM],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIELD_VALUE_ERRORS))
+def test_label_and_ortho_errors_name_the_field(case, tmp_path, capsys):
+    loader, obj, message, argv = FIELD_VALUE_ERRORS[case]
+    with pytest.raises(InputError) as info:
+        loader.from_json(obj)
+    assert str(info.value) == message
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    assert main([str(path) if a == "{}" else str(a) for a in argv]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # Every loader's message for a non-object and for each missing field, by the
 # name the message gives the structure and the fields in the order checked.
 SHAPE_ERRORS = {

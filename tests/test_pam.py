@@ -567,11 +567,19 @@ def test_dimension_clause_c_literal_joins():
 
 def test_dimension_equivalence_rejects_bad_inputs():
     s = catalog.boolean_oml(2)
-    with pytest.raises(InputError, match="carrier"):
+    with pytest.raises(InputError, match="relation is 3->3 but the lattice has 4 elements"):
         is_dimension_equivalence(s, FinRel.identity(Carrier(3)))
     broken = OmlStructure(s.lattice, (0, 1, 2, 3))
     with pytest.raises(InputError, match="not an orthomodular lattice"):
         is_dimension_equivalence(broken, FinRel.identity(s.lattice.order.dom))
+
+
+def test_dimension_equivalence_checks_sizes_before_the_lattice():
+    broken = OmlStructure(catalog.boolean_oml(2).lattice, (0, 1, 2, 3))
+    rect = FinRel(Carrier(4), Carrier(3), (0, 0, 0, 0))
+    with pytest.raises(InputError) as info:
+        is_dimension_equivalence(broken, rect)
+    assert str(info.value) == "relation is 4->3 but the lattice has 4 elements"
 
 
 # -- serialization ----------------------------------------------------------------
