@@ -1,165 +1,60 @@
 """Finite relations as a posetal 2-category, relational monoids and their
 monads, lattice quotient orders, and partial abelian monoids, all with
-exhaustive checkers that report concrete witnesses."""
+exhaustive checkers that report concrete witnesses.
 
-from .rel import (
-    Carrier,
-    FinRel,
-    TwoCell,
-    is_equivalence,
-    is_left_adjoint_rel,
-    is_partial_order,
-    is_preorder,
-    is_subcell,
-    kernel,
-    product_carrier,
-    product_rel,
-    refl_trans_closure,
-    union,
-)
-from .report import (
-    CheckReport,
-    InputError,
-    InternalCheckError,
-    PreconditionError,
-    ToolkitError,
-)
-from .monoid import (
-    LaxMorphism,
-    MonadCandidate,
-    RelMonoid,
-    check_monoid_axioms,
-    check_reflection_universal,
-    from_category,
-    from_monoid_table,
-    from_poset_quotients,
-    induced_monad,
-    interval_monoid,
-    is_endo_square,
-    is_lax_morphism,
-    is_left_adjoint_relmon,
-    is_monad,
-    left_unit_of,
-    monad_from_adjunction_conditions,
-    monad_reflection,
-    poly_monoid,
-    quotient_pairs,
-    quotient_relmonoid,
-    right_unit_of,
-)
-from .lattice import (
-    FinLattice,
-    QuotientOrder,
-    build_quotient_order,
-    check_qa_monad_iff_modular,
-    check_star_star,
-    is_modular,
-    is_qa_monad,
-    lattice_from_order,
-    q_functor,
-)
-from .pam import (
-    CongruenceCandidate,
-    OmlStructure,
-    PartialAbelianMonoid,
-    adjoint_induces_c1c2c5,
-    canonical_order,
-    check_congruence,
-    check_pam_axioms,
-    has_rdp,
-    is_cancellative,
-    is_dimension_equivalence,
-    is_effect_algebra,
-    is_gea,
-    is_positive,
-    oml_as_effect_algebra,
-    pam_from_relmonoid,
-    quotient_map_is_left_adjoint,
-    quotient_pam,
-    to_relmonoid,
-    validate_oml,
-)
-from .search import (
-    EnumSpec,
-    KIND_LIMITS,
-    enumerate_structures,
-    property_keys,
-    verify_universal,
-)
+``import relmon`` loads no submodule: each exported name is looked up in
+the submodule that defines it on first use (PEP 562), and nothing is
+copied into this namespace.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Carrier",
-    "CheckReport",
-    "CongruenceCandidate",
-    "EnumSpec",
-    "FinLattice",
-    "FinRel",
-    "InputError",
-    "InternalCheckError",
-    "KIND_LIMITS",
-    "LaxMorphism",
-    "MonadCandidate",
-    "OmlStructure",
-    "PartialAbelianMonoid",
-    "PreconditionError",
-    "QuotientOrder",
-    "RelMonoid",
-    "ToolkitError",
-    "TwoCell",
-    "adjoint_induces_c1c2c5",
-    "build_quotient_order",
-    "canonical_order",
-    "check_congruence",
-    "check_monoid_axioms",
-    "check_pam_axioms",
-    "check_qa_monad_iff_modular",
-    "check_reflection_universal",
-    "check_star_star",
-    "enumerate_structures",
-    "from_category",
-    "from_monoid_table",
-    "from_poset_quotients",
-    "has_rdp",
-    "induced_monad",
-    "interval_monoid",
-    "is_cancellative",
-    "is_dimension_equivalence",
-    "is_effect_algebra",
-    "is_endo_square",
-    "is_equivalence",
-    "is_gea",
-    "is_lax_morphism",
-    "is_left_adjoint_rel",
-    "is_left_adjoint_relmon",
-    "is_modular",
-    "is_monad",
-    "is_partial_order",
-    "is_positive",
-    "is_preorder",
-    "is_qa_monad",
-    "is_subcell",
-    "kernel",
-    "lattice_from_order",
-    "left_unit_of",
-    "monad_from_adjunction_conditions",
-    "monad_reflection",
-    "oml_as_effect_algebra",
-    "pam_from_relmonoid",
-    "poly_monoid",
-    "product_carrier",
-    "product_rel",
-    "property_keys",
-    "q_functor",
-    "quotient_map_is_left_adjoint",
-    "quotient_pairs",
-    "quotient_pam",
-    "quotient_relmonoid",
-    "refl_trans_closure",
-    "right_unit_of",
-    "to_relmonoid",
-    "union",
-    "validate_oml",
-    "verify_universal",
-]
+# the public names, by the submodule that defines them
+_EXPORTS = {
+    "rel": (
+        "Carrier", "FinRel", "TwoCell", "is_equivalence", "is_left_adjoint_rel",
+        "is_partial_order", "is_preorder", "is_subcell", "kernel", "product_carrier",
+        "product_rel", "refl_trans_closure", "union",
+    ),
+    "report": (
+        "CheckReport", "InputError", "InternalCheckError", "PreconditionError", "ToolkitError",
+    ),
+    "monoid": (
+        "LaxMorphism", "MonadCandidate", "RelMonoid", "check_monoid_axioms",
+        "check_reflection_universal", "from_category", "from_monoid_table",
+        "from_poset_quotients", "induced_monad", "interval_monoid", "is_endo_square",
+        "is_lax_morphism", "is_left_adjoint_relmon", "is_monad", "left_unit_of",
+        "monad_from_adjunction_conditions", "monad_reflection", "poly_monoid",
+        "quotient_pairs", "quotient_relmonoid", "right_unit_of",
+    ),
+    "lattice": (
+        "FinLattice", "QuotientOrder", "build_quotient_order", "check_qa_monad_iff_modular",
+        "check_star_star", "is_modular", "is_qa_monad", "lattice_from_order", "q_functor",
+    ),
+    "pam": (
+        "CongruenceCandidate", "OmlStructure", "PartialAbelianMonoid",
+        "adjoint_induces_c1c2c5", "canonical_order", "check_congruence", "check_pam_axioms",
+        "has_rdp", "is_cancellative", "is_dimension_equivalence", "is_effect_algebra",
+        "is_gea", "is_positive", "oml_as_effect_algebra", "pam_from_relmonoid",
+        "quotient_map_is_left_adjoint", "quotient_pam", "to_relmonoid", "validate_oml",
+    ),
+    "search": (
+        "EnumSpec", "KIND_LIMITS", "enumerate_structures", "property_keys", "verify_universal",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str) -> object:
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -71,7 +71,12 @@ class FinLattice:
         rel = FinRel.from_field(carrier, carrier, obj, "order")
         # reflexive pairs may be omitted in files
         rel = FinRel(carrier, carrier, tuple(row | 1 << a for a, row in enumerate(rel.rows)))
-        return lattice_from_order(rel)
+        try:
+            return lattice_from_order(rel)
+        except InputError as e:
+            if not size:  # no order is at fault on an empty carrier
+                raise
+            raise InputError(f"field 'order': {e}") from None
 
 
 def lattice_from_order(order: FinRel) -> FinLattice:

@@ -13,7 +13,7 @@ import pytest
 
 import relmon
 from relmon import catalog
-from relmon.cli import _FILE_COMMANDS, build_parser, main
+from relmon.cli import _FILE_COMMANDS, _resolve, build_parser, main
 from relmon.lattice import (
     FinLattice,
     check_qa_monad_iff_modular,
@@ -208,6 +208,14 @@ def test_each_flag_runs_its_checker(command, flag, capsys):
 
 def test_check_table_covers_every_flag():
     assert sorted(CHECKS, key=str) == sorted(FILE_CHECK_FLAGS, key=str)
+
+
+def test_every_table_name_resolves():
+    # the table names its functions as text; a typo must fail here, not at a
+    # user's first run
+    for cmd in _FILE_COMMANDS:
+        for name in (cmd.load, cmd.run, *(check for _, check, _ in cmd.flags)):
+            assert callable(_resolve(name)), (cmd.name, name)
 
 
 # -- constructions ----------------------------------------------------------------
@@ -428,6 +436,7 @@ def test_check_lattice_structure_verdict(tmp_path, capsys):
     assert code == 1
     assert "lattice: FAIL clause=structure" in out
     assert "not a lattice" in out
+    assert out == "lattice: FAIL clause=structure not a lattice: pair (0, 1) has no meet\n"
 
 
 def test_missing_subcommand_is_usage_error(capsys):
@@ -476,10 +485,14 @@ def readme_subcommand_rows():
 
 
 def subcommands():
-    """The subparsers action of the relmon parser."""
-    return next(
+    """The subparsers action of the relmon parser, with every subparser's
+    arguments added: enumerate adds its own when it first formats its help."""
+    action = next(
         a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
     )
+    for sp in action.choices.values():
+        sp.format_help()
+    return action
 
 
 def test_readme_subcommand_table_matches_parser():

@@ -157,6 +157,24 @@ CASES = {
         "relation pair",
         ["quotient", "{}"],
     ),
+    "lattice-order-pair-text": (
+        FinLattice,
+        {"carrier": 2, "order": [["not a lattice"]]},
+        "relation pair",
+        ["check-lattice", "{}"],
+    ),
+    "lattice-order-not-a-lattice": (
+        FinLattice,
+        {"carrier": 2, "order": []},
+        "field 'order': not a lattice",
+        ["check-qa", "{}"],
+    ),
+    "oml-lattice-order-not-a-lattice": (
+        OmlStructure,
+        dict(MO2_OML, lattice={"carrier": 2, "order": []}),
+        "field 'order': not a lattice",
+        ["check-dimeq", "{}", MO2_SIM],
+    ),
 }
 
 
