@@ -74,9 +74,8 @@ class FinLattice:
         try:
             return lattice_from_order(rel)
         except InputError as e:
-            if not size:  # no order is at fault on an empty carrier
-                raise
-            raise InputError(f"field 'order': {e}") from None
+            # on an empty carrier the size is at fault, not the order
+            raise InputError(f"field {'order' if size else 'carrier'!r}: {e}") from None
 
 
 def lattice_from_order(order: FinRel) -> FinLattice:

@@ -4,9 +4,9 @@ A carrier is an index set {0, ..., size-1} with optional display labels. A
 relation from A to B keeps one Python int per element of A, the bitmask of its
 images in B. Composition is then a row-by-row bitwise OR, i.e. a boolean
 matrix product at O(n^3 / wordsize), and all the order/equivalence checks are
-mask arithmetic. compose_rows is the one OR-of-rows kernel that all of this
-goes through, and symmetry is read off transpose_rows. The empty carrier is
-legal everywhere.
+mask arithmetic. compose_rows is the one OR-of-rows kernel that composition,
+closure and transitivity go through; symmetry, and the unit of an adjunction,
+are read off transpose_rows. The empty carrier is legal everywhere.
 
 Relations serialize as {"dom": n, "cod": m, "pairs": [[a, b], ...]}; pair
 order is irrelevant on input and lexicographic on output.
@@ -15,6 +15,7 @@ order is irrelevant on input and lexicographic on output.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .report import CheckReport, InputError, PreconditionError, json_fields
@@ -189,6 +190,12 @@ class FinRel:
             raise PreconditionError("relation is not a mapping")
         return [lowest_bit(row) for row in self.rows]
 
+    @cached_property
+    def cols(self) -> tuple[int, ...]:
+        """Bit rows of the transpose, kept on the instance: cols[b] is the
+        mask of a with (a, b) related."""
+        return transpose_rows(self.rows, self.cod.size)
+
     def contains(self, other: "FinRel") -> bool:
         _require_parallel(other, self)
         return all(o & ~s == 0 for o, s in zip(other.rows, self.rows))
@@ -288,15 +295,18 @@ def is_left_adjoint_rel(f: FinRel, g: FinRel) -> CheckReport:
 
     Requires id_dom ⊆ (f then g) and (g then f) ⊆ id_cod; the report records
     which inclusion fails, with the offending pair as witness. Holds exactly
-    when f is a mapping and g is its transpose.
+    when f is a mapping and g is its transpose. The unit holds at a iff
+    f.rows[a] meets g.cols[a], so it stops at the first failing row without
+    composing; g keeps its transpose, and the counit is composed only once
+    the unit holds.
     """
     if g.dom.size != f.cod.size or g.cod.size != f.dom.size:
         raise InputError(
             "adjoint candidate has mismatched carriers: "
             f"f is {f.dom.size}->{f.cod.size} but g is {g.dom.size}->{g.cod.size}"
         )
-    for a, row in enumerate(compose_rows(f.rows, g.rows)):
-        if not row >> a & 1:
+    for a, (row, col) in enumerate(zip(f.rows, g.cols)):
+        if not row & col:
             return CheckReport.failing(
                 "left-adjoint-rel",
                 "unit",

@@ -60,7 +60,7 @@ class CheckReport:
 
     @classmethod
     def passing(cls, check: str, message: str = "", **details: Any) -> "CheckReport":
-        return cls(check=check, ok=True, message=message, details=details)
+        return cls._build(check, True, None, None, message, details)
 
     @classmethod
     def failing(
@@ -71,14 +71,20 @@ class CheckReport:
         message: str = "",
         **details: Any,
     ) -> "CheckReport":
-        return cls(
-            check=check,
-            ok=False,
-            failed=failed,
-            witness=witness,
-            message=message,
-            details=details,
+        return cls._build(check, False, failed, witness, message, details)
+
+    @classmethod
+    def _build(
+        cls, check: str, ok: bool, failed: str | None, witness: tuple[int, ...] | None,
+        message: str, details: dict[str, Any],
+    ) -> "CheckReport":
+        """The report the generated __init__ would give, with the fields set
+        in one __dict__ update instead of one frozen __setattr__ each."""
+        rep = object.__new__(cls)
+        rep.__dict__.update(
+            check=check, ok=ok, failed=failed, witness=witness, message=message, details=details
         )
+        return rep
 
     def summary(self) -> str:
         if self.ok:

@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from heapq import merge
-from itertools import permutations, product, takewhile
+from itertools import chain, permutations, product, takewhile
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .lattice import (
@@ -582,18 +582,24 @@ def _gen_pams(n: int, dedup: bool) -> Iterator[PartialAbelianMonoid]:
 
 def _gen_categories(narr: int) -> list[tuple[int, tuple, dict]]:
     """All labeled categories with the given arrow count, as
-    (object count, arrow endpoints, composition table) triples."""
+    (object count, arrow endpoints, composition table) triples.
+
+    Each placed composite is checked only on the triples (f, g, h) that read
+    its cell as (f, g), (g, h), (fg, h) or (f, gh); every other triple reads
+    what it read before, and held then, as every triple of the identity
+    composites alone holds.
+    """
     if narr == 0:
         return [(0, (), {})]
     results = []
     for nobj in range(1, narr + 1):
         for arrows in product(product(range(nobj), repeat=2), repeat=narr):
+            if len({s for s, d in arrows if s == d}) < nobj:
+                continue
             loops = [
                 [i for i, (s, d) in enumerate(arrows) if s == o and d == o]
                 for o in range(nobj)
             ]
-            if any(not lp for lp in loops):
-                continue
             composable = [
                 (i, j)
                 for i in range(narr)
@@ -612,21 +618,22 @@ def _gen_categories(narr: int) -> list[tuple[int, tuple, dict]]:
                     else:
                         free.append((i, j))
 
-                def assoc_ok() -> bool:
-                    for f, g in composable:
+                def assoc_ok(i: int, j: int) -> bool:
+                    triples = chain(
+                        ((i, j, h) for h in range(narr)),
+                        ((f, i, j) for f in range(narr)),
+                        ((f, g, j) for (f, g), fg in comp.items() if fg == i),
+                        ((i, g, h) for (g, h), gh in comp.items() if gh == j),
+                    )
+                    for f, g, h in triples:
                         fg = comp.get((f, g))
-                        if fg is None:
+                        gh = comp.get((g, h))
+                        if fg is None or gh is None:
                             continue
-                        for h in range(narr):
-                            if arrows[g][1] != arrows[h][0]:
-                                continue
-                            gh = comp.get((g, h))
-                            lhs = comp.get((fg, h))
-                            if gh is None or lhs is None:
-                                continue
-                            rhs = comp.get((f, gh))
-                            if rhs is not None and lhs != rhs:
-                                return False
+                        lhs = comp.get((fg, h))
+                        rhs = comp.get((f, gh))
+                        if lhs is not None and rhs is not None and lhs != rhs:
+                            return False
                     return True
 
                 def place(k: int) -> None:
@@ -639,7 +646,7 @@ def _gen_categories(narr: int) -> list[tuple[int, tuple, dict]]:
                         if arrows[h] != want:
                             continue
                         comp[(i, j)] = h
-                        if assoc_ok():
+                        if assoc_ok(i, j):
                             place(k + 1)
                         del comp[(i, j)]
 
@@ -730,9 +737,8 @@ def _law_left_adjoint_iff_map(size: int, rng: random.Random) -> CheckReport:
             for frows in _all_rels(na, nb):
                 f = FinRel(ca, cb, frows)
                 fmap = f.is_map()
-                fdag_rows = f.dagger().rows
                 for g in all_g:
-                    expected = fmap and g.rows == fdag_rows
+                    expected = fmap and g.rows == f.cols
                     actual = is_left_adjoint_rel(f, g).ok
                     checked += 1
                     if actual != expected:

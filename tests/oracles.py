@@ -673,3 +673,72 @@ def dimension_clause_b_by_loop(s, sim):
                 ):
                     return a1, a2, b
     return None
+
+
+def categories_by_rescan(narr):
+    """All labeled categories with narr arrows, in relmon's order, as
+    (object count, arrow endpoints, composition table) triples: the same
+    search as relmon's _gen_categories, but every placed composite rescans
+    associativity over the whole partial table."""
+    if narr == 0:
+        return [(0, (), {})]
+    results = []
+    for nobj in range(1, narr + 1):
+        for arrows in product(product(range(nobj), repeat=2), repeat=narr):
+            loops = [
+                [i for i, (s, d) in enumerate(arrows) if s == o and d == o]
+                for o in range(nobj)
+            ]
+            if any(not lp for lp in loops):
+                continue
+            composable = [
+                (i, j)
+                for i in range(narr)
+                for j in range(narr)
+                if arrows[i][1] == arrows[j][0]
+            ]
+            for ids in product(*loops):
+                idset = set(ids)
+                comp = {}
+                free = []
+                for i, j in composable:
+                    if i in idset:
+                        comp[(i, j)] = j
+                    elif j in idset:
+                        comp[(i, j)] = i
+                    else:
+                        free.append((i, j))
+
+                def assoc_ok():
+                    for f, g in composable:
+                        fg = comp.get((f, g))
+                        if fg is None:
+                            continue
+                        for h in range(narr):
+                            if arrows[g][1] != arrows[h][0]:
+                                continue
+                            gh = comp.get((g, h))
+                            lhs = comp.get((fg, h))
+                            if gh is None or lhs is None:
+                                continue
+                            rhs = comp.get((f, gh))
+                            if rhs is not None and lhs != rhs:
+                                return False
+                    return True
+
+                def place(k):
+                    if k == len(free):
+                        results.append((nobj, arrows, dict(comp)))
+                        return
+                    i, j = free[k]
+                    want = (arrows[i][0], arrows[j][1])
+                    for h in range(narr):
+                        if arrows[h] != want:
+                            continue
+                        comp[(i, j)] = h
+                        if assoc_ok():
+                            place(k + 1)
+                        del comp[(i, j)]
+
+                place(0)
+    return results

@@ -169,6 +169,18 @@ CASES = {
         "field 'order': not a lattice",
         ["check-qa", "{}"],
     ),
+    "lattice-carrier-empty": (
+        FinLattice,
+        {"carrier": 0, "order": []},
+        "field 'carrier': a lattice needs at least one element",
+        ["check-lattice", "{}"],
+    ),
+    "lattice-carrier-empty-qa": (
+        FinLattice,
+        {"carrier": 0, "order": []},
+        "field 'carrier': a lattice needs at least one element",
+        ["check-qa", "{}"],
+    ),
     "oml-lattice-order-not-a-lattice": (
         OmlStructure,
         dict(MO2_OML, lattice={"carrier": 2, "order": []}),

@@ -1,5 +1,6 @@
 """Relation algebra: frozen examples plus randomized algebraic laws."""
 
+import random
 from collections import Counter
 from itertools import product
 
@@ -401,3 +402,42 @@ def test_left_adjoint_rel_matches_reference_scan():
                 assert rep.to_json() == oracles.left_adjoint_rel_report(f, g).to_json()
                 clauses[rep.failed] += 1
     assert set(clauses) == {None, "unit", "counit"}
+
+
+def test_left_adjoint_rel_matches_reference_scan_on_3x3():
+    # every 3 x 3 pair whose unit holds, built row by row from an f-row and a
+    # g-column that meet, then a seeded sample of all 3 x 3 pairs; the g of
+    # the sample come from one list, so most of them reuse a kept transpose
+    c3 = Carrier(3)
+    meeting = [(r, c) for r in range(8) for c in range(8) if r & c]
+    clauses = Counter()
+    for choice in product(meeting, repeat=3):
+        f = FinRel(c3, c3, tuple(r for r, _ in choice))
+        g = FinRel(c3, c3, tuple(
+            sum(1 << a for a, (_, c) in enumerate(choice) if c >> b & 1) for b in range(3)
+        ))
+        rep = is_left_adjoint_rel(f, g)
+        assert rep.to_json() == oracles.left_adjoint_rel_report(f, g).to_json()
+        clauses[rep.failed] += 1
+    assert set(clauses) == {None, "counit"}
+    assert sum(clauses.values()) == 37**3
+    rng = random.Random(3)
+    all_g = _rels(3, 3)
+    for _ in range(4000):
+        f, g = FinRel(c3, c3, tuple(rng.randrange(8) for _ in range(3))), rng.choice(all_g)
+        rep = is_left_adjoint_rel(f, g)
+        assert rep.to_json() == oracles.left_adjoint_rel_report(f, g).to_json()
+        clauses[rep.failed] += 1
+    assert clauses["unit"] > 0
+
+
+def test_cached_transpose_keeps_equality_hash_and_json():
+    f = rel(2, 3, [(0, 1), (0, 2), (1, 0)])
+    twin = rel(2, 3, [(0, 1), (0, 2), (1, 0)])
+    before = hash(f), repr(f), f.to_json()
+    assert f.cols == (2, 1, 1) == f.dagger().rows
+    assert f.cols is f.cols
+    assert "cols" in vars(f) and "cols" not in vars(twin)
+    assert f == twin and twin == f
+    assert (hash(f), repr(f), f.to_json()) == before == (hash(twin), repr(twin), twin.to_json())
+    assert len({f, twin}) == 1

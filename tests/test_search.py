@@ -578,6 +578,26 @@ def test_law_holds_at_reduced_size(key):
     assert rep.check == f"verify:{key}"
 
 
+# labeled categories with 0..4 arrows, recorded regression values
+CATEGORY_COUNTS = [1, 1, 6, 75, 1536]
+
+
+def test_categories_match_the_rescan_oracle():
+    for narr, count in enumerate(CATEGORY_COUNTS):
+        cats = search._gen_categories(narr)
+        assert cats == oracles.categories_by_rescan(narr)
+        assert len(cats) == count
+
+
+def test_adjoint_and_category_sweeps_count_at_default_sizes():
+    # recorded regression values: every pair up to 3 x 3, every category up to 4 arrows
+    rep = verify_universal("left-adjoint-iff-map")
+    assert rep.ok and rep.details == {"pairs_checked": 270763}
+    rep = verify_universal("category-axioms")
+    assert rep.ok and rep.details == {"categories_checked": sum(CATEGORY_COUNTS)}
+    assert sum(CATEGORY_COUNTS) == 1619
+
+
 def test_reflection_least_holds_at_its_max_size():
     assert verify_universal("reflection-least", size=3).ok
 
