@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .monoid import MonadCandidate, RelMonoid, from_poset_quotients, is_monad, quotient_pairs
-from .rel import Carrier, FinRel, bits, is_partial_order, lowest_bit
+from .rel import Carrier, FinRel, bits, in_field, is_partial_order, lowest_bit
 from .report import CheckReport, InputError, PreconditionError, json_fields
 
 
@@ -68,14 +68,11 @@ class FinLattice:
         if not isinstance(size, int) or isinstance(size, bool) or size < 0:
             raise InputError("field 'carrier' must be a nonnegative integer size")
         carrier = Carrier(size)
-        rel = FinRel.from_field(carrier, carrier, obj, "order")
+        rel = in_field("order", FinRel.from_pairs, carrier, carrier, obj["order"])
         # reflexive pairs may be omitted in files
         rel = FinRel(carrier, carrier, tuple(row | 1 << a for a, row in enumerate(rel.rows)))
-        try:
-            return lattice_from_order(rel)
-        except InputError as e:
-            # on an empty carrier the size is at fault, not the order
-            raise InputError(f"field {'order' if size else 'carrier'!r}: {e}") from None
+        # on an empty carrier the size is at fault, not the order
+        return in_field("order" if size else "carrier", lattice_from_order, rel)
 
 
 def lattice_from_order(order: FinRel) -> FinLattice:

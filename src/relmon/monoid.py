@@ -25,6 +25,7 @@ from .rel import (
     bits,
     class_partition,
     compose_rows,
+    in_field,
     is_equivalence,
     is_partial_order,
     is_preorder,
@@ -119,7 +120,10 @@ class RelMonoid:
             for t in mult
         ):
             raise InputError("field 'mult' must be a list of [a1, a2, a] triples")
-        return cls.make(size, units, mult, json_labels(obj, size))
+        labels = json_labels(obj, size)
+        # the constructor checks the units before the products
+        in_field("units", cls.make, size, units, ())
+        return in_field("mult", cls.make, size, units, mult, labels)
 
 
 @dataclass(frozen=True)
@@ -147,8 +151,9 @@ class LaxMorphism:
     @classmethod
     def from_json(cls, obj: object) -> "LaxMorphism":
         src, dst, _ = json_fields(obj, "morphism", "src", "dst", "rel")
-        src, dst = RelMonoid.from_json(src), RelMonoid.from_json(dst)
-        rel = FinRel.from_field(src.carrier, dst.carrier, obj, "rel")
+        src = in_field("src", RelMonoid.from_json, src)
+        dst = in_field("dst", RelMonoid.from_json, dst)
+        rel = in_field("rel", FinRel.from_pairs, src.carrier, dst.carrier, obj["rel"])
         return cls(src, dst, rel)
 
 
@@ -175,8 +180,8 @@ class MonadCandidate:
     @classmethod
     def from_json(cls, obj: object) -> "MonadCandidate":
         base, _ = json_fields(obj, "monad candidate", "base", "order")
-        base = RelMonoid.from_json(base)
-        order = FinRel.from_field(base.carrier, base.carrier, obj, "order")
+        base = in_field("base", RelMonoid.from_json, base)
+        order = in_field("order", FinRel.from_pairs, base.carrier, base.carrier, obj["order"])
         return cls(base, order)
 
 

@@ -34,6 +34,7 @@ from .rel import (
     FinRel,
     bits,
     class_partition,
+    in_field,
     is_equivalence,
     is_partial_order,
     json_labels,
@@ -125,7 +126,9 @@ class PartialAbelianMonoid:
             isinstance(t, list) and len(t) == 3 for t in plus
         ):
             raise InputError("field 'plus' must be a list of [a, b, a+b] cells")
-        return cls.from_cells(size, zero, plus, json_labels(obj, size))
+        labels = json_labels(obj, size)
+        in_field("zero", cls, Carrier(size), zero, (-1,) * (size * size))
+        return in_field("plus", cls.from_cells, size, zero, plus, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +379,8 @@ class CongruenceCandidate:
     @classmethod
     def from_json(cls, obj: object) -> "CongruenceCandidate":
         base, _ = json_fields(obj, "congruence", "base", "classes")
-        base = PartialAbelianMonoid.from_json(base)
-        rel = FinRel.from_field(base.carrier, base.carrier, obj, "classes")
+        base = in_field("base", PartialAbelianMonoid.from_json, base)
+        rel = in_field("classes", FinRel.from_pairs, base.carrier, base.carrier, obj["classes"])
         return cls(base, rel)
 
 
@@ -540,7 +543,7 @@ class OmlStructure:
     @classmethod
     def from_json(cls, obj: object) -> "OmlStructure":
         lattice, ortho = json_fields(obj, "orthomodular lattice", "lattice", "ortho")
-        lattice = FinLattice.from_json(lattice)
+        lattice = in_field("lattice", FinLattice.from_json, lattice)
         if not isinstance(ortho, list) or not all(
             isinstance(x, int) and not isinstance(x, bool) for x in ortho
         ):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .report import CheckReport, InputError, PreconditionError, json_fields
 
@@ -93,6 +93,15 @@ class Carrier:
         return "(" + ", ".join(self.label(i) for i in elems) + ")"
 
 
+def in_field(key: str, load: Callable[..., Any], *args: Any) -> Any:
+    """load(*args), with the message of any InputError it raises prefixed
+    by the JSON field key it was loading."""
+    try:
+        return load(*args)
+    except InputError as exc:
+        raise InputError(f"field {key!r}: {exc}") from None
+
+
 def json_labels(obj: dict, size: int) -> tuple[str, ...] | None:
     """The optional 'labels' field of a JSON structure on size elements,
     checked as Carrier checks it, with the field named in every error."""
@@ -101,10 +110,7 @@ def json_labels(obj: dict, size: int) -> tuple[str, ...] | None:
         return None
     if not (isinstance(labels, list) and all(isinstance(s, str) for s in labels)):
         raise InputError("field 'labels' must be a list of strings")
-    try:
-        return Carrier(size, tuple(labels)).labels
-    except InputError as exc:
-        raise InputError(f"field 'labels': {exc}") from None
+    return in_field("labels", Carrier, size, tuple(labels)).labels
 
 
 @dataclass(frozen=True)
@@ -148,14 +154,6 @@ class FinRel:
                 raise InputError(f"relation pair ({a}, {b}) out of range")
             rows[a] |= 1 << b
         return cls(dom, cod, tuple(rows))
-
-    @classmethod
-    def from_field(cls, dom: Carrier, cod: Carrier, obj: dict, key: str) -> "FinRel":
-        """The [[a, b], ...] relation in field key of obj; errors name the field."""
-        try:
-            return cls.from_pairs(dom, cod, obj[key])
-        except InputError as e:
-            raise InputError(f"field {key!r}: {e}") from None
 
     @classmethod
     def identity(cls, carrier: Carrier) -> "FinRel":

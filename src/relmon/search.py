@@ -7,7 +7,8 @@ monoids. Each kind is named once, in KINDS, with its size limit, its
 generator and the type of base it takes, if any; EnumSpec,
 enumerate_structures, the laws' cached pools and the CLI read that table.
 Generation is deterministic; isomorphism rejection (dedup) keeps the
-lexicographically least labeling of each class.
+lexicographically least labeling of each class. PAMs, relational monoids
+and categories are tables filled by one orderly kernel, _fill.
 
 verify_universal runs a named law over the relevant enumeration and reports
 the first counterexample, in enumeration order, with a full serialization.
@@ -22,7 +23,7 @@ import random
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from heapq import merge
-from itertools import chain, permutations, product, takewhile
+from itertools import permutations, product, takewhile
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .lattice import (
@@ -39,7 +40,6 @@ from .monoid import (
     LaxMorphism,
     MonadCandidate,
     RelMonoid,
-    _assoc_witness,
     _monad_conditions,
     check_monoid_axioms,
     check_reflection_universal,
@@ -167,110 +167,164 @@ def _perms_fixing_zero(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 # ---------------------------------------------------------------------------
+# orderly table filling
+
+_UNSET = -2  # a table entry no slot has written yet; -1 stays a value
+
+
+def _relabelings(n: int, perms: Sequence[tuple[int, ...]], image: Callable) -> list:
+    """Per permutation p but the first (the identity), as _fill takes it:
+    p's image of a value and, per entry of the n x n table u that p makes of
+    t, the entry of t it reads: u[p(a)*n + p(b)] = image(p)[t[a*n + b]]."""
+    out = []
+    for p in perms[1:]:
+        q = sorted(range(n), key=p.__getitem__)
+        out.append((image(p), [q[i // n] * n + q[i % n] for i in range(n * n)]))
+    return out
+
+
+def _fill(
+    t: list[int], slots: Sequence[Sequence[int]], values: Sequence[Iterable[int]],
+    ok: Callable[[int], bool], relabelings: Sequence[tuple] = (),
+) -> Iterator[list[int]]:
+    """Depth-first fill of t, yielding t itself at each full table.
+
+    Slot k writes each value of values[k] in turn into its entries, which
+    start _UNSET and are reset on backtracking, and the walk goes deeper
+    while ok(k) holds. Slots in entry order with ascending values give the
+    tables in ascending order.
+
+    With relabelings the fill is orderly (Read 1978, McKay 1998). Each maps
+    t to u, u[i] = image[t[source[i]]], and agrees with t off the slots.
+    After slot k the slot entries are compared in ascending order up to the
+    first one unset in t or in its source, and a branch is pruned if some u
+    is smaller at the first difference: every completion keeps both
+    prefixes, so none is the least of its orbit, and no prefix of a least
+    table is pruned. At a full table the test is exact.
+    """
+    step = {e: k for k, slot in enumerate(slots) for e in slot}
+    # after slot k, per relabeling: its image and the (entry, source) pairs
+    # set in both, up to the first one that is not
+    images: list[list] = [[] for _ in slots]
+    for image, source in relabelings:
+        pairs = [(i, source[i]) for i in sorted(step)]
+        for k, after_k in enumerate(images):
+            ready = takewhile(lambda e: max(step[e[0]], step[e[1]]) <= k, pairs)
+            after_k.append((image, list(ready)))
+
+    def least(k: int) -> bool:
+        for image, prefix in images[k]:
+            for i, j in prefix:
+                w, v = image[t[j]], t[i]
+                if w != v:
+                    if w < v:
+                        return False
+                    break
+        return True
+
+    def place(k: int) -> Iterator[list[int]]:
+        if k == len(slots):
+            yield t
+            return
+        slot = slots[k]
+        for v in values[k]:
+            for e in slot:
+                t[e] = v
+            if ok(k) and least(k):
+                yield from place(k + 1)
+        for e in slot:
+            t[e] = _UNSET
+
+    return place(0)
+
+
+def _row_col_triples(n: int) -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
+    """Per entry r*n + c of an n x n table, the triples (x, y, z) with x = r
+    or z = c, as (x*n, x*n + y, y*n + z, z). Both bracketings of x*y*z read
+    only row x, (x, y) and (x, w) for w in y*z, and column z, (y, z) and
+    (w, z) for w in x*y; so a check of these triples at each placed entry,
+    once the cells a triple reads are set, checks every triple."""
+    return tuple(
+        tuple(
+            (x * n, x * n + y, y * n + z, z)
+            for x, y, z in product(range(n), repeat=3)
+            if x == r or z == c
+        )
+        for r, c in product(range(n), repeat=2)
+    )
+
+
+# ---------------------------------------------------------------------------
 # relational monoids
 
 
-def _nonempty_submasks(mask: int) -> list[int]:
-    subs = []
-    s = mask
-    while s:
-        subs.append(s)
-        s = (s - 1) & mask
-    subs.reverse()
-    return subs
-
-
-def _relmonoid_key(m: RelMonoid) -> tuple[int, tuple[int, ...]]:
-    return (m.units_mask, m.prod_masks)
-
-
-def _least_per_class(stream: Iterable, key: Callable, orbit: Callable) -> Iterator:
-    """The least labeling of each isomorphism class, from a stream that
-    already ascends by key.
-
-    In key order the first member of each orbit met is its minimum
-    serialized image, so this matches min-over-permutations canonicalization
-    at a fraction of the cost, and holds only the orbits of the kept ones.
-    """
-    seen: set = set()
-    for s in stream:
-        if key(s) not in seen:
-            seen.update(orbit(s))
-            yield s
-
-
-def _relmonoid_orbit(m: RelMonoid) -> list[tuple[int, tuple[int, ...]]]:
-    n = m.n
-    pm = m.prod_masks
-    keys = []
-    for perm in _perms(n):
-        moved = [1 << p for p in perm]
-        cells = compose_rows(pm, moved)
-        (units,) = compose_rows((m.units_mask,), moved)
-        ppm = [0] * (n * n)
-        for a1 in range(n):
-            for a2 in range(n):
-                ppm[perm[a1] * n + perm[a2]] = cells[a1 * n + a2]
-        keys.append((units, tuple(ppm)))
-    return keys
-
-
-def _monoid_from_pm(n: int, units_mask: int, pm: Sequence[int]) -> RelMonoid:
-    mult = []
-    for a1 in range(n):
-        for a2 in range(n):
-            for a in bits(pm[a1 * n + a2]):
-                mult.append((a1, a2, a))
-    return RelMonoid.make(n, list(bits(units_mask)), mult)
-
-
 def _gen_relmonoids(n: int, dedup: bool) -> Iterator[RelMonoid]:
-    """All relational monoids on a fixed carrier, in generation order, or
-    the least labeling of each class ascending by _relmonoid_key.
+    """All relational monoids on a fixed carrier, or the least labeling of
+    each isomorphism class ascending by (units_mask, prod_masks).
 
-    Unit cells are forced by the unit axioms (a unit multiplies anything to
-    at most that thing), so generation chooses the unit set, the nonempty
-    witness sets of right and left units per non-unit, and the unconstrained
-    cells between non-units. Associativity is the only filter left to run.
-    Generation order does not ascend by key at n = 3, so dedup sorts the
-    labeled monoids first.
+    _fill fills the prod_masks table per unit set. The unit axioms fix the
+    unit x unit cells and leave a unit cell of a non-unit a {} or {a}; ok
+    checks that a has a unit on a side once its last unit cell there is
+    placed, then associativity on the triples of _row_col_triples through
+    the placed cell whose cells read are all set. The labeled stream keeps
+    the order of the product it once filtered: unit sets ascending, per
+    non-unit its right and then per non-unit its left unit cells, highest
+    unit first, then the other cells row-major. A least labeling has its
+    units at 0..k-1, so dedup walks those unit sets alone, row-major and
+    orderly under the permutations that keep {0..k-1}.
     """
-    if dedup:
-        labeled = sorted(_gen_relmonoids(n, False), key=_relmonoid_key)
-        yield from _least_per_class(labeled, _relmonoid_key, _relmonoid_orbit)
-        return
     if n == 0:
         yield RelMonoid.make(0, [], [])
         return
-    for units_mask in range(1, 1 << n):
+    triples = _row_col_triples(n)
+    members = [tuple(bits(m)) for m in range(1 << n)]
+    masks = [(1 << k) - 1 for k in range(1, n + 1)] if dedup else range(1, 1 << n)
+    for units_mask in masks:
         units = list(bits(units_mask))
         non_units = [a for a in range(n) if not units_mask >> a & 1]
-        unit_subsets = _nonempty_submasks(units_mask)
-        base = [0] * (n * n)
-        for y in units:
-            base[y * n + y] = 1 << y
-        free_cells = [(a, b) for a in non_units for b in non_units]
-        s_slots = list(non_units)
-        t_slots = list(non_units)
-        choice_space = (
-            [unit_subsets] * len(s_slots)
-            + [unit_subsets] * len(t_slots)
-            + [range(1 << n)] * len(free_cells)
-        )
-        ns = len(s_slots)
-        nt = len(t_slots)
-        for choice in product(*choice_space):
-            pm = base.copy()
-            for i, a in enumerate(s_slots):
-                for y in bits(choice[i]):
-                    pm[a * n + y] = 1 << a
-            for i, a in enumerate(t_slots):
-                for y in bits(choice[ns + i]):
-                    pm[y * n + a] = 1 << a
-            for i, (a, b) in enumerate(free_cells):
-                pm[a * n + b] = choice[ns + nt + i]
-            if _assoc_witness(pm, n) is None:
-                yield _monoid_from_pm(n, units_mask, pm)
+        t = [_UNSET] * (n * n)
+        for y, z in product(units, repeat=2):
+            t[y * n + z] = 1 << y if y == z else 0
+        # per non-unit a, its right unit cells a*y, then its left ones y*a
+        sides = [(a, [a * n + y for y in reversed(units)]) for a in non_units]
+        sides += [(a, [y * n + a for y in reversed(units)]) for a in non_units]
+        if dedup:
+            cells = [i for i in range(n * n) if t[i] == _UNSET]
+            perms = [p for p in _perms(n) if all(units_mask >> p[y] & 1 for y in units)]
+            # a mask's image is the union of its elements' images
+            relabelings = _relabelings(
+                n, perms, lambda p: compose_rows(range(1 << n), [1 << b for b in p])
+            )
+        else:
+            cells = [i for _, side in sides for i in side]
+            cells += [a * n + b for a in non_units for b in non_units]
+            relabelings = []
+        unit_cell = {i: (0, 1 << a) for a, side in sides for i in side}
+        values = [unit_cell.get(i, range(1 << n)) for i in cells]
+        due: list[list[list[int]]] = [[] for _ in cells]
+        for _, side in sides:
+            due[max(map(cells.index, side))].append(side)
+
+        def ok(k: int) -> bool:
+            if not all(any(t[i] for i in side) for side in due[k]):
+                return False
+            for xn, xy_i, yz_i, z in triples[cells[k]]:
+                xy, yz = t[xy_i], t[yz_i]
+                if xy < 0 or yz < 0:
+                    continue
+                lhs = rhs = 0
+                for w in members[xy]:
+                    lhs |= t[w * n + z]
+                for w in members[yz]:
+                    rhs |= t[xn + w]
+                # an unset cell read makes its side negative
+                if lhs != rhs and lhs >= 0 and rhs >= 0:
+                    return False
+            return True
+
+        for table in _fill(t, [(i,) for i in cells], values, ok, relabelings):
+            mult = [(i // n, i % n, a) for i, m in enumerate(table) for a in members[m]]
+            yield RelMonoid.make(n, units, mult)
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +405,21 @@ def _completions(n: int, b: int, t: int) -> Iterator[tuple[int, ...]]:
         for a, row in zip(mid, compose_rows(poset, moved)):
             rows[a] |= row
         yield tuple(rows)
+
+
+def _least_per_class(stream: Iterable, key: Callable, orbit: Callable) -> Iterator:
+    """The least labeling of each isomorphism class, from a stream that
+    already ascends by key.
+
+    In key order the first member of each orbit met is its minimum
+    serialized image, so this matches min-over-permutations canonicalization
+    at a fraction of the cost, and holds only the orbits of the kept ones.
+    """
+    seen: set = set()
+    for s in stream:
+        if key(s) not in seen:
+            seen.update(orbit(s))
+            yield s
 
 
 def _gen_lattices(n: int, dedup: bool) -> Iterator[FinLattice]:
@@ -471,68 +540,34 @@ def _gen_pams(n: int, dedup: bool) -> Iterator[PartialAbelianMonoid]:
     """All partial abelian monoids on {0..n-1} with the zero at index 0,
     ascending by plus table, or the least table of each isomorphism class.
 
-    The zero row and column and commutativity are baked into the search;
-    cells above the diagonal are assigned depth-first with incremental
-    associativity pruning. The cells are placed row-major with ascending
-    values, and every cell below the diagonal mirrors an earlier one, so the
-    leaves come out in ascending plus order.
-
-    Each placed cell (a, b) rechecks P1 on its list of triples (x, y, z):
-    those with a or b among x, y and z. A triple with a zero coordinate
-    always holds, since the zero row and column are fixed, so the lists
-    leave it out. The check is complete: P1 for (x, y, z) reads only the
-    cells (y, z), (x, y), (x, y+z) and (x+y, z), and each of them has x, y
-    or z as a coordinate. So when the last of those cells is placed, every
-    cell the triple reads holds its final value and the triple lies in
-    that cell's list, so every leaf is a partial abelian monoid.
-
-    With dedup the generation is orderly (Read 1978, McKay 1998). After a
-    placed cell passes P1, each permutation p fixing the zero maps t to u,
-    u[p(a)*n + p(b)] = p(t[a*n + b]) with -1 kept; walking the cells off the
-    zero row and column row-major up to the first one unset in t or in its
-    source, the branch is pruned if u is smaller at the first difference.
-    Every completion keeps both prefixes, so none is the least of its orbit,
-    and no prefix of a least table is pruned. At a leaf the test is exact:
-    the leaves are the least table of each orbit, in ascending order.
+    _fill places the cells above the diagonal row-major, each with its
+    mirror, with the values -1..n-1 ascending; with dedup it is orderly
+    under the permutations fixing the zero. Each placed cell rechecks P1
+    on the triples of _row_col_triples through it or its mirror, as P1 for
+    (x, y, z) reads (x, y) and (x, y+z) in row x and (y, z) and (x+y, z) in
+    column z. Triples with a zero coordinate hold, as the zero row and
+    column are fixed, and are left out.
     """
     if n == 0:
         return
-    UNSET = -2
-    t = [UNSET] * (n * n)
+    t = [_UNSET] * (n * n)
     for a in range(n):
         t[a] = a  # 0 + a
         t[a * n] = a  # a + 0
     cells = [(a, b) for a in range(1, n) for b in range(a, n)]
 
-    # One entry per triple (x, y, z): the row offset x*n, the index of the
-    # cell (y, z) (row offset y*n plus z), the index of (x, y), and z.
-    triples = [
-        (x, y, z, (x * n, y * n + z, x * n + y, z))
-        for x in range(n)
-        for y in range(n)
-        for z in range(n)
-    ]
+    triples = _row_col_triples(n)
     touching = [
         [
-            e
-            for x, y, z, e in triples
-            if 0 not in (x, y, z) and (a in (x, y, z) or b in (x, y, z))
+            (xn, xy_i, yz_i, z)
+            for xn, xy_i, yz_i, z in dict.fromkeys(triples[a * n + b] + triples[b * n + a])
+            if 0 not in (xn, xy_i % n, z)
         ]
         for a, b in cells
     ]
-    # After cell k, per permutation but the identity: its value map and the
-    # walk of (cell of u, source in t) pairs, up to the first one still unset.
-    step = {i: k for k, (a, b) in enumerate(cells) for i in (a * n + b, b * n + a)}
-    images = [[] for _ in cells]
-    for p in _perms_fixing_zero(n)[1:] if dedup else ():
-        q = sorted(range(n), key=p.__getitem__)
-        pairs = [(i, q[i // n] * n + q[i % n]) for i in sorted(step)]
-        for k, after_k in enumerate(images):
-            ready = takewhile(lambda e: max(step[e[0]], step[e[1]]) <= k, pairs)
-            after_k.append((p + (-1,), list(ready)))
 
-    def p1_ok(entries: list[tuple[int, int, int, int]]) -> bool:
-        for xn, yz_i, xy_i, z in entries:
+    def p1_ok(k: int) -> bool:
+        for xn, xy_i, yz_i, z in touching[k]:
             yz = t[yz_i]
             if yz < 0:  # undefined or unassigned: premise cannot fire yet
                 continue
@@ -545,35 +580,16 @@ def _gen_pams(n: int, dedup: bool) -> Iterator[PartialAbelianMonoid]:
                     return False
                 continue
             xyz = t[xy * n + z]
-            if xyz != total and xyz != UNSET:
+            if xyz != total and xyz != _UNSET:
                 return False
         return True
 
-    def least(k: int) -> bool:
-        for img, prefix in images[k]:
-            for i, j in prefix:
-                w, v = img[t[j]], t[i]
-                if w != v:
-                    if w < v:
-                        return False
-                    break
-        return True
-
-    def place(i: int) -> Iterator[PartialAbelianMonoid]:
-        if i == len(cells):
-            yield PartialAbelianMonoid(Carrier(n), 0, tuple(t))
-            return
-        a, b = cells[i]
-        entries = touching[i]
-        for v in range(-1, n):
-            t[a * n + b] = v
-            t[b * n + a] = v
-            if p1_ok(entries) and (not dedup or least(i)):
-                yield from place(i + 1)
-        t[a * n + b] = UNSET
-        t[b * n + a] = UNSET
-
-    yield from place(0)
+    slots = [(a * n + b, b * n + a) for a, b in cells]
+    relabelings = (
+        _relabelings(n, _perms_fixing_zero(n), lambda p: p + (-1,)) if dedup else ()
+    )
+    for table in _fill(t, slots, [range(-1, n)] * len(cells), p1_ok, relabelings):
+        yield PartialAbelianMonoid(Carrier(n), 0, tuple(table))
 
 
 # ---------------------------------------------------------------------------
@@ -584,15 +600,16 @@ def _gen_categories(narr: int) -> list[tuple[int, tuple, dict]]:
     """All labeled categories with the given arrow count, as
     (object count, arrow endpoints, composition table) triples.
 
-    Each placed composite is checked only on the triples (f, g, h) that read
-    its cell as (f, g), (g, h), (fg, h) or (f, gh); every other triple reads
-    what it read before, and held then, as every triple of the identity
-    composites alone holds.
+    Per choice of endpoints and identities, _fill places the composites of
+    non-identities row-major, each an arrow with matching endpoints (-1
+    marks a pair that does not compose). ok checks associativity on the
+    triples of _row_col_triples through the placed composite whose reads
+    are all set; a triple of identity composites alone holds.
     """
-    if narr == 0:
-        return [(0, (), {})]
+    keys = tuple(product(range(narr), repeat=2))  # shared by every table
+    triples = _row_col_triples(narr)
     results = []
-    for nobj in range(1, narr + 1):
+    for nobj in range(narr + 1):  # no objects only without arrows
         for arrows in product(product(range(nobj), repeat=2), repeat=narr):
             if len({s for s, d in arrows if s == d}) < nobj:
                 continue
@@ -600,57 +617,31 @@ def _gen_categories(narr: int) -> list[tuple[int, tuple, dict]]:
                 [i for i, (s, d) in enumerate(arrows) if s == o and d == o]
                 for o in range(nobj)
             ]
-            composable = [
-                (i, j)
-                for i in range(narr)
-                for j in range(narr)
-                if arrows[i][1] == arrows[j][0]
-            ]
             for ids in product(*loops):
-                idset = set(ids)
-                comp: dict[tuple[int, int], int] = {}
-                free = []
-                for i, j in composable:
-                    if i in idset:
-                        comp[(i, j)] = j
-                    elif j in idset:
-                        comp[(i, j)] = i
-                    else:
-                        free.append((i, j))
+                t = [-1] * (narr * narr)
+                slots, values = [], []
+                for e, (i, j) in enumerate(keys):
+                    if arrows[i][1] != arrows[j][0]:
+                        continue
+                    t[e] = j if i in ids else i if j in ids else _UNSET
+                    if t[e] == _UNSET:
+                        slots.append((e,))
+                        want = (arrows[i][0], arrows[j][1])
+                        values.append([h for h in range(narr) if arrows[h] == want])
 
-                def assoc_ok(i: int, j: int) -> bool:
-                    triples = chain(
-                        ((i, j, h) for h in range(narr)),
-                        ((f, i, j) for f in range(narr)),
-                        ((f, g, j) for (f, g), fg in comp.items() if fg == i),
-                        ((i, g, h) for (g, h), gh in comp.items() if gh == j),
-                    )
-                    for f, g, h in triples:
-                        fg = comp.get((f, g))
-                        gh = comp.get((g, h))
-                        if fg is None or gh is None:
+                def ok(k: int) -> bool:
+                    for fn, fg_i, gh_i, h in triples[slots[k][0]]:
+                        fg, gh = t[fg_i], t[gh_i]
+                        if fg < 0 or gh < 0:
                             continue
-                        lhs = comp.get((fg, h))
-                        rhs = comp.get((f, gh))
-                        if lhs is not None and rhs is not None and lhs != rhs:
+                        lhs, rhs = t[fg * narr + h], t[fn + gh]
+                        if lhs != rhs and _UNSET not in (lhs, rhs):
                             return False
                     return True
 
-                def place(k: int) -> None:
-                    if k == len(free):
-                        results.append((nobj, arrows, dict(comp)))
-                        return
-                    i, j = free[k]
-                    want = (arrows[i][0], arrows[j][1])
-                    for h in range(narr):
-                        if arrows[h] != want:
-                            continue
-                        comp[(i, j)] = h
-                        if assoc_ok(i, j):
-                            place(k + 1)
-                        del comp[(i, j)]
-
-                place(0)
+                for table in _fill(t, slots, values, ok):
+                    comp = {key: v for key, v in zip(keys, table) if v >= 0}
+                    results.append((nobj, arrows, comp))
     return results
 
 

@@ -6,7 +6,10 @@ under test. pams_by_filter is the exception: it filters plain tables through
 relmon's own PAM checker, so it is independent of the PAM generator's
 pruning, not of the checker. lattices_by_poset_filter likewise runs
 relmon's labeled posets through its lattice filter, so it checks how the
-lattice generator builds and orders its candidates, not the filter. The
+lattice generator builds and orders its candidates, not the filter.
+relmonoids_by_product is the product-then-filter generator that the orderly
+fill replaced; it filters with relmon's associativity scan and dedups with
+its _least_per_class, so it checks the fill's walk and pruning. The
 *_report functions rebuild a checker's whole report, verdict, witness and
 message, by plain scans; the congruence and left-adjoint ones take their
 preconditions and C1 from relmon. Slow on purpose; keep carriers tiny.
@@ -14,12 +17,18 @@ preconditions and C1 from relmon. Slow on purpose; keep carriers tiny.
 
 from itertools import permutations, product
 
-from relmon.monoid import is_lax_morphism
+from relmon.monoid import RelMonoid, _assoc_witness, is_lax_morphism
 from relmon.pam import PartialAbelianMonoid, check_pam_axioms
-from relmon.rel import Carrier, bits
+from relmon.rel import Carrier, bits, compose_rows
 from relmon.rel import is_equivalence as is_equivalence_rel
 from relmon.report import CheckReport
-from relmon.search import _is_lattice_rows, _labeled_posets, _permute_rows, _perms
+from relmon.search import (
+    _is_lattice_rows,
+    _labeled_posets,
+    _least_per_class,
+    _permute_rows,
+    _perms,
+)
 
 
 def compose(fp, gp):
@@ -742,3 +751,86 @@ def categories_by_rescan(narr):
 
                 place(0)
     return results
+
+
+def relmonoids_by_product(n, dedup):
+    """Every relational monoid on n points in relmon's stream order: the
+    product-then-filter generator that the orderly fill replaced.
+
+    Per unit set, ascending by mask, it takes the itertools.product of the
+    nonempty witness sets of right and left units per non-unit and of every
+    subset for each cell between non-units, and keeps the associative
+    tables (12,505 candidates at n = 3). With dedup it sorts them by
+    (units_mask, prod_masks) and keeps the first of each orbit met.
+    """
+    if dedup:
+        labeled = sorted(relmonoids_by_product(n, False), key=_relmonoid_key)
+        return list(_least_per_class(labeled, _relmonoid_key, _relmonoid_orbit))
+    if n == 0:
+        return [RelMonoid.make(0, [], [])]
+    out = []
+    for units_mask in range(1, 1 << n):
+        units = list(bits(units_mask))
+        non_units = [a for a in range(n) if not units_mask >> a & 1]
+        unit_subsets = [s for s in range(1, units_mask + 1) if s & ~units_mask == 0]
+        base = [0] * (n * n)
+        for y in units:
+            base[y * n + y] = 1 << y
+        free_cells = [(a, b) for a in non_units for b in non_units]
+        k = len(non_units)
+        choice_space = [unit_subsets] * (2 * k) + [range(1 << n)] * len(free_cells)
+        for choice in product(*choice_space):
+            pm = base.copy()
+            for i, a in enumerate(non_units):
+                for y in bits(choice[i]):
+                    pm[a * n + y] = 1 << a
+                for y in bits(choice[k + i]):
+                    pm[y * n + a] = 1 << a
+            for i, (a, b) in enumerate(free_cells):
+                pm[a * n + b] = choice[2 * k + i]
+            if _assoc_witness(pm, n) is None:
+                mult = [(i // n, i % n, a) for i, m in enumerate(pm) for a in bits(m)]
+                out.append(RelMonoid.make(n, units, mult))
+    return out
+
+
+def _relmonoid_key(m):
+    return (m.units_mask, m.prod_masks)
+
+
+def _relmonoid_orbit(m):
+    """The keys of every relabeling of m."""
+    n = m.n
+    keys = []
+    for perm in _perms(n):
+        moved = [1 << p for p in perm]
+        cells = compose_rows(m.prod_masks, moved)
+        (units,) = compose_rows((m.units_mask,), moved)
+        ppm = [0] * (n * n)
+        for a1 in range(n):
+            for a2 in range(n):
+                ppm[perm[a1] * n + perm[a2]] = cells[a1 * n + a2]
+        keys.append((units, tuple(ppm)))
+    return keys
+
+
+def relabel_monoid(m, perm):
+    """The triples of m with every element a renamed perm[a], sorted."""
+    return tuple(sorted((perm[a], perm[b], perm[c]) for a, b, c in m.triples))
+
+
+def least_relmonoids_per_orbit(stream):
+    """The (units, triples) of the first relational monoid of each
+    isomorphism class met in stream, keeping the relabelings of every kept
+    one in a set, as least_pams_per_orbit does for PAMs."""
+    seen = set()
+    out = []
+    for m in stream:
+        key = (m.unit_list, m.triples)
+        if key not in seen:
+            seen.update(
+                (tuple(sorted(p[y] for y in m.units)), relabel_monoid(m, p))
+                for p in permutations(range(m.n))
+            )
+            out.append(key)
+    return out

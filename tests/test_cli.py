@@ -298,8 +298,8 @@ PAM_6_DEDUP_SHA256 = "28f6a173bc5a6066c80ab6eb37a0ec29dc260ae68c1d7e79f530f0cfb8
 
 
 def test_enumerate_streams_do_not_depend_on_the_hash_seed():
-    # lattice and relational-monoid dedup keep orbits in a set; the streams
-    # must not follow its hash order
+    # lattice dedup keeps orbits in a set; the streams must not follow its
+    # hash order
     expected = json.loads((ROOT / "perfbench" / "expected.json").read_text())["enumerate"]
     pinned = {key: entry["sha256"] for key, entry in expected.items()}
     pinned["pam.6.dedup"] = PAM_6_DEDUP_SHA256

@@ -422,3 +422,93 @@ def test_from_json_names_non_objects_and_missing_fields(loader):
     with pytest.raises(InputError) as info:
         loader.from_json({})
     assert str(info.value) == f"{what} JSON missing field {keys[0]!r}"
+
+
+# Indices out of range and nested structures that fail their own loader: the
+# error names the field and keeps the constructor's or inner loader's text.
+INDEX_AND_NESTED_ERRORS = {
+    "monoid-units-out-of-range": (
+        RelMonoid,
+        {"carrier": 2, "units": [3], "mult": []},
+        "field 'units': unit index 3 out of range for carrier size 2",
+        ["check-monoid", "{}"],
+    ),
+    "monoid-mult-out-of-range": (
+        RelMonoid,
+        {"carrier": 2, "units": [0], "mult": [[0, 0, 9]]},
+        "field 'mult': mult triple (0, 0, 9) out of range for carrier size 2",
+        ["check-monoid", "{}"],
+    ),
+    "pam-zero-out-of-range": (
+        PartialAbelianMonoid,
+        {"carrier": 3, "zero": 5, "plus": []},
+        "field 'zero': zero index 5 out of range for size 3",
+        ["check-pam", "{}"],
+    ),
+    "pam-plus-out-of-range": (
+        PartialAbelianMonoid,
+        {"carrier": 3, "zero": 0, "plus": [[1, 1, 7]]},
+        "field 'plus': addition cell (1, 1, 7) out of range",
+        ["check-pam", "{}"],
+    ),
+    "pam-plus-conflict": (
+        PartialAbelianMonoid,
+        {"carrier": 3, "zero": 0, "plus": [[1, 1, 1], [1, 1, 2]]},
+        "field 'plus': conflicting values 1 and 2 for cell (1, 1)",
+        ["check-pam", "{}"],
+    ),
+    "pam-plus-text": (
+        PartialAbelianMonoid,
+        {"carrier": 3, "zero": 0, "plus": [["a", 0, 0]]},
+        "field 'plus': addition cell (a, 0, 0) out of range",
+        ["check-rdp", "{}"],
+    ),
+    "congruence-base-not-an-object": (
+        CongruenceCandidate,
+        {"base": 5, "classes": []},
+        "field 'base': partial monoid JSON must be an object",
+        ["check-congruence", "{}"],
+    ),
+    "congruence-base-empty": (
+        CongruenceCandidate,
+        {"base": {}, "classes": []},
+        "field 'base': partial monoid JSON missing field 'carrier'",
+        ["quotient", "{}"],
+    ),
+    "morphism-src-not-an-object": (
+        LaxMorphism,
+        {"src": 5, "dst": TRIVIAL, "rel": []},
+        "field 'src': monoid JSON must be an object",
+        ["check-morphism", "{}"],
+    ),
+    "morphism-dst-empty": (
+        LaxMorphism,
+        {"src": TRIVIAL, "dst": {}, "rel": []},
+        "field 'dst': monoid JSON missing field 'carrier'",
+        ["check-adjoint", "{}"],
+    ),
+    "monad-base-not-an-object": (
+        MonadCandidate,
+        {"base": 5, "order": []},
+        "field 'base': monoid JSON must be an object",
+        ["check-monad", "{}"],
+    ),
+    "oml-lattice-empty": (
+        OmlStructure,
+        {"lattice": {}, "ortho": []},
+        "field 'lattice': lattice JSON missing field 'carrier'",
+        ["check-dimeq", "{}", MO2_SIM],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INDEX_AND_NESTED_ERRORS))
+def test_index_and_nested_errors_name_the_field(case, tmp_path, capsys):
+    loader, obj, message, argv = INDEX_AND_NESTED_ERRORS[case]
+    with pytest.raises(InputError) as info:
+        loader.from_json(obj)
+    assert str(info.value) == message
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    assert main([str(path) if a == "{}" else str(a) for a in argv]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -42,7 +42,6 @@ from relmon.search import (
     _pool_upto,
     _poset_key,
     _preorders,
-    _relmonoid_key,
     enumerate_structures,
     property_keys,
     serialize_structure,
@@ -151,8 +150,41 @@ def test_relmonoid_orbit_stabilizer(n):
 
 @pytest.mark.parametrize("n", range(4))
 def test_relmonoid_representatives_ascend_by_key(n):
-    keys = [_relmonoid_key(m) for m in _gen_relmonoids(n, True)]
+    keys = [monoid_key(m) for m in _gen_relmonoids(n, True)]
     assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_relmonoid_representatives_put_units_first(n):
+    # the least labeling of a class has its units at 0..k-1, so the orderly
+    # walk fills only those unit sets
+    for m in _gen_relmonoids(n, True):
+        assert m.units_mask == 2 ** len(m.units) - 1
+
+
+@pytest.mark.parametrize("n", range(4))
+@pytest.mark.parametrize("dedup", [False, True])
+def test_relmonoids_match_the_product_oracle(n, dedup):
+    # the same monoids in the same order as filtering the product of every
+    # unit witness set and cell value, sorted and deduplicated post hoc
+    fill = [m.to_json() for m in _gen_relmonoids(n, dedup)]
+    assert fill == [m.to_json() for m in oracles.relmonoids_by_product(n, dedup)]
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_orderly_relmonoids_match_post_hoc_dedup(n):
+    # the pruned walk keeps the least labeling of each orbit, in key order
+    orderly = [(m.unit_list, m.triples) for m in _gen_relmonoids(n, True)]
+    labeled = sorted(_gen_relmonoids(n, False), key=monoid_key)
+    assert orderly == oracles.least_relmonoids_per_orbit(labeled)
+
+
+def test_generators_with_no_free_slots_yield_once():
+    # a fill with nothing to place yields its fixed table exactly once
+    for dedup in (False, True):
+        assert [p.plus for p in _gen_pams(1, dedup)] == [(0,)]
+        assert [monoid_key(m) for m in _gen_relmonoids(1, dedup)] == [(1, (1,))]
+    assert search._gen_categories(1) == [(1, ((0, 0),), {(0, 0): 0})]
 
 
 def test_relmonoids_all_satisfy_axioms():
