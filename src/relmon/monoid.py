@@ -477,13 +477,14 @@ def poly_monoid(q: int, d: int) -> RelMonoid:
 
 
 def _square_witness(
-    src: RelMonoid, rows: Sequence[int], dst: RelMonoid
+    src: RelMonoid, rows: Sequence[int], dst: RelMonoid, triples: Iterable | None = None
 ) -> tuple[int, int, int, int] | None:
     """First failure of the lax multiplication square, or None.
 
     rows relates src to dst. The square fails at (a1, a2, a, b) when
     (a1, a2)*a in src and a relates to b, but no b1, b2 related to a1, a2
-    have (b1, b2)*b in dst. Scan order: src triples ascending, then b.
+    have (b1, b2)*b in dst. Scan order: the src triples (by default all,
+    ascending), then b. rows needs only the rows those triples read.
 
     right[b1][a2] masks the products (b1, b2)*b over every b2 related to a2
     (built on first use), so OR-ing it over the b1 related to a1 gives every
@@ -495,14 +496,15 @@ def _square_witness(
     """
     m = dst.n
     dpm = dst.prod_masks
+    triples = src.triples if triples is None else triples
     if all(r.bit_count() == 1 for r in rows):
         f = [r.bit_length() - 1 for r in rows]
-        for a1, a2, a in src.triples:
+        for a1, a2, a in triples:
             if not dpm[f[a1] * m + f[a2]] >> f[a] & 1:
                 return a1, a2, a, f[a]
         return None
     right: list[tuple[int, ...] | None] = [None] * m
-    for a1, a2, a in src.triples:
+    for a1, a2, a in triples:
         want = rows[a]
         got = 0
         for b1 in bits(rows[a1]):

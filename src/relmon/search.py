@@ -7,8 +7,9 @@ monoids. Each kind is named once, in KINDS, with its size limit, its
 generator and the type of base it takes, if any; EnumSpec,
 enumerate_structures, the laws' cached pools and the CLI read that table.
 Generation is deterministic; isomorphism rejection (dedup) keeps the
-lexicographically least labeling of each class. PAMs, relational monoids
-and categories are tables filled by one orderly kernel, _fill.
+lexicographically least labeling of each class. One orderly kernel, _fill,
+fills every table searched: PAMs, relational monoids, categories (endpoints
+and composites), lax relations, additive maps and orthocomplementations.
 
 verify_universal runs a named law over the relevant enumeration and reports
 the first counterexample, in enumeration order, with a full serialization.
@@ -41,6 +42,7 @@ from .monoid import (
     MonadCandidate,
     RelMonoid,
     _monad_conditions,
+    _square_witness,
     check_monoid_axioms,
     check_reflection_universal,
     from_category,
@@ -192,7 +194,8 @@ def _fill(
     Slot k writes each value of values[k] in turn into its entries, which
     start _UNSET and are reset on backtracking, and the walk goes deeper
     while ok(k) holds. Slots in entry order with ascending values give the
-    tables in ascending order.
+    tables in ascending order. Callers: _gen_pams, _gen_relmonoids,
+    _gen_categories, _lax_rels, _additive_maps, _orthocomplementations.
 
     With relabelings the fill is orderly (Read 1978, McKay 1998). Each maps
     t to u, u[i] = image[t[source[i]]], and agrees with t off the slots.
@@ -222,20 +225,28 @@ def _fill(
                     break
         return True
 
-    def place(k: int) -> Iterator[list[int]]:
-        if k == len(slots):
-            yield t
-            return
-        slot = slots[k]
-        for v in values[k]:
-            for e in slot:
+    if not slots:
+        yield t
+        return
+    # per slot placed, the values it has left; unlike a self-calling
+    # closure, this loop leaves no reference cycle for the collector
+    walks = [iter(values[0])]
+    while walks:
+        k = len(walks) - 1
+        for v in walks[k]:
+            for e in slots[k]:
                 t[e] = v
             if ok(k) and least(k):
-                yield from place(k + 1)
-        for e in slot:
-            t[e] = _UNSET
-
-    return place(0)
+                break
+        else:
+            for e in slots[k]:
+                t[e] = _UNSET
+            walks.pop()
+            continue
+        if len(walks) == len(slots):
+            yield t
+        else:
+            walks.append(iter(values[k + 1]))
 
 
 def _row_col_triples(n: int) -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
@@ -600,8 +611,10 @@ def _gen_categories(narr: int) -> list[tuple[int, tuple, dict]]:
     """All labeled categories with the given arrow count, as
     (object count, arrow endpoints, composition table) triples.
 
-    Per choice of endpoints and identities, _fill places the composites of
-    non-identities row-major, each an arrow with matching endpoints (-1
+    _fill places each arrow's endpoints (s, d), coded s*nobj + d, in product
+    order, and prunes once the arrows left cannot give every object a loop.
+    Per choice of endpoints and identities, it then places the composites
+    of non-identities row-major, each an arrow with matching endpoints (-1
     marks a pair that does not compose). ok checks associativity on the
     triples of _row_col_triples through the placed composite whose reads
     are all set; a triple of identity composites alone holds.
@@ -610,13 +623,17 @@ def _gen_categories(narr: int) -> list[tuple[int, tuple, dict]]:
     triples = _row_col_triples(narr)
     results = []
     for nobj in range(narr + 1):  # no objects only without arrows
-        for arrows in product(product(range(nobj), repeat=2), repeat=narr):
-            if len({s for s, d in arrows if s == d}) < nobj:
-                continue
-            loops = [
-                [i for i, (s, d) in enumerate(arrows) if s == o and d == o]
-                for o in range(nobj)
-            ]
+        ends = list(product(range(nobj), repeat=2))  # shared by every arrows tuple
+        codes = [_UNSET] * narr
+        picks = [range(nobj * nobj)] * narr
+
+        def loops_left(k: int) -> bool:
+            looped = {c // nobj for c in codes[:k + 1] if c // nobj == c % nobj}
+            return nobj - len(looped) < narr - k
+
+        for placed in _fill(codes, [(i,) for i in range(narr)], picks, loops_left):
+            arrows = tuple(ends[c] for c in placed)
+            loops = [[i for i, end in enumerate(arrows) if end == (o, o)] for o in range(nobj)]
             for ids in product(*loops):
                 t = [-1] * (narr * narr)
                 slots, values = [], []
@@ -939,46 +956,47 @@ def _law_unit_uniqueness(size: int, rng: random.Random) -> CheckReport:
     return _pass(monoids_checked=count)
 
 
-@_law("adjoint-transpose-lax", 2, 2)
+@_law("adjoint-transpose-lax", 2, 3)
 def _law_adjoint_transpose_lax(size: int, rng: random.Random) -> CheckReport:
     """the transpose of a left adjoint is a lax morphism"""
-    for ns in range(size + 1):
-        for nd in range(size + 1):
-            for src in _pool("relmonoid", ns, True):
-                for dst in _pool("relmonoid", nd, True):
-                    for h in _lax_rels(src, dst):
-                        if not is_left_adjoint_relmon(h).ok:
-                            continue
-                        back = LaxMorphism(dst, src, h.rel.dagger())
-                        if not is_lax_morphism(back).ok:
-                            return _fail(
-                                "transpose of a left adjoint is not lax",
-                                morphism=h.to_json(),
-                            )
+    monoids = _pool_upto("relmonoid", size)
+    for src, dst in product(monoids, repeat=2):
+        for h in _lax_rels(src, dst):
+            if not is_left_adjoint_relmon(h).ok:
+                continue
+            if not is_lax_morphism(LaxMorphism(dst, src, h.rel.dagger())).ok:
+                return _fail("transpose of a left adjoint is not lax", morphism=h.to_json())
     return _pass()
 
 
 @lru_cache(maxsize=None)
 def _lax_rels(src: RelMonoid, dst: RelMonoid) -> tuple[LaxMorphism, ...]:
-    """Every lax morphism src -> dst, verdict cached; one table per pair."""
-    candidates = (
-        LaxMorphism(src, dst, FinRel(src.carrier, dst.carrier, rows))
-        for rows in _all_rels(src.n, dst.n)
-    )
-    return tuple(h for h in candidates if is_lax_morphism(h).ok)
+    """Every lax morphism src -> dst in product order, verdict cached; one
+    table per pair. _fill places row a, a unit's among the subsets of dst's
+    units, and checks the square on the src triples whose largest index is
+    a; is_lax_morphism decides at each full table."""
+    rows = [_UNSET] * src.n
+    due: list[list[tuple[int, int, int]]] = [[] for _ in rows]
+    for triple in src.triples:
+        due[max(triple)].append(triple)
+    full = range(1 << dst.n)
+    units = [r for r in full if not r & ~dst.units_mask]
+    values = [units if src.units_mask >> a & 1 else full for a in range(src.n)]
+
+    def ok(k: int) -> bool:
+        return _square_witness(src, rows[:k + 1], dst, due[k]) is None
+
+    tables = _fill(rows, [(a,) for a in range(src.n)], values, ok)
+    rels = (FinRel(src.carrier, dst.carrier, tuple(t)) for t in tables)
+    return tuple(h for h in (LaxMorphism(src, dst, r) for r in rels) if is_lax_morphism(h).ok)
 
 
 @_law("morphism-closure-ops", 2, 2)
 def _law_morphism_closure_ops(size: int, rng: random.Random) -> CheckReport:
     """lax morphisms are closed under composition and union"""
     monoids = _pool_upto("relmonoid", size)
-    lax = {
-        (i, j): [h.rel for h in _lax_rels(src, dst)]
-        for i, src in enumerate(monoids)
-        for j, dst in enumerate(monoids)
-    }
-    for (i, j), rels in lax.items():
-        src, dst = monoids[i], monoids[j]
+    for src, dst in product(monoids, repeat=2):
+        rels = [h.rel for h in _lax_rels(src, dst)]
         for a, r1 in enumerate(rels):
             for r2 in rels[a + 1:]:
                 u = FinRel(
@@ -991,9 +1009,10 @@ def _law_morphism_closure_ops(size: int, rng: random.Random) -> CheckReport:
                         "union of lax morphisms is not lax",
                         first=r1.to_json(), second=r2.to_json(),
                     )
-        for k, mid in enumerate(monoids):
+        for mid in monoids:
+            seconds = [h.rel for h in _lax_rels(dst, mid)]
             for r1 in rels:
-                for r2 in lax[(j, k)]:
+                for r2 in seconds:
                     if not is_lax_morphism(LaxMorphism(src, mid, r1.compose(r2))).ok:
                         return _fail(
                             "composite of lax morphisms is not lax",
@@ -1022,22 +1041,21 @@ def _law_category_axioms(size: int, rng: random.Random) -> CheckReport:
 @_law("reflection-least", 2, 3)
 def _law_reflection_least(size: int, rng: random.Random) -> CheckReport:
     """closure of a lax endomorphism is the least monad order over it"""
-    for n in range(size + 1):
-        for m in _pool("relmonoid", n, True):
-            orders = [c.order for c in _gen_monad_orders(m)]
-            for f in (h.rel for h in _lax_rels(m, m)):
-                cand = monad_reflection(m, f)
-                if not is_monad(cand).ok or not cand.order.contains(f):
+    for m in _pool_upto("relmonoid", size):
+        orders = [c.order for c in _gen_monad_orders(m)]
+        for f in (h.rel for h in _lax_rels(m, m)):
+            cand = monad_reflection(m, f)
+            if not is_monad(cand).ok or not cand.order.contains(f):
+                return _fail(
+                    "closure of a lax endomorphism is not a monad order over it",
+                    monoid=m.to_json(), endo=f.to_json(),
+                )
+            for leq in orders:
+                if leq.contains(f) and not leq.contains(cand.order):
                     return _fail(
-                        "closure of a lax endomorphism is not a monad order over it",
-                        monoid=m.to_json(), endo=f.to_json(),
+                        "a monad order contains the endomorphism but not its closure",
+                        monoid=m.to_json(), endo=f.to_json(), order=leq.to_json(),
                     )
-                for leq in orders:
-                    if leq.contains(f) and not leq.contains(cand.order):
-                        return _fail(
-                            "a monad order contains the endomorphism but not its closure",
-                            monoid=m.to_json(), endo=f.to_json(), order=leq.to_json(),
-                        )
     return _pass()
 
 
@@ -1069,30 +1087,29 @@ def _law_reflection_universal(size: int, rng: random.Random) -> CheckReport:
 @_law("adjunction-monads-symmetric", 3, 3)
 def _law_adjunction_monads_symmetric(size: int, rng: random.Random) -> CheckReport:
     """symmetric monad orders are exactly the class-map kernels"""
-    for n in range(size + 1):
-        for m in _pool("relmonoid", n, True):
-            for rows in _equivalence_rows(n):
-                order = FinRel(m.carrier, m.carrier, rows)
-                cand = MonadCandidate(m, order)
-                if not monad_from_adjunction_conditions(cand).ok:
-                    continue
-                quot, h = quotient_relmonoid(m, order)
-                if not is_left_adjoint_relmon(h).ok:
-                    return _fail(
-                        "class map of a symmetric monad order is not a left adjoint",
-                        monoid=m.to_json(), order=order.to_json(),
-                    )
-                induced = induced_monad(h)
-                if induced.order.rows != order.rows:
-                    return _fail(
-                        "adjunction-induced order differs from the original",
-                        monoid=m.to_json(), order=order.to_json(),
-                    )
-                if not monad_from_adjunction_conditions(induced).ok:
-                    return _fail(
-                        "induced order is not a symmetric monad order",
-                        monoid=m.to_json(), order=order.to_json(),
-                    )
+    for m in _pool_upto("relmonoid", size):
+        for rows in _equivalence_rows(m.n):
+            order = FinRel(m.carrier, m.carrier, rows)
+            cand = MonadCandidate(m, order)
+            if not monad_from_adjunction_conditions(cand).ok:
+                continue
+            quot, h = quotient_relmonoid(m, order)
+            if not is_left_adjoint_relmon(h).ok:
+                return _fail(
+                    "class map of a symmetric monad order is not a left adjoint",
+                    monoid=m.to_json(), order=order.to_json(),
+                )
+            induced = induced_monad(h)
+            if induced.order.rows != order.rows:
+                return _fail(
+                    "adjunction-induced order differs from the original",
+                    monoid=m.to_json(), order=order.to_json(),
+                )
+            if not monad_from_adjunction_conditions(induced).ok:
+                return _fail(
+                    "induced order is not a symmetric monad order",
+                    monoid=m.to_json(), order=order.to_json(),
+                )
     return _pass()
 
 
@@ -1218,25 +1235,22 @@ def _additive_maps(
     """Zero-reflecting additive maps: v[0] is the target zero, no other v[i]
     is, and v[a]+v[b] = v[c] for every source cell a+b = c; the others fail
     unit-reflection, so no left adjoint is lost. In product order of v[1:]:
-    v[i] is placed ascending, and a cell is checked once its largest index is."""
+    _fill places v[1..n-1] ascending and checks a cell once its largest
+    index is placed (the cell 0+0 = 0 holds in a valid target)."""
     n, m, plus, zero = psrc.n, pdst.n, pdst.plus, pdst.zero
     due: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     for cell in psrc.cells:
         due[max(cell)].append(cell)
-    v = [zero] * n
+    v = [zero] + [_UNSET] * (n - 1)
     points = [x for x in range(m) if x != zero]
 
-    def place(i: int) -> Iterator[tuple[int, ...]]:
-        if not all(plus[v[a] * m + v[b]] == v[c] for a, b, c in due[i - 1]):
-            return
-        if i == n:
-            yield tuple(v)
-            return
-        for x in points:
-            v[i] = x
-            yield from place(i + 1)
+    def ok(k: int) -> bool:
+        for a, b, c in due[k + 1]:
+            if plus[v[a] * m + v[b]] != v[c]:
+                return False
+        return True
 
-    return place(1)
+    return map(tuple, _fill(v, [(i,) for i in range(1, n)], [points] * (n - 1), ok))
 
 
 @_law("adjoint-induces-congruence", 4, 4)
@@ -1280,42 +1294,25 @@ def _law_faithful_congruence_adjoint(size: int, rng: random.Random) -> CheckRepo
     return _pass(pams_checked=len(pams))
 
 
-def _complement_candidates(lat: FinLattice) -> list[list[int]]:
-    return [
-        [
-            c
-            for c in range(lat.n)
-            if lat.join_of(a, c) == lat.top and lat.meet_of(a, c) == lat.bottom
-        ]
-        for a in range(lat.n)
-    ]
-
-
 def _orthocomplementations(lat: FinLattice) -> list[tuple[int, ...]]:
-    cands = _complement_candidates(lat)
-    out = []
+    """Every orthocomplementation of lat, ascending. _fill gives element a
+    each of its complements in turn, keeping the placed prefix an involution
+    (with no fixed point when n > 1, as a is its own complement only in the
+    one-point lattice); validate_oml decides at each full table."""
+    n, top, bottom = lat.n, lat.top, lat.bottom
+    complements = [
+        [c for c in range(n) if lat.join_of(a, c) == top and lat.meet_of(a, c) == bottom]
+        for a in range(n)
+    ]
+    ortho = [_UNSET] * n
 
-    def place(a: int, ortho: list[int]) -> None:
-        if a == lat.n:
-            s = OmlStructure(lat, tuple(ortho))
-            if validate_oml(s).ok:
-                out.append(tuple(ortho))
-            return
-        if ortho[a] >= 0:
-            place(a + 1, ortho)
-            return
-        for c in cands[a]:
-            if ortho[c] >= 0 and ortho[c] != a:
-                continue
-            if c == a and lat.n > 1:
-                continue
-            prev_a, prev_c = ortho[a], ortho[c]
-            ortho[a], ortho[c] = c, a
-            place(a + 1, ortho)
-            ortho[a], ortho[c] = prev_a, prev_c
+    def ok(k: int) -> bool:
+        c = ortho[k]
+        return ortho[c] == k if c < k else c not in ortho[:k]
 
-    place(0, [-1] * lat.n)
-    return out
+    tables = _fill(ortho, [(a,) for a in range(n)], complements, ok)
+    structures = (OmlStructure(lat, tuple(t)) for t in tables)
+    return [s.ortho for s in structures if validate_oml(s).ok]
 
 
 @_law("oml-effect-algebra", 6, 7)

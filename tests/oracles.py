@@ -9,7 +9,10 @@ relmon's labeled posets through its lattice filter, so it checks how the
 lattice generator builds and orders its candidates, not the filter.
 relmonoids_by_product is the product-then-filter generator that the orderly
 fill replaced; it filters with relmon's associativity scan and dedups with
-its _least_per_class, so it checks the fill's walk and pruning. The
+its _least_per_class, so it checks the fill's walk and pruning.
+lax_rels_by_filter and orthocomplementations_by_recursion are the searches
+that _fill replaced, with relmon's lax-morphism and orthomodular checkers
+as their verdicts, so they check the pruning, not the checkers. The
 *_report functions rebuild a checker's whole report, verdict, witness and
 message, by plain scans; the congruence and left-adjoint ones take their
 preconditions and C1 from relmon. Slow on purpose; keep carriers tiny.
@@ -17,9 +20,9 @@ preconditions and C1 from relmon. Slow on purpose; keep carriers tiny.
 
 from itertools import permutations, product
 
-from relmon.monoid import RelMonoid, _assoc_witness, is_lax_morphism
-from relmon.pam import PartialAbelianMonoid, check_pam_axioms
-from relmon.rel import Carrier, bits, compose_rows
+from relmon.monoid import LaxMorphism, RelMonoid, _assoc_witness, is_lax_morphism
+from relmon.pam import OmlStructure, PartialAbelianMonoid, check_pam_axioms, validate_oml
+from relmon.rel import Carrier, FinRel, bits, compose_rows
 from relmon.rel import is_equivalence as is_equivalence_rel
 from relmon.report import CheckReport
 from relmon.search import (
@@ -333,6 +336,50 @@ def left_adjoint_report(h):
     return CheckReport.passing("left-adjoint")
 
 
+def lax_rels_by_filter(src, dst):
+    """The rows of every lax morphism src -> dst: all of itertools.product,
+    in its order, filtered through relmon's is_lax_morphism."""
+    return [
+        rows
+        for rows in product(range(1 << dst.n), repeat=src.n)
+        if is_lax_morphism(LaxMorphism(src, dst, FinRel(src.carrier, dst.carrier, rows))).ok
+    ]
+
+
+def orthocomplementations_by_recursion(lat):
+    """Every orthocomplementation of lat that relmon's validate_oml accepts,
+    ascending: element a, unless an earlier element chose it already, takes
+    each complement c that no other element chose and that is not a itself
+    (unless a is the only element), and c takes a back."""
+    cands = [
+        [c for c in range(lat.n)
+         if lat.join_of(a, c) == lat.top and lat.meet_of(a, c) == lat.bottom]
+        for a in range(lat.n)
+    ]
+    out = []
+
+    def place(a, ortho):
+        if a == lat.n:
+            if validate_oml(OmlStructure(lat, tuple(ortho))).ok:
+                out.append(tuple(ortho))
+            return
+        if ortho[a] >= 0:
+            place(a + 1, ortho)
+            return
+        for c in cands[a]:
+            if ortho[c] >= 0 and ortho[c] != a:
+                continue
+            if c == a and lat.n > 1:
+                continue
+            prev_a, prev_c = ortho[a], ortho[c]
+            ortho[a], ortho[c] = c, a
+            place(a + 1, ortho)
+            ortho[a], ortho[c] = prev_a, prev_c
+
+    place(0, [-1] * lat.n)
+    return out
+
+
 def additive_maps_by_filter(psrc, pdst):
     """Every map with 0 sent to the target zero that respects each defined
     source sum, filtered from all of itertools.product in its order."""
@@ -516,15 +563,16 @@ def left_adjoint_rel_report(f, g):
     return CheckReport.passing("left-adjoint-rel")
 
 
-def square_witness_by_search(src, rows, dst):
+def square_witness_by_search(src, rows, dst, triples=None):
     """First (a1, a2, a, b) of the lax square with no (b1, b2)*b above it.
 
-    Source triples ascending, then b ascending; for each b, the pairs
-    (b1, b2) under (a1, a2) are searched until one has b as a product.
+    The given source triples (by default all, ascending), then b ascending;
+    for each b, the pairs (b1, b2) under (a1, a2) are searched until one
+    has b as a product.
     """
     m = dst.n
     dpm = dst.prod_masks
-    for a1, a2, a in src.triples:
+    for a1, a2, a in src.triples if triples is None else triples:
         for b in bits(rows[a]):
             if not any(
                 dpm[b1 * m + b2] >> b & 1

@@ -1,6 +1,7 @@
 """Relational monoids, lax morphisms, adjoints, monads, reflection."""
 
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -12,6 +13,7 @@ from relmon.monoid import (
     MonadCandidate,
     RelMonoid,
     _monad_conditions,
+    _square_witness,
     check_monoid_axioms,
     check_reflection_universal,
     from_category,
@@ -345,6 +347,30 @@ def test_lax_morphism_matches_oracle_up_to_size_two():
             assert rep.ok == want
             failed_clauses.add(rep.failed)
     assert failed_clauses == {None, "square", "triangle"}
+
+
+def test_square_witness_on_a_subset_of_triples():
+    # every relation between the monoid classes on at most 2 points, and a
+    # seeded sample between those on 3: the src triples whose largest index
+    # is k on the rows up to k, as _lax_rels prunes, and a random subset on
+    # all rows, against the per-b search over the same triples
+    rng = random.Random(7)
+    small = _pool_upto("relmonoid", 2)
+    pairs = list(itertools.product(small, repeat=2))
+    pairs += rng.sample(list(itertools.product(_pool("relmonoid", 3, True), repeat=2)), 15)
+    verdicts = Counter()
+    for src, dst in pairs:
+        for rows in itertools.product(range(1 << dst.n), repeat=src.n):
+            cases = [
+                (rows[:k + 1], [t for t in src.triples if max(t) == k])
+                for k in range(src.n)
+            ]
+            cases.append((rows, rng.sample(src.triples, len(src.triples) // 2)))
+            for prefix, triples in cases:
+                got = _square_witness(src, prefix, dst, triples)
+                assert got == oracles.square_witness_by_search(src, prefix, dst, triples)
+                verdicts[got is None] += 1
+    assert verdicts[True] and verdicts[False]
 
 
 def test_lax_morphism_size_mismatch():

@@ -1,6 +1,7 @@
 """Enumeration of small structures and the universal-law registry."""
 
 import itertools
+import random
 import types
 from math import factorial
 
@@ -12,7 +13,6 @@ from relmon.monoid import (
     LaxMorphism,
     RelMonoid,
     check_monoid_axioms,
-    is_lax_morphism,
     is_left_adjoint_relmon,
     is_monad,
 )
@@ -26,17 +26,20 @@ from relmon.pam import (
 from relmon.rel import Carrier, FinRel, is_partial_order
 from relmon.report import CheckReport, InputError
 from relmon.search import (
+    _UNSET,
     EnumSpec,
     _additive_maps,
     _completions,
     _congruence_rows,
     _equivalence_rows,
+    _fill,
     _gen_congruences,
     _gen_lattices,
     _gen_pams,
     _gen_relmonoids,
     _labeled_posets,
     _lax_rels,
+    _orthocomplementations,
     _perms_fixing_zero,
     _pool,
     _pool_upto,
@@ -185,6 +188,33 @@ def test_generators_with_no_free_slots_yield_once():
         assert [p.plus for p in _gen_pams(1, dedup)] == [(0,)]
         assert [monoid_key(m) for m in _gen_relmonoids(1, dedup)] == [(1, (1,))]
     assert search._gen_categories(1) == [(1, ((0, 0),), {(0, 0): 0})]
+
+
+def test_fill_yields_the_tables_ok_admits_in_product_order():
+    # without relabelings: every table whose prefixes ok admits, in the
+    # order of itertools.product over the slot values as given; after the
+    # walk every slot entry is unset again and the other entries untouched
+    def admits(table, k):
+        return sum(table[e] for slot in slots[:k + 1] for e in slot) % 3 != 1
+
+    slots = [(0, 4), (1,), (3,)]
+    values = [range(3), [2, 0, 1], range(-1, 2)]
+    t = [_UNSET, _UNSET, 7, _UNSET, _UNSET]
+    filled = []
+    for table in _fill(t, slots, values, lambda k: admits(t, k)):
+        assert table is t
+        filled.append(list(table))
+    expect = []
+    for combo in itertools.product(*values):
+        u = [_UNSET, _UNSET, 7, _UNSET, _UNSET]
+        for slot, v in zip(slots, combo):
+            for e in slot:
+                u[e] = v
+        if all(admits(u, k) for k in range(len(slots))):
+            expect.append(u)
+    assert filled == expect
+    assert 0 < len(expect) < 27
+    assert t == [_UNSET, _UNSET, 7, _UNSET, _UNSET]
 
 
 def test_relmonoids_all_satisfy_axioms():
@@ -635,16 +665,39 @@ def test_reflection_least_holds_at_its_max_size():
 
 
 def test_lax_rels_is_one_table_per_monoid_pair():
-    # the laws that read lax arrows share one filter per (src, dst)
+    # the laws that read lax arrows share one table per (src, dst), with
+    # the rows the product filter keeps, in its order
     monoids = _pool_upto("relmonoid", 2)
+    total = 0
     for src, dst in itertools.product(monoids, repeat=2):
         lax = _lax_rels(src, dst)
         assert _lax_rels(src, dst) is lax
-        assert [h.rel.rows for h in lax] == [
-            rows
-            for rows in itertools.product(range(1 << dst.n), repeat=src.n)
-            if is_lax_morphism(LaxMorphism(src, dst, FinRel(src.carrier, dst.carrier, rows))).ok
-        ]
+        assert [h.rel.rows for h in lax] == oracles.lax_rels_by_filter(src, dst)
+        total += len(lax)
+    assert total == 164
+
+
+def test_lax_rels_match_the_product_filter_at_size_three():
+    # a seeded sample of 200 of the 6,889 pairs of size-3 monoid classes
+    monoids = _pool("relmonoid", 3, True)
+    pairs = random.Random(20).sample(list(itertools.product(monoids, repeat=2)), 200)
+    total = 0
+    for src, dst in pairs:
+        rows = [h.rel.rows for h in _lax_rels(src, dst)]
+        assert rows == oracles.lax_rels_by_filter(src, dst)
+        total += len(rows)
+    assert total == 5035  # recorded regression value
+
+
+def test_orthocomplementations_match_the_recursion():
+    # every lattice class up to 7 points: the same structures in the same
+    # order as the hand-written recursion the kernel replaced
+    total = 0
+    for lat in _pool_upto("lattice", 7):
+        found = _orthocomplementations(lat)
+        assert found == oracles.orthocomplementations_by_recursion(lat)
+        total += len(found)
+    assert total == 6
 
 
 def test_rdp_iff_monad_holds_at_its_max_size():
