@@ -6,7 +6,9 @@ images in B. Composition is then a row-by-row bitwise OR, i.e. a boolean
 matrix product at O(n^3 / wordsize), and all the order/equivalence checks are
 mask arithmetic. compose_rows is the one OR-of-rows kernel that composition,
 closure and transitivity go through; symmetry, and the unit of an adjunction,
-are read off transpose_rows. The empty carrier is legal everywhere.
+are read off transpose_rows. _adjoint_witness is the adjunction scan that
+is_left_adjoint_rel reports from and the left-adjoint sweep reads directly.
+The empty carrier is legal everywhere.
 
 Relations serialize as {"dom": n, "cod": m, "pairs": [[a, b], ...]}; pair
 order is irrelevant on input and lexicographic on output.
@@ -288,39 +290,45 @@ def _or_all(masks: Iterable[int]) -> int:
     return acc
 
 
+def _adjoint_witness(f: FinRel, g: FinRel) -> tuple[str, tuple[int, int]] | None:
+    """First failing inclusion of f -| g as (clause, pair), or None.
+
+    The unit holds at a iff f.rows[a] meets g.cols[a], so it stops at the
+    first failing row without composing; g keeps its transpose, and the
+    counit is composed only once the unit holds. Carriers are the caller's.
+    """
+    for a, (row, col) in enumerate(zip(f.rows, g.cols)):
+        if not row & col:
+            return "unit", (a, a)
+    for b, row in enumerate(compose_rows(g.rows, f.rows)):
+        extra = row & ~(1 << b)
+        if extra:
+            return "counit", (b, lowest_bit(extra))
+    return None
+
+
 def is_left_adjoint_rel(f: FinRel, g: FinRel) -> CheckReport:
     """Check f -| g in the relation 2-category.
 
     Requires id_dom ⊆ (f then g) and (g then f) ⊆ id_cod; the report records
     which inclusion fails, with the offending pair as witness. Holds exactly
-    when f is a mapping and g is its transpose. The unit holds at a iff
-    f.rows[a] meets g.cols[a], so it stops at the first failing row without
-    composing; g keeps its transpose, and the counit is composed only once
-    the unit holds.
+    when f is a mapping and g is its transpose. The carriers are checked
+    here and the scan is _adjoint_witness.
     """
     if g.dom.size != f.cod.size or g.cod.size != f.dom.size:
         raise InputError(
             "adjoint candidate has mismatched carriers: "
             f"f is {f.dom.size}->{f.cod.size} but g is {g.dom.size}->{g.cod.size}"
         )
-    for a, (row, col) in enumerate(zip(f.rows, g.cols)):
-        if not row & col:
-            return CheckReport.failing(
-                "left-adjoint-rel",
-                "unit",
-                (a, a),
-                f"({a}, {a}) is missing from the round trip through f and g",
-            )
-    for b, row in enumerate(compose_rows(g.rows, f.rows)):
-        extra = row & ~(1 << b)
-        if extra:
-            return CheckReport.failing(
-                "left-adjoint-rel",
-                "counit",
-                (b, lowest_bit(extra)),
-                f"({b}, {lowest_bit(extra)}) appears in the round trip through g and f",
-            )
-    return CheckReport.passing("left-adjoint-rel")
+    found = _adjoint_witness(f, g)
+    if found is None:
+        return CheckReport.passing("left-adjoint-rel")
+    clause, (x, y) = found
+    if clause == "unit":
+        message = f"({x}, {y}) is missing from the round trip through f and g"
+    else:
+        message = f"({x}, {y}) appears in the round trip through g and f"
+    return CheckReport.failing("left-adjoint-rel", clause, (x, y), message)
 
 
 def kernel(f: FinRel) -> FinRel:

@@ -13,6 +13,7 @@ from strategies import composable_pairs, composable_triples, endo_rels, finrels,
 from relmon.rel import (
     Carrier,
     FinRel,
+    _adjoint_witness,
     is_equivalence,
     is_left_adjoint_rel,
     is_partial_order,
@@ -389,6 +390,16 @@ def test_closure_and_compose_match_reference_loop():
             assert d.compose(f).rows == oracles.compose_rows_by_loop(d.rows, f.rows)
 
 
+def check_left_adjoint_rel(f, g):
+    """is_left_adjoint_rel's report and _adjoint_witness's (clause, pair)
+    both match the reference scan; returns the report."""
+    ref = oracles.left_adjoint_rel_report(f, g)
+    rep = is_left_adjoint_rel(f, g)
+    assert rep.to_json() == ref.to_json()
+    assert _adjoint_witness(f, g) == (None if ref.ok else (ref.failed, ref.witness))
+    return rep
+
+
 def test_left_adjoint_rel_matches_reference_scan():
     # every pair f: A -> B, g: B -> A with |A|, |B| <= 3 and |A| * |B| <= 6
     clauses = Counter()
@@ -398,9 +409,7 @@ def test_left_adjoint_rel_matches_reference_scan():
         all_g = _rels(nb, na)
         for f in _rels(na, nb):
             for g in all_g:
-                rep = is_left_adjoint_rel(f, g)
-                assert rep.to_json() == oracles.left_adjoint_rel_report(f, g).to_json()
-                clauses[rep.failed] += 1
+                clauses[check_left_adjoint_rel(f, g).failed] += 1
     assert set(clauses) == {None, "unit", "counit"}
 
 
@@ -416,18 +425,14 @@ def test_left_adjoint_rel_matches_reference_scan_on_3x3():
         g = FinRel(c3, c3, tuple(
             sum(1 << a for a, (_, c) in enumerate(choice) if c >> b & 1) for b in range(3)
         ))
-        rep = is_left_adjoint_rel(f, g)
-        assert rep.to_json() == oracles.left_adjoint_rel_report(f, g).to_json()
-        clauses[rep.failed] += 1
+        clauses[check_left_adjoint_rel(f, g).failed] += 1
     assert set(clauses) == {None, "counit"}
     assert sum(clauses.values()) == 37**3
     rng = random.Random(3)
     all_g = _rels(3, 3)
     for _ in range(4000):
         f, g = FinRel(c3, c3, tuple(rng.randrange(8) for _ in range(3))), rng.choice(all_g)
-        rep = is_left_adjoint_rel(f, g)
-        assert rep.to_json() == oracles.left_adjoint_rel_report(f, g).to_json()
-        clauses[rep.failed] += 1
+        clauses[check_left_adjoint_rel(f, g).failed] += 1
     assert clauses["unit"] > 0
 
 

@@ -1,5 +1,6 @@
 """Enumeration of small structures and the universal-law registry."""
 
+import collections
 import itertools
 import random
 import types
@@ -12,6 +13,8 @@ from relmon import catalog, search
 from relmon.monoid import (
     LaxMorphism,
     RelMonoid,
+    _monad_conditions,
+    _square_witness,
     check_monoid_axioms,
     is_left_adjoint_relmon,
     is_monad,
@@ -21,6 +24,7 @@ from relmon.pam import (
     PartialAbelianMonoid,
     check_congruence,
     check_pam_axioms,
+    oml_as_effect_algebra,
     to_relmonoid,
 )
 from relmon.rel import Carrier, FinRel, is_partial_order
@@ -39,6 +43,7 @@ from relmon.search import (
     _gen_relmonoids,
     _labeled_posets,
     _lax_rels,
+    _lax_search,
     _orthocomplementations,
     _perms_fixing_zero,
     _pool,
@@ -672,6 +677,7 @@ def test_lax_rels_is_one_table_per_monoid_pair():
     for src, dst in itertools.product(monoids, repeat=2):
         lax = _lax_rels(src, dst)
         assert _lax_rels(src, dst) is lax
+        assert [h.rel for h in _lax_search(src, dst)] == [h.rel for h in lax]
         assert [h.rel.rows for h in lax] == oracles.lax_rels_by_filter(src, dst)
         total += len(lax)
     assert total == 164
@@ -729,11 +735,24 @@ def test_q_functorial_catches_a_broken_quotient_map(monkeypatch):
         assert rep.message == message
 
 
+def test_dimeq_square_shortcut_keeps_the_monad_verdict():
+    # dimeq-b-matches-square reads _square_witness on equivalence rows in
+    # place of the full _monad_conditions report
+    clauses = collections.Counter()
+    for k in range(1, 4):
+        m = to_relmonoid(oml_as_effect_algebra(catalog.boolean_oml(k)))
+        for rows in _equivalence_rows(1 << k):
+            rep = _monad_conditions(m, FinRel(m.carrier, m.carrier, rows))
+            assert (_square_witness(m, rows, m) is None) == (rep.ok or rep.failed != "square")
+            clauses[rep.failed] += 1
+    assert set(clauses) >= {None, "square"}
+
+
 # law -> (name on search, stand-in that breaks it, the whole report), one law per layer
 FORCED_FAILURES = {
     "left-adjoint-iff-map": (
-        "is_left_adjoint_rel",
-        lambda f, g: CheckReport.passing("stub"),
+        "_adjoint_witness",
+        lambda f, g: None,
         {
             "check": "verify:left-adjoint-iff-map",
             "ok": False,
