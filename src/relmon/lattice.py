@@ -10,20 +10,23 @@ itself is testable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 from .monoid import MonadCandidate, RelMonoid, from_poset_quotients, is_monad, quotient_pairs
-from .rel import Carrier, FinRel, bits, in_field, is_partial_order, lowest_bit
-from .report import CheckReport, InputError, PreconditionError, json_fields
+from .rel import Carrier, FinRel, bits, in_field, is_partial_order, json_size, lowest_bit
+from .report import CheckReport, Frozen, InputError, PreconditionError, _set, json_fields
 
 
-@dataclass(frozen=True)
-class FinLattice:
+class FinLattice(Frozen):
     order: FinRel
     meet: tuple[int, ...]
     join: tuple[int, ...]
+
+    def __init__(self, order: FinRel, meet: tuple[int, ...], join: tuple[int, ...]) -> None:
+        _set(self, "order", order)
+        _set(self, "meet", meet)
+        _set(self, "join", join)
 
     @cached_property
     def n(self) -> int:
@@ -65,9 +68,7 @@ class FinLattice:
     @classmethod
     def from_json(cls, obj: object) -> "FinLattice":
         size, _ = json_fields(obj, "lattice", "carrier", "order")
-        if not isinstance(size, int) or isinstance(size, bool) or size < 0:
-            raise InputError("field 'carrier' must be a nonnegative integer size")
-        carrier = Carrier(size)
+        carrier = Carrier(json_size(size))
         rel = in_field("order", FinRel.from_pairs, carrier, carrier, obj["order"])
         # reflexive pairs may be omitted in files
         rel = FinRel(carrier, carrier, tuple(row | 1 << a for a, row in enumerate(rel.rows)))
@@ -137,12 +138,15 @@ def is_modular(lat: FinLattice) -> CheckReport:
     return CheckReport.passing("modular")
 
 
-@dataclass(frozen=True)
-class QuotientOrder:
+class QuotientOrder(Frozen):
     """The quotient monoid of a lattice with its perspectivity order."""
 
     qmonoid: RelMonoid
     arrow: FinRel
+
+    def __init__(self, qmonoid: RelMonoid, arrow: FinRel) -> None:
+        _set(self, "qmonoid", qmonoid)
+        _set(self, "arrow", arrow)
 
 
 def build_quotient_order(lat: FinLattice) -> QuotientOrder:

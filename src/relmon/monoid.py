@@ -15,7 +15,6 @@ scan order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -31,19 +30,32 @@ from .rel import (
     is_preorder,
     is_subcell,
     json_labels,
+    json_size,
     lowest_bit,
     refl_trans_closure,
 )
-from .report import CheckReport, InputError, PreconditionError, cached_verdict, json_fields
+from .report import (
+    CheckReport,
+    Frozen,
+    InputError,
+    PreconditionError,
+    _set,
+    cached_verdict,
+    json_fields,
+)
 
 
-@dataclass(frozen=True)
-class RelMonoid:
+class RelMonoid(Frozen):
     carrier: Carrier
     units: frozenset[int]
     mult: frozenset[tuple[int, int, int]]
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, carrier: Carrier, units: frozenset[int], mult: frozenset[tuple[int, int, int]]
+    ) -> None:
+        _set(self, "carrier", carrier)
+        _set(self, "units", units)
+        _set(self, "mult", mult)
         n = self.carrier.size
         for y in self.units:
             if not (type(y) is int and 0 <= y < n):
@@ -111,8 +123,7 @@ class RelMonoid:
     @classmethod
     def from_json(cls, obj: object) -> "RelMonoid":
         size, units, mult = json_fields(obj, "monoid", "carrier", "units", "mult")
-        if not isinstance(size, int) or isinstance(size, bool) or size < 0:
-            raise InputError("field 'carrier' must be a nonnegative integer size")
+        json_size(size)
         if not isinstance(units, list) or not all(type(y) is int for y in units):
             raise InputError("field 'units' must be a list of indices")
         if not isinstance(mult, list) or not all(
@@ -126,15 +137,17 @@ class RelMonoid:
         return in_field("mult", cls.make, size, units, mult, labels)
 
 
-@dataclass(frozen=True)
-class LaxMorphism:
+class LaxMorphism(Frozen):
     """A relation between the carriers of two relational monoids."""
 
     src: RelMonoid
     dst: RelMonoid
     rel: FinRel
 
-    def __post_init__(self) -> None:
+    def __init__(self, src: RelMonoid, dst: RelMonoid, rel: FinRel) -> None:
+        _set(self, "src", src)
+        _set(self, "dst", dst)
+        _set(self, "rel", rel)
         if self.rel.dom.size != self.src.n or self.rel.cod.size != self.dst.n:
             raise InputError(
                 f"morphism relation is {self.rel.dom.size}->{self.rel.cod.size} "
@@ -157,14 +170,15 @@ class LaxMorphism:
         return cls(src, dst, rel)
 
 
-@dataclass(frozen=True)
-class MonadCandidate:
+class MonadCandidate(Frozen):
     """A relational monoid with a candidate order 1-cell on its carrier."""
 
     base: RelMonoid
     order: FinRel
 
-    def __post_init__(self) -> None:
+    def __init__(self, base: RelMonoid, order: FinRel) -> None:
+        _set(self, "base", base)
+        _set(self, "order", order)
         if self.order.dom.size != self.base.n or self.order.cod.size != self.base.n:
             raise InputError(
                 f"order relation is {self.order.dom.size}->{self.order.cod.size} "

@@ -16,7 +16,6 @@ them and a disagreement raises an internal error rather than picking a side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -38,18 +37,29 @@ from .rel import (
     is_equivalence,
     is_partial_order,
     json_labels,
+    json_size,
     lowest_bit,
 )
-from .report import CheckReport, InputError, InternalCheckError, cached_verdict, json_fields
+from .report import (
+    CheckReport,
+    Frozen,
+    InputError,
+    InternalCheckError,
+    _set,
+    cached_verdict,
+    json_fields,
+)
 
 
-@dataclass(frozen=True)
-class PartialAbelianMonoid:
+class PartialAbelianMonoid(Frozen):
     carrier: Carrier
     zero: int
     plus: tuple[int, ...]  # flattened n*n, -1 marks an undefined cell
 
-    def __post_init__(self) -> None:
+    def __init__(self, carrier: Carrier, zero: int, plus: tuple[int, ...]) -> None:
+        _set(self, "carrier", carrier)
+        _set(self, "zero", zero)
+        _set(self, "plus", plus)
         n = self.carrier.size
         if not (type(self.zero) is int and 0 <= self.zero < n):
             raise InputError(f"zero index {self.zero!r} out of range for size {n}")
@@ -118,8 +128,7 @@ class PartialAbelianMonoid:
     @classmethod
     def from_json(cls, obj: object) -> "PartialAbelianMonoid":
         size, zero, plus = json_fields(obj, "partial monoid", "carrier", "zero", "plus")
-        if not isinstance(size, int) or isinstance(size, bool) or size < 0:
-            raise InputError("field 'carrier' must be a nonnegative integer size")
+        json_size(size)
         if not isinstance(zero, int) or isinstance(zero, bool):
             raise InputError("field 'zero' must be an element index")
         if not isinstance(plus, list) or not all(
@@ -355,12 +364,13 @@ def pam_from_relmonoid(m: RelMonoid) -> PartialAbelianMonoid:
 # congruences and quotients
 
 
-@dataclass(frozen=True)
-class CongruenceCandidate:
+class CongruenceCandidate(Frozen):
     base: PartialAbelianMonoid
     classes: FinRel
 
-    def __post_init__(self) -> None:
+    def __init__(self, base: PartialAbelianMonoid, classes: FinRel) -> None:
+        _set(self, "base", base)
+        _set(self, "classes", classes)
         if (
             self.classes.dom.size != self.base.n
             or self.classes.cod.size != self.base.n
@@ -516,12 +526,13 @@ def adjoint_induces_c1c2c5(h: LaxMorphism) -> CheckReport:
 # orthomodular lattices and dimension equivalence
 
 
-@dataclass(frozen=True)
-class OmlStructure:
+class OmlStructure(Frozen):
     lattice: FinLattice
     ortho: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, lattice: FinLattice, ortho: tuple[int, ...]) -> None:
+        _set(self, "lattice", lattice)
+        _set(self, "ortho", ortho)
         n = self.lattice.n
         if len(self.ortho) != n:
             raise InputError(

@@ -16,11 +16,11 @@ order is irrelevant on input and lexicographic on output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
 from functools import cached_property
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from .report import CheckReport, InputError, PreconditionError, json_fields
+from .report import CheckReport, Frozen, InputError, PreconditionError, _set, json_fields
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -68,14 +68,15 @@ def transpose_rows(rows: Sequence[int], width: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Carrier:
+class Carrier(Frozen):
     """An index set 0..size-1; labels are cosmetic and never affect checks."""
 
     size: int
-    labels: tuple[str, ...] | None = None
+    labels: tuple[str, ...] | None
 
-    def __post_init__(self) -> None:
+    def __init__(self, size: int, labels: tuple[str, ...] | None = None) -> None:
+        _set(self, "size", size)
+        _set(self, "labels", labels)
         if self.size < 0:
             raise InputError("carrier size must be nonnegative")
         if self.labels is not None:
@@ -115,15 +116,27 @@ def json_labels(obj: dict, size: int) -> tuple[str, ...] | None:
     return in_field("labels", Carrier, size, tuple(labels)).labels
 
 
-@dataclass(frozen=True)
-class FinRel:
+def json_size(size: object) -> int:
+    """The 'carrier' field of a monoid, partial monoid or lattice JSON
+    object: a nonnegative integer whose n x n tables can be indexed."""
+    if not isinstance(size, int) or isinstance(size, bool) or size < 0:
+        raise InputError("field 'carrier' must be a nonnegative integer size")
+    if size * size > sys.maxsize:
+        raise InputError("field 'carrier' must be a size whose n x n table can be indexed")
+    return size
+
+
+class FinRel(Frozen):
     """A relation dom -> cod; rows[a] is the bitmask of b with (a, b) related."""
 
     dom: Carrier
     cod: Carrier
     rows: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, dom: Carrier, cod: Carrier, rows: tuple[int, ...]) -> None:
+        _set(self, "dom", dom)
+        _set(self, "cod", cod)
+        _set(self, "rows", rows)
         if len(self.rows) != self.dom.size:
             raise InputError(
                 f"relation has {len(self.rows)} rows for a domain of size {self.dom.size}"
@@ -235,14 +248,22 @@ class FinRel:
         return cls.from_pairs(Carrier(dom), Carrier(cod), pairs)
 
 
-@dataclass(frozen=True)
-class TwoCell:
+class TwoCell(Frozen):
     """An inclusion claim between parallel relations, with a counterexample."""
 
     lhs: FinRel
     rhs: FinRel
     holds: bool
-    counterexample: tuple[int, int] | None = None
+    counterexample: tuple[int, int] | None
+
+    def __init__(
+        self, lhs: FinRel, rhs: FinRel, holds: bool,
+        counterexample: tuple[int, int] | None = None,
+    ) -> None:
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+        _set(self, "holds", holds)
+        _set(self, "counterexample", counterexample)
 
 
 def _require_parallel(f: FinRel, g: FinRel) -> None:

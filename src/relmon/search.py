@@ -21,11 +21,10 @@ product-functorial also draw random relations from the seeded generator.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
 from functools import lru_cache
 from heapq import merge
 from itertools import permutations, product, takewhile
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .lattice import (
     FinLattice,
@@ -89,11 +88,10 @@ from .rel import (
     refl_trans_closure,
     transpose_rows,
 )
-from .report import CheckReport, InputError, cached_verdict, record_verdict
+from .report import CheckReport, Frozen, InputError, _set, cached_verdict, record_verdict
 
 
-@dataclass(frozen=True)
-class _Kind:
+class _Kind(NamedTuple):
     """An enumerable kind: its size limit, its stream for a valid EnumSpec,
     and for a kind enumerated over a base, the base's type and article noun."""
 
@@ -121,14 +119,19 @@ KINDS: dict[str, _Kind] = {
 KIND_LIMITS = {key: kind.limit for key, kind in KINDS.items()}
 
 
-@dataclass(frozen=True)
-class EnumSpec:
+class EnumSpec(Frozen):
     kind: str
     size: int
-    base: object | None = None
-    dedup: bool = True
+    base: object | None
+    dedup: bool
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, kind: str, size: int, base: object | None = None, dedup: bool = True
+    ) -> None:
+        _set(self, "kind", kind)
+        _set(self, "size", size)
+        _set(self, "base", base)
+        _set(self, "dedup", dedup)
         if self.kind not in KINDS:
             raise InputError(
                 f"unknown kind {self.kind!r}; expected one of " + ", ".join(sorted(KINDS))
@@ -699,8 +702,7 @@ def serialize_structure(obj: object) -> dict:
 # the law registry
 
 
-@dataclass(frozen=True)
-class _Law:
+class _Law(NamedTuple):
     fn: Callable[[int, random.Random], CheckReport]
     default_size: int
     max_size: int
@@ -1509,4 +1511,5 @@ def verify_universal(key: str, size: int | None = None, seed: int = 0) -> CheckR
         raise InputError(
             f"size {size} exceeds the safety bound {law.max_size} for {key!r}"
         )
-    return replace(law.fn(size, random.Random(seed)), check=f"verify:{key}")
+    rep = law.fn(size, random.Random(seed))
+    return CheckReport(f"verify:{key}", rep.ok, rep.failed, rep.witness, rep.message, rep.details)

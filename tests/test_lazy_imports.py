@@ -25,9 +25,17 @@ LOADED = {
 }
 
 
+# records are plain classes, so a cold process imports neither of these
+UNWANTED = {"dataclasses", "inspect"}
+
+
 def loaded_after(code):
-    """The relmon modules in sys.modules of a fresh interpreter that ran code."""
-    probe = code + "\nimport sys\nprint(*(m for m in sys.modules if m.split('.')[0] == 'relmon'))"
+    """The relmon modules, and the UNWANTED ones, in sys.modules of a fresh
+    interpreter that ran code."""
+    probe = code + (
+        "\nimport sys\nprint(*(m for m in sys.modules"
+        f" if m.split('.')[0] == 'relmon' or m in {UNWANTED!r}))"
+    )
     env = dict(os.environ, PYTHONPATH=str(Path(relmon.__file__).resolve().parent.parent))
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, cwd=ROOT
@@ -45,6 +53,10 @@ def test_each_subcommand_loads_only_what_it_runs(argv):
 
 def test_bare_import_loads_no_submodule():
     assert loaded_after("import relmon") == {"relmon"}
+
+
+def test_cli_import_loads_only_the_report_module():
+    assert loaded_after("import relmon.cli") == {"relmon", "relmon.cli", "relmon.report"}
 
 
 def test_every_export_is_its_submodules_object():

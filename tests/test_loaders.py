@@ -7,6 +7,8 @@ such, not fail inside the loader with a TypeError.
 """
 
 import json
+import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,7 +19,7 @@ from relmon.cli import main
 from relmon.lattice import FinLattice
 from relmon.monoid import LaxMorphism, MonadCandidate, RelMonoid
 from relmon.pam import CongruenceCandidate, OmlStructure, PartialAbelianMonoid
-from relmon.rel import FinRel
+from relmon.rel import FinRel, json_size
 from relmon.report import InputError
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -26,6 +28,7 @@ CHAIN2_PAM = {"carrier": 2, "zero": 0, "plus": [[0, 0, 0], [0, 1, 1], [1, 0, 1]]
 MO2_OML = json.loads((SAMPLES / "mo2_oml.json").read_text())
 MO2_SIM = SAMPLES / "mo2_identity_rel.json"
 Z2 = json.loads((SAMPLES / "z2.json").read_text())
+HUGE = 10**30
 
 # (loader, JSON object, text naming the offending field, CLI argv with the
 # file as "{}")
@@ -187,6 +190,49 @@ CASES = {
         "field 'order': not a lattice",
         ["check-dimeq", "{}", MO2_SIM],
     ),
+    # a carrier whose n x n table cannot be indexed is named, not overflowed
+    "lattice-carrier-huge": (
+        FinLattice,
+        {"carrier": HUGE, "order": []},
+        "field 'carrier'",
+        ["check-lattice", "{}"],
+    ),
+    "lattice-carrier-huge-qa": (
+        FinLattice,
+        {"carrier": HUGE, "order": []},
+        "field 'carrier'",
+        ["check-qa", "{}"],
+    ),
+    "monoid-carrier-huge": (
+        RelMonoid,
+        dict(TRIVIAL, carrier=HUGE),
+        "field 'carrier'",
+        ["check-monoid", "{}"],
+    ),
+    "pam-carrier-huge": (
+        PartialAbelianMonoid,
+        dict(CHAIN2_PAM, carrier=HUGE),
+        "field 'carrier'",
+        ["check-pam", "{}"],
+    ),
+    "congruence-base-carrier-huge": (
+        CongruenceCandidate,
+        {"base": dict(CHAIN2_PAM, carrier=HUGE), "classes": []},
+        "field 'base': field 'carrier'",
+        ["check-congruence", "{}"],
+    ),
+    "morphism-src-carrier-huge": (
+        LaxMorphism,
+        {"src": dict(TRIVIAL, carrier=HUGE), "dst": TRIVIAL, "rel": []},
+        "field 'src': field 'carrier'",
+        ["check-morphism", "{}"],
+    ),
+    "enumerate-base-carrier-huge": (
+        PartialAbelianMonoid,
+        dict(CHAIN2_PAM, carrier=HUGE),
+        "field 'carrier'",
+        ["enumerate", "--kind", "congruence", "--base", "{}"],
+    ),
 }
 
 
@@ -336,6 +382,14 @@ def test_negative_sizes_name_the_field(case):
     with pytest.raises(InputError) as info:
         loader.from_json(obj)
     assert str(info.value) == message
+
+
+def test_carrier_bound_is_the_largest_indexable_table():
+    side = math.isqrt(sys.maxsize)
+    assert json_size(side) == side
+    with pytest.raises(InputError) as info:
+        json_size(side + 1)
+    assert str(info.value) == "field 'carrier' must be a size whose n x n table can be indexed"
 
 
 # Labels and orthocomplements that fail the carrier's checks: the error

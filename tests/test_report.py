@@ -1,12 +1,10 @@
-"""CheckReport: the passing/failing constructors against the dataclass's own."""
-
-import dataclasses
+"""CheckReport: the passing/failing constructors against its __init__."""
 
 import pytest
 
 from relmon.report import CheckReport
 
-# (built by a constructor, the same report built by the generated __init__)
+# (built by a constructor, the same report built by __init__)
 CASES = {
     "passing-bare": (CheckReport.passing("c"), CheckReport("c", True)),
     "passing-details": (
@@ -38,13 +36,17 @@ def test_constructors_match_the_generated_init(case):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_constructed_reports_stay_frozen(case):
     built, _ = CASES[case]
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         built.ok = not built.ok
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         del built.check
-    renamed = dataclasses.replace(built, check="verify:c")
+
+    def named(rep, check):
+        return CheckReport(check, rep.ok, rep.failed, rep.witness, rep.message, rep.details)
+
+    renamed = named(built, "verify:c")
     assert renamed.check == "verify:c" and built.check == "c"
-    assert dataclasses.replace(renamed, check="c") == built
+    assert named(renamed, "c") == built
 
 
 def test_reports_never_share_a_details_dict():
