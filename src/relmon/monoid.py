@@ -16,6 +16,7 @@ scan order.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 from .rel import (
@@ -204,32 +205,33 @@ class MonadCandidate(Frozen):
 
 
 def _assoc_witness(
-    pm: Sequence[int], n: int
+    pm: Sequence[int], n: int, triples: Iterable[tuple[int, tuple[int, int, int]]]
 ) -> tuple[int, int, int, int, int] | None:
-    """First (a1, a2, a3) ascending whose two bracketings differ, or None.
+    """First triple (a1, a2, a3) of triples whose two bracketings differ, or None.
 
-    pm is a prod_masks table on n elements. The witness carries both outcome
-    masks: (a1, a2, a3, outcomes of (a1*a2)*a3, outcomes of a1*(a2*a3)).
+    pm is a prod_masks table on n elements, and a triple comes as
+    (a1*n, (a2, a2*n + a3, a3)): the row of a1 and the cell of a2*a3. A
+    negative entry is one not placed yet, and a triple that reads one is
+    skipped. The witness carries both outcome masks: (a1, a2, a3, outcomes
+    of (a1*a2)*a3, outcomes of a1*(a2*a3)).
     """
-    for a1 in range(n):
-        row1 = a1 * n
-        for a2 in range(n):
-            m12 = pm[row1 + a2]
-            for a3 in range(n):
-                lhs = 0
-                w = m12
-                while w:
-                    low = w & -w
-                    lhs |= pm[(low.bit_length() - 1) * n + a3]
-                    w ^= low
-                rhs = 0
-                w = pm[a2 * n + a3]
-                while w:
-                    low = w & -w
-                    rhs |= pm[row1 + (low.bit_length() - 1)]
-                    w ^= low
-                if lhs != rhs:
-                    return a1, a2, a3, lhs, rhs
+    for row1, (a2, i23, a3) in triples:
+        m12, m23 = pm[row1 + a2], pm[i23]
+        if m12 < 0 or m23 < 0:
+            continue
+        lhs = 0
+        while m12:
+            low = m12 & -m12
+            lhs |= pm[(low.bit_length() - 1) * n + a3]
+            m12 ^= low
+        rhs = 0
+        while m23:
+            low = m23 & -m23
+            rhs |= pm[row1 + low.bit_length() - 1]
+            m23 ^= low
+        # an unplaced entry read makes its side negative
+        if lhs != rhs and lhs >= 0 and rhs >= 0:
+            return row1 // n, a2, a3, lhs, rhs
     return None
 
 
@@ -239,7 +241,8 @@ def check_monoid_axioms(m: RelMonoid) -> CheckReport:
 
     Scan order: right unit per element (existence, then uniqueness over units
     and stray products ascending), then left unit, then associativity over
-    (a1, a2, a3) ascending with the first mismatched outcome as witness.
+    (a1, a2, a3) ascending with the first mismatched outcome as witness, by
+    _assoc_witness, the relational-monoid and category generators' kernel.
 
     Witness shapes: (a,) for a missing unit; (a, y, b) for a unit y relating a
     to a stray b != a; (a1, a2, a3, z) for an outcome z reachable under only
@@ -268,7 +271,8 @@ def check_monoid_axioms(m: RelMonoid) -> CheckReport:
                         (a, y, b),
                         f"unit {lab(y)} multiplies {lab(a)} to {lab(b)} on the {side}",
                     )
-    bad = _assoc_witness(pm, n)
+    cells = [(a2, a2 * n + a3, a3) for a2, a3 in product(range(n), repeat=2)]
+    bad = _assoc_witness(pm, n, product([a * n for a in range(n)], cells))
     if bad is not None:
         a1, a2, a3, lhs, rhs = bad
         z = lowest_bit(lhs ^ rhs)

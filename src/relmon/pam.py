@@ -17,6 +17,7 @@ them and a disagreement raises an internal error rather than picking a side.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import product
 from typing import Iterable, Sequence
 
 from .lattice import FinLattice
@@ -144,13 +145,38 @@ class PartialAbelianMonoid(Frozen):
 # axioms and derived classes
 
 
+def _p1_witness(
+    plus: Sequence[int], n: int, triples: Iterable[tuple[int, tuple[int, int, int]]]
+) -> tuple[int, int, int] | None:
+    """First triple (a, b, c) of triples at which P1 fails, or None: b+c and
+    a+(b+c) are defined, but a+b is not or (a+b)+c is not a+(b+c).
+
+    plus is an addition table on n elements, -1 for undefined; an entry below
+    -1 is not placed yet, and a premise or outcome that reads one cannot fail.
+    A triple comes as (a*n, (b, b*n + c, c)): the row of a and the cell b+c.
+    """
+    for an, (b, bc_i, c) in triples:
+        bc = plus[bc_i]
+        if bc < 0:
+            continue
+        abc = plus[an + bc]
+        if abc < 0:
+            continue
+        ab = plus[an + b]
+        # a+b undefined, or (a+b)+c placed and other than a+(b+c)
+        if ab == -1 or ab >= 0 and abc != plus[ab * n + c] >= -1:
+            return an // n, b, c
+    return None
+
+
 @cached_verdict
 def check_pam_axioms(p: PartialAbelianMonoid) -> CheckReport:
     """Zero totality (P3), commutativity (P2), associativity transfer (P1).
 
     P1 reads: if b+c and a+(b+c) are defined then a+b and (a+b)+c are defined
     and associativity holds. Checked in the order P3, P2, P1 so the most
-    basic breakage is named first.
+    basic breakage is named first. P1 is _p1_witness, the PAM generator's
+    kernel, on each (a, b, c) with b+c defined, a then (b, c) ascending.
     """
     n, plus = p.n, p.plus
     lab = p.carrier.label
@@ -171,27 +197,18 @@ def check_pam_axioms(p: PartialAbelianMonoid) -> CheckReport:
                 f"{lab(a)} + {lab(b)} defined but not matched by "
                 f"{lab(b)} + {lab(a)}",
             )
-    for a in range(n):
-        for b, c, bc in p.cells:
-            abc = plus[a * n + bc]
-            if abc < 0:
-                continue
-            ab = plus[a * n + b]
-            if ab < 0:
-                return CheckReport.failing(
-                    "pam-axioms",
-                    "P1",
-                    (a, b, c),
-                    f"{lab(a)} + ({lab(b)} + {lab(c)}) defined but "
-                    f"{lab(a)} + {lab(b)} is not",
-                )
-            if plus[ab * n + c] != abc:
-                return CheckReport.failing(
-                    "pam-axioms",
-                    "P1",
-                    (a, b, c),
-                    f"({lab(a)} + {lab(b)}) + {lab(c)} does not reassociate",
-                )
+    cells = [(b, b * n + c, c) for b, c, _ in p.cells]
+    bad = _p1_witness(plus, n, product([a * n for a in range(n)], cells))
+    if bad is not None:
+        a, b, c = bad
+        return CheckReport.failing(
+            "pam-axioms",
+            "P1",
+            bad,
+            f"{lab(a)} + ({lab(b)} + {lab(c)}) defined but {lab(a)} + {lab(b)} is not"
+            if plus[a * n + b] < 0
+            else f"({lab(a)} + {lab(b)}) + {lab(c)} does not reassociate",
+        )
     return CheckReport.passing("pam-axioms")
 
 

@@ -116,13 +116,13 @@ def json_labels(obj: dict, size: int) -> tuple[str, ...] | None:
     return in_field("labels", Carrier, size, tuple(labels)).labels
 
 
-def json_size(size: object) -> int:
-    """The 'carrier' field of a monoid, partial monoid or lattice JSON
-    object: a nonnegative integer whose n x n tables can be indexed."""
+def json_size(size: object, field: str = "carrier") -> int:
+    """A size field of a JSON object, 'carrier' unless named: a nonnegative
+    integer whose n x n tables can be indexed."""
     if not isinstance(size, int) or isinstance(size, bool) or size < 0:
-        raise InputError("field 'carrier' must be a nonnegative integer size")
+        raise InputError(f"field '{field}' must be a nonnegative integer size")
     if size * size > sys.maxsize:
-        raise InputError("field 'carrier' must be a size whose n x n table can be indexed")
+        raise InputError(f"field '{field}' must be a size whose n x n table can be indexed")
     return size
 
 
@@ -239,10 +239,10 @@ class FinRel(Frozen):
     @classmethod
     def from_json(cls, obj: object) -> "FinRel":
         dom, cod, pairs = json_fields(obj, "relation", "dom", "cod", "pairs")
-        if not isinstance(dom, int) or isinstance(dom, bool) or dom < 0:
-            raise InputError("field 'dom' must be a nonnegative integer")
-        if not isinstance(cod, int) or isinstance(cod, bool) or cod < 0:
-            raise InputError("field 'cod' must be a nonnegative integer")
+        for field, size in (("dom", dom), ("cod", cod)):
+            if not isinstance(size, int) or isinstance(size, bool) or size < 0:
+                raise InputError(f"field '{field}' must be a nonnegative integer")
+            json_size(size, field)
         if not isinstance(pairs, list):
             raise InputError("field 'pairs' must be a list of [a, b] pairs")
         return cls.from_pairs(Carrier(dom), Carrier(cod), pairs)

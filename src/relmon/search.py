@@ -40,6 +40,7 @@ from .monoid import (
     LaxMorphism,
     MonadCandidate,
     RelMonoid,
+    _assoc_witness,
     _monad_conditions,
     _square_witness,
     check_monoid_axioms,
@@ -74,6 +75,7 @@ from .pam import (
     to_relmonoid,
     validate_oml,
     _decomposition_witness,
+    _p1_witness,
 )
 from .rel import (
     Carrier,
@@ -82,6 +84,7 @@ from .rel import (
     bits,
     compose_rows,
     is_equivalence,
+    is_partial_order,
     is_preorder,
     kernel,
     product_rel,
@@ -199,6 +202,7 @@ def _fill(
     while ok(k) holds. Slots in entry order with ascending values give the
     tables in ascending order. Callers: _gen_pams, _gen_relmonoids,
     _gen_categories, _lax_search, _additive_maps, _orthocomplementations.
+    The first four check a placed slot with their checkers' own kernels.
 
     With relabelings the fill is orderly (Read 1978, McKay 1998). Each maps
     t to u, u[i] = image[t[source[i]]], and agrees with t off the slots.
@@ -252,18 +256,16 @@ def _fill(
             walks.append(iter(values[k + 1]))
 
 
-def _row_col_triples(n: int) -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
+def _row_col_triples(n: int) -> tuple[tuple[tuple[int, tuple[int, int, int]], ...], ...]:
     """Per entry r*n + c of an n x n table, the triples (x, y, z) with x = r
-    or z = c, as (x*n, x*n + y, y*n + z, z). Both bracketings of x*y*z read
-    only row x, (x, y) and (x, w) for w in y*z, and column z, (y, z) and
-    (w, z) for w in x*y; so a check of these triples at each placed entry,
-    once the cells a triple reads are set, checks every triple."""
+    or z = c, as the kernels _assoc_witness and _p1_witness take them:
+    (x*n, (y, y*n + z, z)). Both bracketings of x*y*z read only row x, (x, y)
+    and (x, w) for w in y*z, and column z, (y, z) and (w, z) for w in x*y;
+    so a kernel run on these triples at each placed entry, which skips a
+    triple that reads an entry not placed, checks every triple."""
+    cells = [(y, y * n + z, z) for y, z in product(range(n), repeat=2)]
     return tuple(
-        tuple(
-            (x * n, x * n + y, y * n + z, z)
-            for x, y, z in product(range(n), repeat=3)
-            if x == r or z == c
-        )
+        tuple((x * n, (y, i, z)) for x in range(n) for y, i, z in cells if x == r or z == c)
         for r, c in product(range(n), repeat=2)
     )
 
@@ -279,19 +281,18 @@ def _gen_relmonoids(n: int, dedup: bool) -> Iterator[RelMonoid]:
     _fill fills the prod_masks table per unit set. The unit axioms fix the
     unit x unit cells and leave a unit cell of a non-unit a {} or {a}; ok
     checks that a has a unit on a side once its last unit cell there is
-    placed, then associativity on the triples of _row_col_triples through
-    the placed cell whose cells read are all set. The labeled stream keeps
-    the order of the product it once filtered: unit sets ascending, per
-    non-unit its right and then per non-unit its left unit cells, highest
-    unit first, then the other cells row-major. A least labeling has its
-    units at 0..k-1, so dedup walks those unit sets alone, row-major and
-    orderly under the permutations that keep {0..k-1}.
+    placed, then runs _assoc_witness on the triples of _row_col_triples
+    through the placed cell. The labeled stream keeps the order of the
+    product it once filtered: unit sets ascending, per non-unit its right
+    and then per non-unit its left unit cells, highest unit first, then the
+    other cells row-major. A least labeling has its units at 0..k-1, so
+    dedup walks those unit sets alone, row-major and orderly under the
+    permutations that keep {0..k-1}.
     """
     if n == 0:
         yield RelMonoid.make(0, [], [])
         return
     triples = _row_col_triples(n)
-    members = [tuple(bits(m)) for m in range(1 << n)]
     masks = [(1 << k) - 1 for k in range(1, n + 1)] if dedup else range(1, 1 << n)
     for units_mask in masks:
         units = list(bits(units_mask))
@@ -320,24 +321,12 @@ def _gen_relmonoids(n: int, dedup: bool) -> Iterator[RelMonoid]:
             due[max(map(cells.index, side))].append(side)
 
         def ok(k: int) -> bool:
-            if not all(any(t[i] for i in side) for side in due[k]):
-                return False
-            for xn, xy_i, yz_i, z in triples[cells[k]]:
-                xy, yz = t[xy_i], t[yz_i]
-                if xy < 0 or yz < 0:
-                    continue
-                lhs = rhs = 0
-                for w in members[xy]:
-                    lhs |= t[w * n + z]
-                for w in members[yz]:
-                    rhs |= t[xn + w]
-                # an unset cell read makes its side negative
-                if lhs != rhs and lhs >= 0 and rhs >= 0:
-                    return False
-            return True
+            return all(any(t[i] for i in side) for side in due[k]) and (
+                _assoc_witness(t, n, triples[cells[k]]) is None
+            )
 
         for table in _fill(t, [(i,) for i in cells], values, ok, relabelings):
-            mult = [(i // n, i % n, a) for i, m in enumerate(table) for a in members[m]]
+            mult = [(i // n, i % n, a) for i, m in enumerate(table) for a in bits(m)]
             yield RelMonoid.make(n, units, mult)
 
 
@@ -556,11 +545,12 @@ def _gen_pams(n: int, dedup: bool) -> Iterator[PartialAbelianMonoid]:
 
     _fill places the cells above the diagonal row-major, each with its
     mirror, with the values -1..n-1 ascending; with dedup it is orderly
-    under the permutations fixing the zero. Each placed cell rechecks P1
-    on the triples of _row_col_triples through it or its mirror, as P1 for
-    (x, y, z) reads (x, y) and (x, y+z) in row x and (y, z) and (x+y, z) in
-    column z. Triples with a zero coordinate hold, as the zero row and
-    column are fixed, and are left out.
+    under the permutations fixing the zero. Each placed cell runs
+    _p1_witness on the triples of _row_col_triples through it or its
+    mirror, as P1 for (x, y, z) reads (x, y) and (x, y+z) in row x and
+    (y, z) and (x+y, z) in column z. Triples with a zero coordinate hold,
+    as the zero row and column are fixed, and are left out; so is a triple
+    whose cell (x, y) or (y, z) is placed later, which checks it then.
     """
     if n == 0:
         return
@@ -570,35 +560,21 @@ def _gen_pams(n: int, dedup: bool) -> Iterator[PartialAbelianMonoid]:
         t[a * n] = a  # a + 0
     cells = [(a, b) for a in range(1, n) for b in range(a, n)]
 
+    slots = [(a * n + b, b * n + a) for a, b in cells]
+    step = {e: k for k, slot in enumerate(slots) for e in slot}
     triples = _row_col_triples(n)
     touching = [
         [
-            (xn, xy_i, yz_i, z)
-            for xn, xy_i, yz_i, z in dict.fromkeys(triples[a * n + b] + triples[b * n + a])
-            if 0 not in (xn, xy_i % n, z)
+            (xn, yz)
+            for xn, yz in dict.fromkeys(triples[a * n + b] + triples[b * n + a])
+            if xn and yz[0] and yz[2] and max(step[xn + yz[0]], step[yz[1]]) <= k
         ]
-        for a, b in cells
+        for k, (a, b) in enumerate(cells)
     ]
 
     def p1_ok(k: int) -> bool:
-        for xn, xy_i, yz_i, z in touching[k]:
-            yz = t[yz_i]
-            if yz < 0:  # undefined or unassigned: premise cannot fire yet
-                continue
-            total = t[xn + yz]
-            if total < 0:
-                continue
-            xy = t[xy_i]
-            if xy < 0:
-                if xy == -1:
-                    return False
-                continue
-            xyz = t[xy * n + z]
-            if xyz != total and xyz != _UNSET:
-                return False
-        return True
+        return _p1_witness(t, n, touching[k]) is None
 
-    slots = [(a * n + b, b * n + a) for a, b in cells]
     relabelings = (
         _relabelings(n, _perms_fixing_zero(n), lambda p: p + (-1,)) if dedup else ()
     )
@@ -617,13 +593,20 @@ def _gen_categories(narr: int) -> list[tuple[int, tuple, dict]]:
     _fill places each arrow's endpoints (s, d), coded s*nobj + d, in product
     order, and prunes once the arrows left cannot give every object a loop.
     Per choice of endpoints and identities, it then places the composites
-    of non-identities row-major, each an arrow with matching endpoints (-1
-    marks a pair that does not compose). ok checks associativity on the
-    triples of _row_col_triples through the placed composite whose reads
-    are all set; a triple of identity composites alone holds.
+    of non-identities row-major, each an arrow h with matching endpoints,
+    as the mask 1 << h (0 marks a pair that does not compose), so the
+    table is the category's prod_masks. ok runs _assoc_witness on the
+    triples of _row_col_triples through the placed composite whose cells
+    (f, g) and (g, h) are such composites placed no later: so a triple is
+    checked once the later of the two is placed, and again at each later
+    cell it reads. A triple with an identity composite or a pair that does
+    not compose in (f, g) or (g, h) holds, as both bracketings agree.
     """
     keys = tuple(product(range(narr), repeat=2))  # shared by every table
-    triples = _row_col_triples(narr)
+    before = [
+        [(fn, gh) for fn, gh in triples if max(fn + gh[0], gh[1]) <= e]
+        for e, triples in enumerate(_row_col_triples(narr))
+    ]
     results = []
     for nobj in range(narr + 1):  # no objects only without arrows
         ends = list(product(range(nobj), repeat=2))  # shared by every arrows tuple
@@ -638,29 +621,27 @@ def _gen_categories(narr: int) -> list[tuple[int, tuple, dict]]:
             arrows = tuple(ends[c] for c in placed)
             loops = [[i for i, end in enumerate(arrows) if end == (o, o)] for o in range(nobj)]
             for ids in product(*loops):
-                t = [-1] * (narr * narr)
+                t = [0] * (narr * narr)
                 slots, values = [], []
                 for e, (i, j) in enumerate(keys):
                     if arrows[i][1] != arrows[j][0]:
                         continue
-                    t[e] = j if i in ids else i if j in ids else _UNSET
+                    t[e] = 1 << j if i in ids else 1 << i if j in ids else _UNSET
                     if t[e] == _UNSET:
                         slots.append((e,))
                         want = (arrows[i][0], arrows[j][1])
-                        values.append([h for h in range(narr) if arrows[h] == want])
+                        values.append([1 << h for h in range(narr) if arrows[h] == want])
+
+                due = [
+                    [(fn, gh) for fn, gh in before[e] if t[fn + gh[0]] == t[gh[1]] == _UNSET]
+                    for (e,) in slots
+                ]
 
                 def ok(k: int) -> bool:
-                    for fn, fg_i, gh_i, h in triples[slots[k][0]]:
-                        fg, gh = t[fg_i], t[gh_i]
-                        if fg < 0 or gh < 0:
-                            continue
-                        lhs, rhs = t[fg * narr + h], t[fn + gh]
-                        if lhs != rhs and _UNSET not in (lhs, rhs):
-                            return False
-                    return True
+                    return _assoc_witness(t, narr, due[k]) is None
 
                 for table in _fill(t, slots, values, ok):
-                    comp = {key: v for key, v in zip(keys, table) if v >= 0}
+                    comp = {key: v.bit_length() - 1 for key, v in zip(keys, table) if v}
                     results.append((nobj, arrows, comp))
     return results
 
@@ -1419,12 +1400,7 @@ def _law_enumeration_complete(size: int, rng: random.Random) -> CheckReport:
         naive_lat = sorted(
             rows
             for rows in _all_rels(n, n)
-            if is_preorder(FinRel(carrier, carrier, rows)).ok
-            and all(
-                not (a != b and rows[b] >> a & 1)
-                for a in range(n)
-                for b in bits(rows[a])
-            )
+            if is_partial_order(FinRel(carrier, carrier, rows)).ok
             and _is_lattice_rows(rows) is not None
         )
         fast = sorted(lat.order.rows for lat in _gen_lattices(n, False))

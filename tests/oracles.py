@@ -8,8 +8,14 @@ pruning, not of the checker. lattices_by_poset_filter likewise runs
 relmon's labeled posets through its lattice filter, so it checks how the
 lattice generator builds and orders its candidates, not the filter.
 relmonoids_by_product is the product-then-filter generator that the orderly
-fill replaced; it filters with relmon's associativity scan and dedups with
-its _least_per_class, so it checks the fill's walk and pruning.
+fill replaced; it filters with _assoc_witness, the kernel the generator
+prunes with, and dedups with relmon's _least_per_class, so it checks the
+fill's walk and pruning only. The independent checks of associativity
+and P1 stay: categories_by_rescan scans on its own, pams_by_filter runs the
+PAM checker on whole tables, so it checks which triples the generator
+gives the shared kernel, and monoid_ok and pam_ok check the checkers, and
+so the kernels, by brute force. assoc_failure_where_placed and
+p1_failure_where_placed pin the kernels' rule for a partial table.
 lax_rels_by_filter and orthocomplementations_by_recursion are the searches
 that _fill replaced, with relmon's lax-morphism and orthomodular checkers
 as their verdicts, so they check the pruning, not the checkers. The
@@ -146,6 +152,45 @@ def pam_ok(n, zero, cells):
             if cells[(cells[(a, b)], c)] != s:
                 return False
     return True
+
+
+def assoc_failure_where_placed(table, triples):
+    """First (a1, a2, a3) of triples whose bracketings differ in a partial
+    table {(x, y): set of products}, or None. A missing key is a cell not
+    placed, and a triple is checked only once every cell it reads is
+    placed: (a1, a2), (a2, a3), (w, a3) for w in a1*a2, (a1, w) for w in
+    a2*a3."""
+    for a1, a2, a3 in triples:
+        left, right = table.get((a1, a2)), table.get((a2, a3))
+        if left is None or right is None:
+            continue
+        reads = [(w, a3) for w in left] + [(a1, w) for w in right]
+        if any(cell not in table for cell in reads):
+            continue
+        lhs = set().union(*(table[(w, a3)] for w in left))
+        rhs = set().union(*(table[(a1, w)] for w in right))
+        if lhs != rhs:
+            return a1, a2, a3
+    return None
+
+
+def p1_failure_where_placed(table, triples):
+    """First (a, b, c) of triples at which P1 fails in a partial addition
+    table {(x, y): value, None if undefined}, or None. A missing key is a
+    cell not placed, and a triple is checked only once every cell it reads
+    is placed: (b, c); (a, b+c) if b+c is defined; then (a, b); and
+    (a+b, c) if a+b is defined."""
+    for a, b, c in triples:
+        bc = table.get((b, c))
+        abc = table.get((a, bc)) if bc is not None else None
+        if abc is None or (a, b) not in table:
+            continue  # the premise fails, or is not placed yet
+        ab = table[(a, b)]
+        if ab is None:
+            return a, b, c  # a+(b+c) defined but a+b not
+        if (ab, c) in table and table[(ab, c)] != abc:
+            return a, b, c  # (a+b)+c undefined or another element
+    return None
 
 
 def pams_by_filter(n):
@@ -816,6 +861,8 @@ def relmonoids_by_product(n, dedup):
         return list(_least_per_class(labeled, _relmonoid_key, _relmonoid_orbit))
     if n == 0:
         return [RelMonoid.make(0, [], [])]
+    cells = [(b, b * n + c, c) for b, c in product(range(n), repeat=2)]
+    triples = list(product([a * n for a in range(n)], cells))  # all, ascending
     out = []
     for units_mask in range(1, 1 << n):
         units = list(bits(units_mask))
@@ -836,7 +883,7 @@ def relmonoids_by_product(n, dedup):
                     pm[y * n + a] = 1 << a
             for i, (a, b) in enumerate(free_cells):
                 pm[a * n + b] = choice[2 * k + i]
-            if _assoc_witness(pm, n) is None:
+            if _assoc_witness(pm, n, triples) is None:
                 mult = [(i // n, i % n, a) for i, m in enumerate(pm) for a in bits(m)]
                 out.append(RelMonoid.make(n, units, mult))
     return out

@@ -233,6 +233,19 @@ CASES = {
         "field 'carrier'",
         ["enumerate", "--kind", "congruence", "--base", "{}"],
     ),
+    # so is a relation whose dom or cod is too large to index
+    "rel-dom-huge": (
+        FinRel,
+        {"dom": HUGE, "cod": 1, "pairs": []},
+        "field 'dom' must be a size whose n x n table can be indexed",
+        ["check-dimeq", SAMPLES / "mo2_oml.json", "{}"],
+    ),
+    "rel-cod-huge": (
+        FinRel,
+        {"dom": 2, "cod": 10**23, "pairs": []},
+        "field 'cod' must be a size whose n x n table can be indexed",
+        ["check-dimeq", SAMPLES / "mo2_oml.json", "{}"],
+    ),
 }
 
 

@@ -13,6 +13,7 @@ from relmon import catalog, search
 from relmon.monoid import (
     LaxMorphism,
     RelMonoid,
+    _assoc_witness,
     _monad_conditions,
     _square_witness,
     check_monoid_axioms,
@@ -22,12 +23,13 @@ from relmon.monoid import (
 from relmon.pam import (
     CongruenceCandidate,
     PartialAbelianMonoid,
+    _p1_witness,
     check_congruence,
     check_pam_axioms,
     oml_as_effect_algebra,
     to_relmonoid,
 )
-from relmon.rel import Carrier, FinRel, is_partial_order
+from relmon.rel import Carrier, FinRel, bits, is_partial_order
 from relmon.report import CheckReport, InputError
 from relmon.search import (
     _UNSET,
@@ -50,6 +52,7 @@ from relmon.search import (
     _pool_upto,
     _poset_key,
     _preorders,
+    _row_col_triples,
     enumerate_structures,
     property_keys,
     serialize_structure,
@@ -220,6 +223,42 @@ def test_fill_yields_the_tables_ok_admits_in_product_order():
     assert filled == expect
     assert 0 < len(expect) < 27
     assert t == [_UNSET, _UNSET, 7, _UNSET, _UNSET]
+
+
+def test_kernels_on_partial_tables_match_the_placed_triple_oracles():
+    # the generators run _assoc_witness and _p1_witness on the triples
+    # through each placed cell of a partial table: a triple that reads an
+    # entry not placed (_UNSET) is skipped, never failed, and the first
+    # failing triple whose cells are all placed is the witness. Tables are
+    # random or a monoid's or PAM's, with entries unset at random.
+    rng = random.Random(23)
+    seen = collections.Counter()
+    for case in range(240):
+        n = rng.randint(1, 3)
+        if case % 2:
+            full_pm = rng.choice(_pool("relmonoid", n, False)).prod_masks
+            full_plus = rng.choice(_pool("pam", n, False)).plus
+        else:
+            full_pm = [rng.randrange(1 << n) for _ in range(n * n)]
+            full_plus = [rng.randrange(-1, n) for _ in range(n * n)]
+        share = rng.choice((0.0, 0.2, 0.5))
+        pm = [_UNSET if rng.random() < share else m for m in full_pm]
+        plus = [_UNSET if rng.random() < share else v for v in full_plus]
+        products = {(i // n, i % n): set(bits(m)) for i, m in enumerate(pm) if m >= 0}
+        sums = {(i // n, i % n): None if v == -1 else v for i, v in enumerate(plus) if v >= -1}
+        for triples in _row_col_triples(n):
+            plain = [(xn // n, y, z) for xn, (y, _, z) in triples]
+            got = _assoc_witness(pm, n, triples)
+            assert (got and got[:3]) == oracles.assoc_failure_where_placed(products, plain)
+            p1 = _p1_witness(plus, n, triples)
+            assert p1 == oracles.p1_failure_where_placed(sums, plain)
+            checked = ((_assoc_witness, full_pm, got), (_p1_witness, full_plus, p1))
+            for kernel, full, bad in checked:
+                if bad is not None:
+                    seen[kernel, "fails"] += 1
+                elif kernel(full, n, triples) is not None:
+                    seen[kernel, "skips a failure"] += 1
+    assert len(seen) == 4
 
 
 def test_relmonoids_all_satisfy_axioms():
