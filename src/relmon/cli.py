@@ -40,7 +40,7 @@ def _load(path: str) -> object:
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax or digits, not UTF-8, too deep
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 

@@ -108,6 +108,15 @@ class RelMonoid(Frozen):
             masks[a1 * n + a2] |= 1 << a
         return tuple(masks)
 
+    @cached_property
+    def triples_by_last(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+        """Per element a, the triples whose largest index is a, ascending:
+        those a search that places rows 0, 1, ... can check once a is set."""
+        due: list[list[tuple[int, int, int]]] = [[] for _ in range(self.n)]
+        for triple in self.triples:
+            due[max(triple)].append(triple)
+        return tuple(map(tuple, due))
+
     def products(self, a1: int, a2: int) -> tuple[int, ...]:
         return tuple(bits(self.prod_masks[a1 * self.n + a2]))
 
@@ -509,18 +518,13 @@ def _square_witness(
     product above (a1, a2); the least b of rows[a] left out is the witness.
     The OR stops once it covers rows[a].
 
-    When rows is a map f, the only pair above (a1, a2) is (f(a1), f(a2)), so
-    each triple is one lookup of f(a) in the products of that pair.
+    When rows is a map, _map_square_witness scans it.
     """
     m = dst.n
     dpm = dst.prod_masks
     triples = src.triples if triples is None else triples
     if all(r.bit_count() == 1 for r in rows):
-        f = [r.bit_length() - 1 for r in rows]
-        for a1, a2, a in triples:
-            if not dpm[f[a1] * m + f[a2]] >> f[a] & 1:
-                return a1, a2, a, f[a]
-        return None
+        return _map_square_witness([r.bit_length() - 1 for r in rows], dpm, m, triples)
     right: list[tuple[int, ...] | None] = [None] * m
     for a1, a2, a in triples:
         want = rows[a]
@@ -535,6 +539,21 @@ def _square_witness(
         missing = want & ~got
         if missing:
             return a1, a2, a, lowest_bit(missing)
+    return None
+
+
+def _map_square_witness(
+    f: Sequence[int], dpm: Sequence[int], m: int, triples: Iterable[tuple[int, int, int]]
+) -> tuple[int, int, int, int] | None:
+    """First (a1, a2, a, f[a]) of the lax square for the map f, or None.
+
+    f gives each element's image, and dpm is the target's prod_masks table
+    on m elements. The only pair above (a1, a2) is (f[a1], f[a2]), so each
+    of the triples (a1, a2)*a is one lookup of f[a] in that pair's products.
+    """
+    for a1, a2, a in triples:
+        if not dpm[f[a1] * m + f[a2]] >> f[a] & 1:
+            return a1, a2, a, f[a]
     return None
 
 

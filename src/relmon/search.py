@@ -9,7 +9,8 @@ enumerate_structures, the laws' cached pools and the CLI read that table.
 Generation is deterministic; isomorphism rejection (dedup) keeps the
 lexicographically least labeling of each class. One orderly kernel, _fill,
 fills every table searched: PAMs, relational monoids, categories (endpoints
-and composites), lax relations, additive maps and orthocomplementations.
+and composites), lax relations, the lax maps that may be left adjoints, and
+orthocomplementations.
 
 verify_universal runs a named law over the relevant enumeration and reports
 the first counterexample, in enumeration order, with a full serialization.
@@ -41,6 +42,7 @@ from .monoid import (
     MonadCandidate,
     RelMonoid,
     _assoc_witness,
+    _map_square_witness,
     _monad_conditions,
     _square_witness,
     check_monoid_axioms,
@@ -201,8 +203,8 @@ def _fill(
     start _UNSET and are reset on backtracking, and the walk goes deeper
     while ok(k) holds. Slots in entry order with ascending values give the
     tables in ascending order. Callers: _gen_pams, _gen_relmonoids,
-    _gen_categories, _lax_search, _additive_maps, _orthocomplementations.
-    The first four check a placed slot with their checkers' own kernels.
+    _gen_categories, _lax_rels, _lax_maps, _orthocomplementations. The
+    first five check a placed slot with their checkers' own kernels.
 
     With relabelings the fill is orderly (Read 1978, McKay 1998). Each maps
     t to u, u[i] = image[t[source[i]]], and agrees with t off the slots.
@@ -944,9 +946,8 @@ def _law_unit_uniqueness(size: int, rng: random.Random) -> CheckReport:
 def _law_adjoint_transpose_lax(size: int, rng: random.Random) -> CheckReport:
     """the transpose of a left adjoint is a lax morphism"""
     monoids = _pool_upto("relmonoid", size)
-    # each table is read once, so none is kept
     for src, dst in product(monoids, repeat=2):
-        for h in _lax_search(src, dst):
+        for h in _lax_maps(src, dst):
             if not is_left_adjoint_relmon(h).ok:
                 continue
             if not is_lax_morphism(LaxMorphism(dst, src, h.rel.dagger())).ok:
@@ -956,20 +957,13 @@ def _law_adjoint_transpose_lax(size: int, rng: random.Random) -> CheckReport:
 
 @lru_cache(maxsize=None)
 def _lax_rels(src: RelMonoid, dst: RelMonoid) -> tuple[LaxMorphism, ...]:
-    """_lax_search's arrows, one table per pair kept for the laws that read
-    it again."""
-    return tuple(_lax_search(src, dst))
-
-
-def _lax_search(src: RelMonoid, dst: RelMonoid) -> Iterator[LaxMorphism]:
-    """Every lax morphism src -> dst in product order, verdict cached.
-    _fill places row a, a unit's among the subsets of dst's units, and
-    checks the square on the src triples whose largest index is a;
-    is_lax_morphism decides at each full table."""
+    """Every lax morphism src -> dst in product order, verdict cached, one
+    table per pair for the laws that read it again. _fill places row a, a
+    unit's among the subsets of dst's units, and checks the square on the
+    src triples whose largest index is a; is_lax_morphism decides at each
+    full table."""
     rows = [_UNSET] * src.n
-    due: list[list[tuple[int, int, int]]] = [[] for _ in rows]
-    for triple in src.triples:
-        due[max(triple)].append(triple)
+    due = src.triples_by_last
     full = range(1 << dst.n)
     units = [r for r in full if not r & ~dst.units_mask]
     values = [units if src.units_mask >> a & 1 else full for a in range(src.n)]
@@ -979,7 +973,26 @@ def _lax_search(src: RelMonoid, dst: RelMonoid) -> Iterator[LaxMorphism]:
 
     tables = _fill(rows, [(a,) for a in range(src.n)], values, ok)
     rels = (FinRel(src.carrier, dst.carrier, tuple(t)) for t in tables)
-    return (h for h in (LaxMorphism(src, dst, r) for r in rels) if is_lax_morphism(h).ok)
+    return tuple(h for h in (LaxMorphism(src, dst, r) for r in rels) if is_lax_morphism(h).ok)
+
+
+def _lax_maps(src: RelMonoid, dst: RelMonoid) -> Iterator[LaxMorphism]:
+    """The candidate left adjoints src -> dst: the maps among _lax_rels that
+    reflect units, in the same order, uncached. A left adjoint is a map that
+    sends exactly the units to units, so _fill gives f[a] each unit of dst
+    when a is a unit and each non-unit otherwise, and checks the square on
+    the src triples whose largest index is a."""
+    f = [_UNSET] * src.n
+    due = src.triples_by_last
+    dpm, m = dst.prod_masks, dst.n
+    others = [b for b in range(m) if not dst.units_mask >> b & 1]
+    values = [dst.unit_list if src.units_mask >> a & 1 else others for a in range(src.n)]
+
+    def ok(k: int) -> bool:
+        return _map_square_witness(f, dpm, m, due[k]) is None
+
+    for t in _fill(f, [(a,) for a in range(src.n)], values, ok):
+        yield LaxMorphism(src, dst, FinRel(src.carrier, dst.carrier, tuple(1 << b for b in t)))
 
 
 @_law("morphism-closure-ops", 2, 2)
@@ -1220,51 +1233,18 @@ def _law_quotient_pam_valid(size: int, rng: random.Random) -> CheckReport:
     return _pass(pams_checked=len(pams))
 
 
-def _additive_maps(
-    psrc: PartialAbelianMonoid, pdst: PartialAbelianMonoid
-) -> Iterator[tuple[int, ...]]:
-    """Zero-reflecting additive maps: v[0] is the target zero, no other v[i]
-    is, and v[a]+v[b] = v[c] for every source cell a+b = c; the others fail
-    unit-reflection, so no left adjoint is lost. In product order of v[1:]:
-    _fill places v[1..n-1] ascending and checks a cell once its largest
-    index is placed (the cell 0+0 = 0 holds in a valid target)."""
-    n, m, plus, zero = psrc.n, pdst.n, pdst.plus, pdst.zero
-    due: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for cell in psrc.cells:
-        due[max(cell)].append(cell)
-    v = [zero] + [_UNSET] * (n - 1)
-    points = [x for x in range(m) if x != zero]
-
-    def ok(k: int) -> bool:
-        for a, b, c in due[k + 1]:
-            if plus[v[a] * m + v[b]] != v[c]:
-                return False
-        return True
-
-    return map(tuple, _fill(v, [(i,) for i in range(1, n)], [points] * (n - 1), ok))
-
-
 @_law("adjoint-induces-congruence", 4, 4)
 def _law_adjoint_induces_congruence(size: int, rng: random.Random) -> CheckReport:
     """left adjoints between partial-addition monoids induce congruences"""
-    pams = _pool_upto("pam", size)
-    monoids = [to_relmonoid(p) for p in pams]
+    monoids = [to_relmonoid(p) for p in _pool_upto("pam", size)]
     adjoints = 0
-    for psrc, msrc in zip(pams, monoids):
-        for pdst, mdst in zip(pams, monoids):
-            for values in _additive_maps(psrc, pdst):
-                rel = FinRel(
-                    psrc.carrier, pdst.carrier, tuple(1 << v for v in values)
-                )
-                h = LaxMorphism(msrc, mdst, rel)
-                if not is_left_adjoint_relmon(h).ok:
-                    continue
-                adjoints += 1
-                if not adjoint_induces_c1c2c5(h).ok:
-                    return _fail(
-                        "a left adjoint induces a non-congruence",
-                        morphism=h.to_json(),
-                    )
+    for msrc, mdst in product(monoids, repeat=2):
+        for h in _lax_maps(msrc, mdst):
+            if not is_left_adjoint_relmon(h).ok:
+                continue
+            adjoints += 1
+            if not adjoint_induces_c1c2c5(h).ok:
+                return _fail("a left adjoint induces a non-congruence", morphism=h.to_json())
     return _pass(adjoints_checked=adjoints)
 
 

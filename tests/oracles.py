@@ -18,7 +18,10 @@ so the kernels, by brute force. assoc_failure_where_placed and
 p1_failure_where_placed pin the kernels' rule for a partial table.
 lax_rels_by_filter and orthocomplementations_by_recursion are the searches
 that _fill replaced, with relmon's lax-morphism and orthomodular checkers
-as their verdicts, so they check the pruning, not the checkers. The
+as their verdicts, so they check the pruning, not the checkers; the
+unit-reflecting maps among lax_rels_by_filter check the map search
+_lax_maps the same way, and additive_maps_by_filter checks it on the
+monoids of PAMs by a plain scan of the sums. The
 *_report functions rebuild a checker's whole report, verdict, witness and
 message, by plain scans; the congruence and left-adjoint ones take their
 preconditions and C1 from relmon. Slow on purpose; keep carriers tiny.

@@ -409,11 +409,15 @@ def test_missing_file(capsys):
 
 
 def test_invalid_json(tmp_path, capsys):
-    path = tmp_path / "broken.json"
-    path.write_text("{")
-    code, _, err = run(capsys, "check-monoid", path)
-    assert code == 2
-    assert "not valid JSON" in err
+    # bad syntax, bytes that are not UTF-8, nesting past the recursion limit,
+    # and an integer past the digit limit of int()
+    deep = b"[" * 100_000 + b"]" * 100_000
+    for data in (b"{", b"\xff\xfe{}", deep, b'{"carrier": ' + b"9" * 5000 + b"}"):
+        path = tmp_path / "broken.json"
+        path.write_bytes(data)
+        code, _, err = run(capsys, "check-monoid", path)
+        assert code == 2
+        assert f"{path} is not valid JSON" in err
 
 
 def test_missing_field_named(tmp_path, capsys):

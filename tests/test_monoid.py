@@ -12,6 +12,7 @@ from relmon.monoid import (
     LaxMorphism,
     MonadCandidate,
     RelMonoid,
+    _map_square_witness,
     _monad_conditions,
     _square_witness,
     check_monoid_axioms,
@@ -353,12 +354,14 @@ def test_square_witness_on_a_subset_of_triples():
     # every relation between the monoid classes on at most 2 points, and a
     # seeded sample between those on 3: the src triples whose largest index
     # is k on the rows up to k, as _lax_rels prunes, and a random subset on
-    # all rows, against the per-b search over the same triples
+    # all rows, against the per-b search over the same triples; on a map,
+    # _map_square_witness too, on the integer images up to k, as _lax_maps
+    # prunes
     rng = random.Random(7)
     small = _pool_upto("relmonoid", 2)
     pairs = list(itertools.product(small, repeat=2))
     pairs += rng.sample(list(itertools.product(_pool("relmonoid", 3, True), repeat=2)), 15)
-    verdicts = Counter()
+    verdicts, map_verdicts = Counter(), Counter()
     for src, dst in pairs:
         for rows in itertools.product(range(1 << dst.n), repeat=src.n):
             cases = [
@@ -366,11 +369,17 @@ def test_square_witness_on_a_subset_of_triples():
                 for k in range(src.n)
             ]
             cases.append((rows, rng.sample(src.triples, len(src.triples) // 2)))
+            is_map = all(r.bit_count() == 1 for r in rows)
             for prefix, triples in cases:
-                got = _square_witness(src, prefix, dst, triples)
-                assert got == oracles.square_witness_by_search(src, prefix, dst, triples)
-                verdicts[got is None] += 1
+                want = oracles.square_witness_by_search(src, prefix, dst, triples)
+                assert _square_witness(src, prefix, dst, triples) == want
+                verdicts[want is None] += 1
+                if is_map:
+                    f = [r.bit_length() - 1 for r in prefix]
+                    assert _map_square_witness(f, dst.prod_masks, dst.n, triples) == want
+                    map_verdicts[want is None] += 1
     assert verdicts[True] and verdicts[False]
+    assert map_verdicts[True] and map_verdicts[False]
 
 
 def test_lax_morphism_size_mismatch():

@@ -34,7 +34,6 @@ from relmon.report import CheckReport, InputError
 from relmon.search import (
     _UNSET,
     EnumSpec,
-    _additive_maps,
     _completions,
     _congruence_rows,
     _equivalence_rows,
@@ -44,8 +43,8 @@ from relmon.search import (
     _gen_pams,
     _gen_relmonoids,
     _labeled_posets,
+    _lax_maps,
     _lax_rels,
-    _lax_search,
     _orthocomplementations,
     _perms_fixing_zero,
     _pool,
@@ -566,14 +565,19 @@ def test_pam_generation_matches_brute_filter(n):
     assert sorted(p.plus for p in _gen_pams(n, False)) == oracles.pams_by_filter(n)
 
 
+def images(h):
+    return tuple(r.bit_length() - 1 for r in h.rel.rows)
+
+
 def test_additive_maps_match_product_filter():
-    # every pair of PAMs up to 4 points, one per isomorphism class: the same
-    # maps in the same order as filtering all of itertools.product down to
-    # the zero-reflecting ones
+    # every pair of PAMs up to 4 points, one per isomorphism class: _lax_maps
+    # on their monoids gives the same maps in the same order as filtering
+    # all of itertools.product down to the zero-reflecting additive ones
     pams = _pool_upto("pam", 4)
+    pairs = itertools.product(zip(pams, map(to_relmonoid, pams)), repeat=2)
     total = streamed = 0
-    for psrc, pdst in itertools.product(pams, repeat=2):
-        maps = list(_additive_maps(psrc, pdst))
+    for (psrc, msrc), (pdst, mdst) in pairs:
+        maps = [images(h) for h in _lax_maps(msrc, mdst)]
         additive = oracles.additive_maps_by_filter(psrc, pdst)
         assert maps == [v for v in additive if pdst.zero not in v[1:]]
         total += len(additive)
@@ -587,19 +591,22 @@ def test_zero_reflecting_maps_keep_every_left_adjoint():
     # among the streamed ones, in the same order
     pams = _pool_upto("pam", 4)
     monoids = [to_relmonoid(p) for p in pams]
+    pairs = list(itertools.product(zip(pams, monoids), repeat=2))
 
-    def adjoints(maps_of):
-        out = []
-        for (psrc, msrc), (pdst, mdst) in itertools.product(zip(pams, monoids), repeat=2):
-            for values in maps_of(psrc, pdst):
-                rel = FinRel(psrc.carrier, pdst.carrier, tuple(1 << v for v in values))
-                if is_left_adjoint_relmon(LaxMorphism(msrc, mdst, rel)).ok:
-                    out.append((psrc.plus, pdst.plus, values))
-        return out
-
-    expect = adjoints(oracles.additive_maps_by_filter)
+    expect = []
+    for (psrc, msrc), (pdst, mdst) in pairs:
+        for values in oracles.additive_maps_by_filter(psrc, pdst):
+            rel = FinRel(psrc.carrier, pdst.carrier, tuple(1 << v for v in values))
+            if is_left_adjoint_relmon(LaxMorphism(msrc, mdst, rel)).ok:
+                expect.append((psrc.plus, pdst.plus, values))
+    got = [
+        (psrc.plus, pdst.plus, images(h))
+        for (psrc, msrc), (pdst, mdst) in pairs
+        for h in _lax_maps(msrc, mdst)
+        if is_left_adjoint_relmon(h).ok
+    ]
     assert len(expect) == 1493
-    assert adjoints(_additive_maps) == expect
+    assert got == expect
 
 
 def test_pam_enumeration_contains_named_examples():
@@ -708,30 +715,66 @@ def test_reflection_least_holds_at_its_max_size():
     assert verify_universal("reflection-least", size=3).ok
 
 
+def unit_reflecting_maps(src, dst, tables):
+    """The tables that map each element of src to one of dst, a unit to a
+    unit and a non-unit to a non-unit, in their order."""
+    return [
+        rows
+        for rows in tables
+        if all(r.bit_count() == 1 for r in rows)
+        and all(
+            bool(r & dst.units_mask) == bool(src.units_mask >> a & 1)
+            for a, r in enumerate(rows)
+        )
+    ]
+
+
 def test_lax_rels_is_one_table_per_monoid_pair():
     # the laws that read lax arrows share one table per (src, dst), with
-    # the rows the product filter keeps, in its order
+    # the rows the product filter keeps, in its order; _lax_maps streams
+    # the unit-reflecting maps among them
     monoids = _pool_upto("relmonoid", 2)
-    total = 0
+    total = maps = 0
     for src, dst in itertools.product(monoids, repeat=2):
         lax = _lax_rels(src, dst)
         assert _lax_rels(src, dst) is lax
-        assert [h.rel for h in _lax_search(src, dst)] == [h.rel for h in lax]
-        assert [h.rel.rows for h in lax] == oracles.lax_rels_by_filter(src, dst)
+        expect = oracles.lax_rels_by_filter(src, dst)
+        assert [h.rel.rows for h in lax] == expect
+        streamed = [h.rel.rows for h in _lax_maps(src, dst)]
+        assert streamed == unit_reflecting_maps(src, dst, expect)
         total += len(lax)
+        maps += len(streamed)
     assert total == 164
+    assert maps == 32
 
 
 def test_lax_rels_match_the_product_filter_at_size_three():
     # a seeded sample of 200 of the 6,889 pairs of size-3 monoid classes
     monoids = _pool("relmonoid", 3, True)
     pairs = random.Random(20).sample(list(itertools.product(monoids, repeat=2)), 200)
-    total = 0
+    total = maps = 0
     for src, dst in pairs:
-        rows = [h.rel.rows for h in _lax_rels(src, dst)]
-        assert rows == oracles.lax_rels_by_filter(src, dst)
-        total += len(rows)
+        expect = oracles.lax_rels_by_filter(src, dst)
+        assert [h.rel.rows for h in _lax_rels(src, dst)] == expect
+        streamed = [h.rel.rows for h in _lax_maps(src, dst)]
+        assert streamed == unit_reflecting_maps(src, dst, expect)
+        total += len(expect)
+        maps += len(streamed)
     assert total == 5035  # recorded regression value
+    assert maps == 227  # recorded regression value
+
+
+def test_adjoint_transpose_lax_holds_at_its_max_size():
+    # recorded regression value: the left adjoints among every pair of
+    # monoid classes up to 3 points
+    assert verify_universal("adjoint-transpose-lax", size=3).ok
+    monoids = _pool_upto("relmonoid", 3)
+    adjoints = sum(
+        is_left_adjoint_relmon(h).ok
+        for src, dst in itertools.product(monoids, repeat=2)
+        for h in _lax_maps(src, dst)
+    )
+    assert adjoints == 1054
 
 
 def test_orthocomplementations_match_the_recursion():
