@@ -615,19 +615,40 @@ def is_lax_morphism(h: LaxMorphism) -> CheckReport:
     return CheckReport.passing("lax-morphism", **details)
 
 
+def _factorization_witness(
+    f: Sequence[int], src: RelMonoid, dst: RelMonoid
+) -> tuple[int, int, int] | None:
+    """First (b1, b2, a) where the target product (b1, b2)*f[a] does not lift
+    through the map f to a product over a, or None.
+
+    f gives each src element's image in dst. lift[b1, b2] masks the products
+    of all source pairs over (b1, b2) and fmask[b] the fiber of b, so
+    (b1, b2)*b fails to lift exactly at the bits of fmask[b] & ~lift[b1, b2],
+    the least first.
+    """
+    m = dst.n
+    fmask = [0] * m
+    for a, b in enumerate(f):
+        fmask[b] |= 1 << a
+    lift = [0] * (m * m)
+    for a1, a2, a in src.triples:
+        lift[f[a1] * m + f[a2]] |= 1 << a
+    for b1, b2, b in dst.triples:
+        missing = fmask[b] & ~lift[b1 * m + b2]
+        if missing:
+            return b1, b2, lowest_bit(missing)
+    return None
+
+
 @cached_verdict
 def is_left_adjoint_relmon(h: LaxMorphism) -> CheckReport:
     """Left-adjointness of a lax morphism.
 
     Holds iff the relation is a mapping f such that every product
     decomposition of f(a) in the target lifts through f to a decomposition of
-    a ("factorization"), and every element mapped to a unit is itself a unit
-    ("unit-reflection"). Equivalently, the transpose of f is again a lax
-    morphism. Raises if h is not a lax morphism to begin with.
-
-    For the factorization, lift[b1, b2] masks the products of all source
-    pairs over (b1, b2) and fmask[b] the fiber of b, so (b1, b2)*b fails to
-    lift exactly at the bits of fmask[b] & ~lift[b1, b2], the least first.
+    a ("factorization", _factorization_witness), and every element mapped to
+    a unit is itself a unit ("unit-reflection"). Equivalently, the transpose
+    of f is again a lax morphism. Raises if h is not a lax morphism.
     """
     is_lax_morphism(h).require("not a lax morphism")
     rel = h.rel
@@ -641,26 +662,18 @@ def is_left_adjoint_relmon(h: LaxMorphism) -> CheckReport:
             f"{rel.rows[bad].bit_count()} images",
         )
     f = [row.bit_length() - 1 for row in rel.rows]
-    n, m = h.src.n, h.dst.n
-    fmask = [0] * m
-    for a, b in enumerate(f):
-        fmask[b] |= 1 << a
-    lift = [0] * (m * m)
-    for a1, a2, a in h.src.triples:
-        lift[f[a1] * m + f[a2]] |= 1 << a
-    for b1, b2, b in h.dst.triples:
-        missing = fmask[b] & ~lift[b1 * m + b2]
-        if missing:
-            a = lowest_bit(missing)
-            return CheckReport.failing(
-                "left-adjoint",
-                "factorization",
-                (b1, b2, a),
-                f"target product {h.dst.carrier.render((b1, b2))}*"
-                f"{h.dst.carrier.label(b)} does not lift at "
-                f"{h.src.carrier.label(a)}",
-            )
-    for x in range(n):
+    unlifted = _factorization_witness(f, h.src, h.dst)
+    if unlifted is not None:
+        b1, b2, a = unlifted
+        return CheckReport.failing(
+            "left-adjoint",
+            "factorization",
+            unlifted,
+            f"target product {h.dst.carrier.render((b1, b2))}*"
+            f"{h.dst.carrier.label(f[a])} does not lift at "
+            f"{h.src.carrier.label(a)}",
+        )
+    for x in range(h.src.n):
         if h.dst.units_mask >> f[x] & 1 and not h.src.units_mask >> x & 1:
             return CheckReport.failing(
                 "left-adjoint",

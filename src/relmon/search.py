@@ -42,6 +42,7 @@ from .monoid import (
     MonadCandidate,
     RelMonoid,
     _assoc_witness,
+    _factorization_witness,
     _map_square_witness,
     _monad_conditions,
     _square_witness,
@@ -203,7 +204,7 @@ def _fill(
     start _UNSET and are reset on backtracking, and the walk goes deeper
     while ok(k) holds. Slots in entry order with ascending values give the
     tables in ascending order. Callers: _gen_pams, _gen_relmonoids,
-    _gen_categories, _lax_rels, _lax_maps, _orthocomplementations. The
+    _gen_categories, _lax_rels, _left_adjoints, _orthocomplementations. The
     first five check a placed slot with their checkers' own kernels.
 
     With relabelings the fill is orderly (Read 1978, McKay 1998). Each maps
@@ -947,9 +948,7 @@ def _law_adjoint_transpose_lax(size: int, rng: random.Random) -> CheckReport:
     """the transpose of a left adjoint is a lax morphism"""
     monoids = _pool_upto("relmonoid", size)
     for src, dst in product(monoids, repeat=2):
-        for h in _lax_maps(src, dst):
-            if not is_left_adjoint_relmon(h).ok:
-                continue
+        for h in _left_adjoints(src, dst):
             if not is_lax_morphism(LaxMorphism(dst, src, h.rel.dagger())).ok:
                 return _fail("transpose of a left adjoint is not lax", morphism=h.to_json())
     return _pass()
@@ -976,12 +975,11 @@ def _lax_rels(src: RelMonoid, dst: RelMonoid) -> tuple[LaxMorphism, ...]:
     return tuple(h for h in (LaxMorphism(src, dst, r) for r in rels) if is_lax_morphism(h).ok)
 
 
-def _lax_maps(src: RelMonoid, dst: RelMonoid) -> Iterator[LaxMorphism]:
-    """The candidate left adjoints src -> dst: the maps among _lax_rels that
-    reflect units, in the same order, uncached. A left adjoint is a map that
-    sends exactly the units to units, so _fill gives f[a] each unit of dst
-    when a is a unit and each non-unit otherwise, and checks the square on
-    the src triples whose largest index is a."""
+def _left_adjoints(src: RelMonoid, dst: RelMonoid) -> Iterator[LaxMorphism]:
+    """The left adjoints src -> dst in _lax_rels order, uncached: _fill gives
+    f[a] each unit of dst when a is a unit and each non-unit otherwise (a left
+    adjoint reflects units), checks the square on the src triples whose
+    largest index is a, and _factorization_witness decides at each full map."""
     f = [_UNSET] * src.n
     due = src.triples_by_last
     dpm, m = dst.prod_masks, dst.n
@@ -992,7 +990,8 @@ def _lax_maps(src: RelMonoid, dst: RelMonoid) -> Iterator[LaxMorphism]:
         return _map_square_witness(f, dpm, m, due[k]) is None
 
     for t in _fill(f, [(a,) for a in range(src.n)], values, ok):
-        yield LaxMorphism(src, dst, FinRel(src.carrier, dst.carrier, tuple(1 << b for b in t)))
+        if _factorization_witness(t, src, dst) is None:
+            yield LaxMorphism(src, dst, FinRel(src.carrier, dst.carrier, tuple(1 << b for b in t)))
 
 
 @_law("morphism-closure-ops", 2, 2)
@@ -1233,15 +1232,13 @@ def _law_quotient_pam_valid(size: int, rng: random.Random) -> CheckReport:
     return _pass(pams_checked=len(pams))
 
 
-@_law("adjoint-induces-congruence", 4, 4)
+@_law("adjoint-induces-congruence", 4, 5)
 def _law_adjoint_induces_congruence(size: int, rng: random.Random) -> CheckReport:
     """left adjoints between partial-addition monoids induce congruences"""
     monoids = [to_relmonoid(p) for p in _pool_upto("pam", size)]
     adjoints = 0
     for msrc, mdst in product(monoids, repeat=2):
-        for h in _lax_maps(msrc, mdst):
-            if not is_left_adjoint_relmon(h).ok:
-                continue
+        for h in _left_adjoints(msrc, mdst):
             adjoints += 1
             if not adjoint_induces_c1c2c5(h).ok:
                 return _fail("a left adjoint induces a non-congruence", morphism=h.to_json())

@@ -18,19 +18,27 @@ so the kernels, by brute force. assoc_failure_where_placed and
 p1_failure_where_placed pin the kernels' rule for a partial table.
 lax_rels_by_filter and orthocomplementations_by_recursion are the searches
 that _fill replaced, with relmon's lax-morphism and orthomodular checkers
-as their verdicts, so they check the pruning, not the checkers; the
-unit-reflecting maps among lax_rels_by_filter check the map search
-_lax_maps the same way, and additive_maps_by_filter checks it on the
-monoids of PAMs by a plain scan of the sums. The
+as their verdicts, so they check the pruning, not the checkers;
+left_adjoints_by_filter keeps those of its tables that left_adjoint_report
+passes, so it checks the map search _left_adjoints, and
+additive_maps_by_filter checks it on the monoids of PAMs by a plain scan
+of the sums. The
 *_report functions rebuild a checker's whole report, verdict, witness and
 message, by plain scans; the congruence and left-adjoint ones take their
 preconditions and C1 from relmon. Slow on purpose; keep carriers tiny.
 """
 
+from functools import lru_cache
 from itertools import permutations, product
 
 from relmon.monoid import LaxMorphism, RelMonoid, _assoc_witness, is_lax_morphism
-from relmon.pam import OmlStructure, PartialAbelianMonoid, check_pam_axioms, validate_oml
+from relmon.pam import (
+    OmlStructure,
+    PartialAbelianMonoid,
+    check_pam_axioms,
+    to_relmonoid,
+    validate_oml,
+)
 from relmon.rel import Carrier, FinRel, bits, compose_rows
 from relmon.rel import is_equivalence as is_equivalence_rel
 from relmon.report import CheckReport
@@ -40,6 +48,7 @@ from relmon.search import (
     _least_per_class,
     _permute_rows,
     _perms,
+    _pool_upto,
 )
 
 
@@ -394,6 +403,17 @@ def lax_rels_by_filter(src, dst):
     ]
 
 
+def left_adjoints_by_filter(src, dst, tables):
+    """The tables, in their order, that relmon's is_lax_morphism accepts and
+    left_adjoint_report passes."""
+    out = []
+    for rows in tables:
+        h = LaxMorphism(src, dst, FinRel(src.carrier, dst.carrier, rows))
+        if is_lax_morphism(h).ok and left_adjoint_report(h).ok:
+            out.append(rows)
+    return out
+
+
 def orthocomplementations_by_recursion(lat):
     """Every orthocomplementation of lat that relmon's validate_oml accepts,
     ascending: element a, unless an earlier element chose it already, takes
@@ -440,6 +460,23 @@ def additive_maps_by_filter(psrc, pdst):
             for a, b, c in psrc.cells
         ):
             out.append(values)
+    return out
+
+
+@lru_cache(maxsize=None)
+def additive_map_reports(size):
+    """Per ordered pair of PAM classes up to size points: both PAMs, their
+    monoids and, per map of additive_maps_by_filter, its images and its
+    left_adjoint_report. Cached, as several tests read all 32,529 at 4."""
+    pams = _pool_upto("pam", size)
+    out = []
+    for psrc, pdst in product(pams, repeat=2):
+        msrc, mdst = to_relmonoid(psrc), to_relmonoid(pdst)
+        maps = []
+        for values in additive_maps_by_filter(psrc, pdst):
+            rel = FinRel(psrc.carrier, pdst.carrier, tuple(1 << v for v in values))
+            maps.append((values, left_adjoint_report(LaxMorphism(msrc, mdst, rel))))
+        out.append((psrc, pdst, msrc, mdst, maps))
     return out
 
 

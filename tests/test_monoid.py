@@ -12,6 +12,7 @@ from relmon.monoid import (
     LaxMorphism,
     MonadCandidate,
     RelMonoid,
+    _factorization_witness,
     _map_square_witness,
     _monad_conditions,
     _square_witness,
@@ -355,7 +356,7 @@ def test_square_witness_on_a_subset_of_triples():
     # seeded sample between those on 3: the src triples whose largest index
     # is k on the rows up to k, as _lax_rels prunes, and a random subset on
     # all rows, against the per-b search over the same triples; on a map,
-    # _map_square_witness too, on the integer images up to k, as _lax_maps
+    # _map_square_witness too, on the integer images up to k, as _left_adjoints
     # prunes
     rng = random.Random(7)
     small = _pool_upto("relmonoid", 2)
@@ -426,6 +427,20 @@ def test_left_adjoint_kernel_matches_fiber_scan():
     assert sum(clauses.values()) == lax_clauses[None] == 7232
     assert set(lax_clauses) == {None, "square", "triangle"}
     assert set(clauses) == {None, "mapping", "factorization", "unit-reflection"}
+
+
+def test_factorization_kernel_matches_fiber_scan_on_additive_maps():
+    # the integer images of every additive map between the monoids of the
+    # PAMs on at most 4 points, one per isomorphism class: the kernel gives
+    # the fiber scan's factorization witness, and None exactly when the scan
+    # passes or fails only at unit-reflection
+    failures = Counter()
+    for _, _, msrc, mdst, maps in oracles.additive_map_reports(4):
+        for values, rep in maps:
+            want = rep.witness if rep.failed == "factorization" else None
+            assert _factorization_witness(values, msrc, mdst) == want
+            failures[rep.failed] += 1
+    assert failures == {None: 1493, "factorization": 23827, "unit-reflection": 7209}
 
 
 def test_adjoint_transpose_is_lax():

@@ -9,7 +9,7 @@ from math import factorial
 import pytest
 
 import oracles
-from relmon import catalog, search
+from relmon import catalog, monoid, pam, search
 from relmon.monoid import (
     LaxMorphism,
     RelMonoid,
@@ -43,8 +43,8 @@ from relmon.search import (
     _gen_pams,
     _gen_relmonoids,
     _labeled_posets,
-    _lax_maps,
     _lax_rels,
+    _left_adjoints,
     _orthocomplementations,
     _perms_fixing_zero,
     _pool,
@@ -570,43 +570,39 @@ def images(h):
 
 
 def test_additive_maps_match_product_filter():
-    # every pair of PAMs up to 4 points, one per isomorphism class: _lax_maps
-    # on their monoids gives the same maps in the same order as filtering
-    # all of itertools.product down to the zero-reflecting additive ones
-    pams = _pool_upto("pam", 4)
-    pairs = itertools.product(zip(pams, map(to_relmonoid, pams)), repeat=2)
+    # every pair of PAMs up to 4 points, one per isomorphism class:
+    # _left_adjoints on their monoids gives the same maps in the same order
+    # as filtering all of itertools.product down to the additive maps that
+    # the fiber scan finds left adjoint
     total = streamed = 0
-    for (psrc, msrc), (pdst, mdst) in pairs:
-        maps = [images(h) for h in _lax_maps(msrc, mdst)]
-        additive = oracles.additive_maps_by_filter(psrc, pdst)
-        assert maps == [v for v in additive if pdst.zero not in v[1:]]
-        total += len(additive)
-        streamed += len(maps)
+    for _, _, msrc, mdst, maps in oracles.additive_map_reports(4):
+        adjoints = [images(h) for h in _left_adjoints(msrc, mdst)]
+        assert adjoints == [values for values, rep in maps if rep.ok]
+        total += len(maps)
+        streamed += len(adjoints)
     assert total == 32529
-    assert streamed == 10390
+    assert streamed == 1493
 
 
 def test_zero_reflecting_maps_keep_every_left_adjoint():
-    # the left adjoints among all 32,529 additive maps are exactly those
-    # among the streamed ones, in the same order
-    pams = _pool_upto("pam", 4)
-    monoids = [to_relmonoid(p) for p in pams]
-    pairs = list(itertools.product(zip(pams, monoids), repeat=2))
-
-    expect = []
-    for (psrc, msrc), (pdst, mdst) in pairs:
-        for values in oracles.additive_maps_by_filter(psrc, pdst):
+    # on all 32,529 additive maps the checker gives the fiber scan's whole
+    # report, and every left adjoint among them reflects zero, so the map
+    # search, which gives a nonzero element only nonzero images, misses none
+    clauses = collections.Counter()
+    for psrc, pdst, msrc, mdst, maps in oracles.additive_map_reports(4):
+        for values, want in maps:
             rel = FinRel(psrc.carrier, pdst.carrier, tuple(1 << v for v in values))
-            if is_left_adjoint_relmon(LaxMorphism(msrc, mdst, rel)).ok:
-                expect.append((psrc.plus, pdst.plus, values))
-    got = [
-        (psrc.plus, pdst.plus, images(h))
-        for (psrc, msrc), (pdst, mdst) in pairs
-        for h in _lax_maps(msrc, mdst)
-        if is_left_adjoint_relmon(h).ok
-    ]
-    assert len(expect) == 1493
-    assert got == expect
+            rep = is_left_adjoint_relmon(LaxMorphism(msrc, mdst, rel))
+            assert rep.to_json() == want.to_json()
+            zero_reflecting = pdst.zero not in values[1:]
+            assert zero_reflecting or not rep.ok
+            clauses[rep.failed, zero_reflecting] += 1
+    assert clauses == {
+        (None, True): 1493,
+        ("factorization", True): 8897,
+        ("factorization", False): 14930,
+        ("unit-reflection", False): 7209,
+    }
 
 
 def test_pam_enumeration_contains_named_examples():
@@ -715,66 +711,75 @@ def test_reflection_least_holds_at_its_max_size():
     assert verify_universal("reflection-least", size=3).ok
 
 
-def unit_reflecting_maps(src, dst, tables):
-    """The tables that map each element of src to one of dst, a unit to a
-    unit and a non-unit to a non-unit, in their order."""
-    return [
-        rows
-        for rows in tables
-        if all(r.bit_count() == 1 for r in rows)
-        and all(
-            bool(r & dst.units_mask) == bool(src.units_mask >> a & 1)
-            for a, r in enumerate(rows)
-        )
-    ]
-
-
 def test_lax_rels_is_one_table_per_monoid_pair():
     # the laws that read lax arrows share one table per (src, dst), with
-    # the rows the product filter keeps, in its order; _lax_maps streams
-    # the unit-reflecting maps among them
+    # the rows the product filter keeps, in its order; _left_adjoints
+    # streams the left adjoints among them
     monoids = _pool_upto("relmonoid", 2)
-    total = maps = 0
+    total = adjoints = 0
     for src, dst in itertools.product(monoids, repeat=2):
         lax = _lax_rels(src, dst)
         assert _lax_rels(src, dst) is lax
         expect = oracles.lax_rels_by_filter(src, dst)
         assert [h.rel.rows for h in lax] == expect
-        streamed = [h.rel.rows for h in _lax_maps(src, dst)]
-        assert streamed == unit_reflecting_maps(src, dst, expect)
+        streamed = [h.rel.rows for h in _left_adjoints(src, dst)]
+        assert streamed == oracles.left_adjoints_by_filter(src, dst, expect)
         total += len(lax)
-        maps += len(streamed)
+        adjoints += len(streamed)
     assert total == 164
-    assert maps == 32
+    assert adjoints == 23
 
 
 def test_lax_rels_match_the_product_filter_at_size_three():
     # a seeded sample of 200 of the 6,889 pairs of size-3 monoid classes
     monoids = _pool("relmonoid", 3, True)
     pairs = random.Random(20).sample(list(itertools.product(monoids, repeat=2)), 200)
-    total = maps = 0
+    total = adjoints = 0
     for src, dst in pairs:
         expect = oracles.lax_rels_by_filter(src, dst)
         assert [h.rel.rows for h in _lax_rels(src, dst)] == expect
-        streamed = [h.rel.rows for h in _lax_maps(src, dst)]
-        assert streamed == unit_reflecting_maps(src, dst, expect)
+        streamed = [h.rel.rows for h in _left_adjoints(src, dst)]
+        assert streamed == oracles.left_adjoints_by_filter(src, dst, expect)
         total += len(expect)
-        maps += len(streamed)
+        adjoints += len(streamed)
     assert total == 5035  # recorded regression value
-    assert maps == 227  # recorded regression value
+    assert adjoints == 15  # recorded regression value
 
 
 def test_adjoint_transpose_lax_holds_at_its_max_size():
     # recorded regression value: the left adjoints among every pair of
-    # monoid classes up to 3 points
+    # monoid classes up to 3 points, against the filter of all their maps
     assert verify_universal("adjoint-transpose-lax", size=3).ok
     monoids = _pool_upto("relmonoid", 3)
-    adjoints = sum(
-        is_left_adjoint_relmon(h).ok
-        for src, dst in itertools.product(monoids, repeat=2)
-        for h in _lax_maps(src, dst)
-    )
+    adjoints = 0
+    for src, dst in itertools.product(monoids, repeat=2):
+        streamed = [h.rel.rows for h in _left_adjoints(src, dst)]
+        maps = itertools.product([1 << b for b in range(dst.n)], repeat=src.n)
+        assert streamed == oracles.left_adjoints_by_filter(src, dst, maps)
+        adjoints += len(streamed)
     assert adjoints == 1054
+
+
+def test_adjoint_law_checks_each_adjoint_once(monkeypatch):
+    # adjoint-induces-congruence@4 runs the left-adjoint checker once per
+    # adjoint the search yields, through induced_monad, and so the
+    # lax-morphism checker no more often: no candidate is re-validated
+    calls = collections.Counter()
+
+    def counted(check):
+        def wrapper(h):
+            calls[check.__name__] += 1
+            return check(h)
+        return wrapper
+
+    for check in (monoid.is_lax_morphism, monoid.is_left_adjoint_relmon):
+        for module in (monoid, search, pam):
+            if hasattr(module, check.__name__):
+                monkeypatch.setattr(module, check.__name__, counted(check))
+    rep = verify_universal("adjoint-induces-congruence", size=4)
+    assert rep.details == {"adjoints_checked": 1493}
+    assert calls["is_left_adjoint_relmon"] == 1493
+    assert calls["is_lax_morphism"] <= 1493
 
 
 def test_orthocomplementations_match_the_recursion():
