@@ -62,7 +62,7 @@ class FinLattice(Frozen):
     def to_json(self) -> dict:
         return {
             "carrier": self.n,
-            "order": [[a, b] for a, b in self.order.pairs()],
+            "order": [[a, b] for a, row in enumerate(self.order.rows) for b in bits(row)],
         }
 
     @classmethod

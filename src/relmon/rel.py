@@ -198,11 +198,6 @@ class FinRel(Frozen):
         """True when every domain element has exactly one image."""
         return all(row.bit_count() == 1 for row in self.rows)
 
-    def map_values(self) -> list[int]:
-        if not self.is_map():
-            raise PreconditionError("relation is not a mapping")
-        return [lowest_bit(row) for row in self.rows]
-
     @cached_property
     def cols(self) -> tuple[int, ...]:
         """Bit rows of the transpose, kept on the instance: cols[b] is the

@@ -184,11 +184,11 @@ _UNSET = -2  # a table entry no slot has written yet; -1 stays a value
 
 
 def _relabelings(n: int, perms: Sequence[tuple[int, ...]], image: Callable) -> list:
-    """Per permutation p but the first (the identity), as _fill takes it:
-    p's image of a value and, per entry of the n x n table u that p makes of
-    t, the entry of t it reads: u[p(a)*n + p(b)] = image(p)[t[a*n + b]]."""
+    """Per permutation p, as _fill takes it: p's image of a value and, per
+    entry of the n x n table u that p makes of t, the entry of t it reads:
+    u[p(a)*n + p(b)] = image(p)[t[a*n + b]]. _fill needs no identity."""
     out = []
-    for p in perms[1:]:
+    for p in perms:
         q = sorted(range(n), key=p.__getitem__)
         out.append((image(p), [q[i // n] * n + q[i % n] for i in range(n * n)]))
     return out
@@ -203,7 +203,7 @@ def _fill(
     Slot k writes each value of values[k] in turn into its entries, which
     start _UNSET and are reset on backtracking, and the walk goes deeper
     while ok(k) holds. Slots in entry order with ascending values give the
-    tables in ascending order. Callers: _gen_pams, _gen_relmonoids,
+    tables in ascending order. Callers: _pam_tables, _gen_relmonoids,
     _gen_categories, _lax_rels, _left_adjoints, _orthocomplementations. The
     first five check a placed slot with their checkers' own kernels.
 
@@ -311,7 +311,7 @@ def _gen_relmonoids(n: int, dedup: bool) -> Iterator[RelMonoid]:
             perms = [p for p in _perms(n) if all(units_mask >> p[y] & 1 for y in units)]
             # a mask's image is the union of its elements' images
             relabelings = _relabelings(
-                n, perms, lambda p: compose_rows(range(1 << n), [1 << b for b in p])
+                n, perms[1:], lambda p: compose_rows(range(1 << n), [1 << b for b in p])
             )
         else:
             cells = [i for _, side in sides for i in side]
@@ -440,30 +440,57 @@ def _gen_lattices(n: int, dedup: bool) -> Iterator[FinLattice]:
     of _labeled_posets(n): that recursion picks, for k = 1..n-1, the labels
     below k and then those above it among 0..k-1, each ascending, so its
     order is the lexicographic order of _poset_key, and merging the
-    ascending completion streams of every (b, t) gives it. With dedup on,
-    each class keeps its least labeling. That labeling has its top at 0
-    (row 0 is then 1, the least it can be) and its bottom at n-1 (moving the
-    bottom last shifts the higher bits of the rows before it down and puts a
-    row below the full one where it stood). So only (b, t) = (n-1, 0) is
-    walked, in ascending row order through _least_per_class under the
-    relabelings fixing 0 and n-1; a candidate whose orbit is met already is
-    skipped before _is_lattice_rows runs on it.
+    ascending completion streams of every (b, t) gives it. The completion
+    (b, t, P) is the image of (n-1, 0, P) under the relabeling sigma that
+    sends 0 to t and n-1 to b and keeps the other labels in order, so
+    whether it is a lattice depends on P alone: _is_lattice_rows runs once
+    per poset, on its (n-1, 0) completion, and each (b, t) stream relabels
+    the rows and tables of those lattices through sigma, so only lattices
+    reach _poset_key and the merge.
+
+    With dedup on, each class keeps its least labeling. That labeling has
+    its top at 0 (row 0 is then 1, the least it can be) and its bottom at
+    n-1 (moving the bottom last shifts the higher bits of the rows before
+    it down and puts a row below the full one where it stood). So only
+    (b, t) = (n-1, 0) is walked, in ascending row order through
+    _least_per_class under the relabelings fixing 0 and n-1; a candidate
+    whose orbit is met already is skipped before _is_lattice_rows runs on
+    it. Below two points the labeled stream is that one too.
     """
     carrier = Carrier(n)
-    if dedup:
+    if dedup or n < 2:
         perms = [p for p in _perms_fixing_zero(n) if p[-1] == n - 1]
         cands = _least_per_class(
             sorted(_completions(n, n - 1, 0)) if n else (),
             lambda rows: rows,
             lambda rows: [_permute_rows(rows, p) for p in perms],
         )
+        lattices = (
+            (rows, *tables) for rows in cands if (tables := _is_lattice_rows(rows))
+        )
     else:
-        ends = [(b, t) for b, t in product(range(n), repeat=2) if b != t or n == 1]
-        cands = merge(*(_completions(n, b, t) for b, t in ends), key=_poset_key)
-    for rows in cands:
-        meet_join = _is_lattice_rows(rows)
-        if meet_join is not None:
-            yield FinLattice(FinRel(carrier, carrier, rows), *meet_join)
+        # the tables as bytes, held for the whole stream at an eighth the size
+        per_poset = [
+            (rows, tuple(map(bytes, tables)))
+            for rows in _completions(n, n - 1, 0)
+            if (tables := _is_lattice_rows(rows))
+        ]
+        sigmas = [
+            (t, *(a for a in range(n) if a not in (b, t)), b)
+            for b, t in product(range(n), repeat=2)
+            if b != t
+        ]
+
+        def relabeled(sigma: tuple[int, ...], source: list[int]) -> Iterator[tuple]:
+            for rows, tables in per_poset:
+                yield _permute_rows(rows, sigma), *(
+                    tuple([sigma[table[s]] for s in source]) for table in tables
+                )
+
+        streams = (relabeled(*r) for r in _relabelings(n, sigmas, lambda p: p))
+        lattices = merge(*streams, key=lambda lat: _poset_key(lat[0]))
+    for rows, meet, join in lattices:
+        yield FinLattice(FinRel(carrier, carrier, rows), meet, join)
 
 
 def _set_partitions(n: int) -> Iterator[list[int]]:
@@ -546,17 +573,46 @@ def _gen_pams(n: int, dedup: bool) -> Iterator[PartialAbelianMonoid]:
     """All partial abelian monoids on {0..n-1} with the zero at index 0,
     ascending by plus table, or the least table of each isomorphism class.
 
+    Both walk _pam_tables orderly under the permutations fixing the zero,
+    which yields the least table of each class. The labeled stream expands
+    each of those through the same relabelings into its orbit; orbits of
+    distinct classes are disjoint, so a set per class drops the tables a
+    nontrivial automorphism repeats. The tables are kept as bytes of v + 1,
+    whose order is the plus order, sorted, and built into PAMs as yielded.
+    """
+    if n == 0:
+        return
+    relabelings = _relabelings(n, _perms_fixing_zero(n)[1:], lambda p: p + (-1,))
+    tables = _pam_tables(n, relabelings)
+    if dedup:
+        for table in tables:
+            yield PartialAbelianMonoid(Carrier(n), 0, tuple(table))
+        return
+    # per relabeling, its image of v + 1 (-1 reads the last entry, 0)
+    shifted = [([v + 1 for v in image], source) for image, source in relabelings]
+    keys = []
+    for t in tables:
+        orbit = {bytes([v + 1 for v in t])}
+        orbit.update(bytes([image[t[s]] for s in source]) for image, source in shifted)
+        keys.extend(orbit)
+    keys.sort()
+    value = range(-1, n)
+    for key in keys:
+        yield PartialAbelianMonoid(Carrier(n), 0, tuple(map(value.__getitem__, key)))
+
+
+def _pam_tables(n: int, relabelings: Sequence[tuple]) -> Iterator[list[int]]:
+    """The plus tables of the PAMs on {0..n-1} with the zero at index 0,
+    ascending, through _fill with the given relabelings.
+
     _fill places the cells above the diagonal row-major, each with its
-    mirror, with the values -1..n-1 ascending; with dedup it is orderly
-    under the permutations fixing the zero. Each placed cell runs
+    mirror, with the values -1..n-1 ascending. Each placed cell runs
     _p1_witness on the triples of _row_col_triples through it or its
     mirror, as P1 for (x, y, z) reads (x, y) and (x, y+z) in row x and
     (y, z) and (x+y, z) in column z. Triples with a zero coordinate hold,
     as the zero row and column are fixed, and are left out; so is a triple
     whose cell (x, y) or (y, z) is placed later, which checks it then.
     """
-    if n == 0:
-        return
     t = [_UNSET] * (n * n)
     for a in range(n):
         t[a] = a  # 0 + a
@@ -578,11 +634,7 @@ def _gen_pams(n: int, dedup: bool) -> Iterator[PartialAbelianMonoid]:
     def p1_ok(k: int) -> bool:
         return _p1_witness(t, n, touching[k]) is None
 
-    relabelings = (
-        _relabelings(n, _perms_fixing_zero(n), lambda p: p + (-1,)) if dedup else ()
-    )
-    for table in _fill(t, slots, [range(-1, n)] * len(cells), p1_ok, relabelings):
-        yield PartialAbelianMonoid(Carrier(n), 0, tuple(table))
+    return _fill(t, slots, [range(-1, n)] * len(cells), p1_ok, relabelings)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ Everything here works on explicit pair/triple sets and quantifies by brute
 scan, so the answers are easy to audit and independent of the bitmask code
 under test. pams_by_filter is the exception: it filters plain tables through
 relmon's own PAM checker, so it is independent of the PAM generator's
-pruning, not of the checker. lattices_by_poset_filter likewise runs
+pruning, not of the checker. labeled_pams_by_walk is the generator's
+own P1-pruned walk with no relabelings, so it checks the orbit expansion
+of the labeled PAM stream, not the pruning. lattices_by_poset_filter runs
 relmon's labeled posets through its lattice filter, so it checks how the
 lattice generator builds and orders its candidates, not the filter.
 relmonoids_by_product is the product-then-filter generator that the orderly
@@ -46,6 +48,7 @@ from relmon.search import (
     _is_lattice_rows,
     _labeled_posets,
     _least_per_class,
+    _pam_tables,
     _permute_rows,
     _perms,
     _pool_upto,
@@ -224,6 +227,13 @@ def pams_by_filter(n):
         if check_pam_axioms(p).ok:
             out.append(p.plus)
     return sorted(out)
+
+
+def labeled_pams_by_walk(n):
+    """The addition tables of the labeled PAMs on n points, ascending, from
+    the plain P1-pruned walk: every table the orderly walk would prune for
+    a smaller relabeling is kept. 5,326 tables at n = 5."""
+    return [tuple(t) for t in _pam_tables(n, ())] if n else []
 
 
 def relabel_pam(p, perm):

@@ -148,11 +148,6 @@ def test_is_map_examples():
     assert not rel(1, 1, []).is_map()
 
 
-def test_map_values_requires_map():
-    with pytest.raises(PreconditionError):
-        rel(1, 1, []).map_values()
-
-
 # -- adjoints ----------------------------------------------------------------
 
 

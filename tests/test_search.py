@@ -10,6 +10,7 @@ import pytest
 
 import oracles
 from relmon import catalog, monoid, pam, search
+from relmon.lattice import lattice_from_order
 from relmon.monoid import (
     LaxMorphism,
     RelMonoid,
@@ -423,7 +424,7 @@ LATTICE_COUNTS = {
 
 @pytest.mark.parametrize("dedup", [False, True])
 def test_lattice_counts_are_pinned(dedup):
-    # the labeled stream at n = 7 takes about 14 s; the orbit-stabilizer
+    # the labeled stream at n = 7 takes about 3 s; the orbit-stabilizer
     # test below pins that count from the 53 classes instead
     counts = [
         sum(1 for _ in enumerate_structures(EnumSpec("lattice", n, dedup=dedup)))
@@ -459,6 +460,14 @@ def test_lattice_generator_matches_poset_filter(n, dedup):
     # same rows in the same order as filtering every labeled n-point poset
     rows = [lat.order.rows for lat in _gen_lattices(n, dedup)]
     assert rows == oracles.lattices_by_poset_filter(n, dedup)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_labeled_lattice_tables_match_the_derived_ones(n):
+    # the labeled stream relabels the tables of one completion per poset
+    for lat in _gen_lattices(n, False):
+        derived = lattice_from_order(lat.order)
+        assert (lat.meet, lat.join) == (derived.meet, derived.join)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -524,7 +533,7 @@ PAM_COUNTS = {False: [1, 3, 19, 255, 5326, 171562], True: [1, 3, 11, 53, 286, 18
 
 @pytest.mark.parametrize("dedup", [False, True])
 def test_pam_counts_are_pinned(dedup):
-    # the labeled stream at 6 takes about 30 s; orbit-stabilizer pins its count
+    # the labeled stream at 6 takes about 2 s; orbit-stabilizer pins its count
     sizes = range(1, 7) if dedup else range(1, 6)
     counts = [
         sum(1 for _ in enumerate_structures(EnumSpec("pam", n, dedup=dedup)))
@@ -555,9 +564,19 @@ def test_labeled_pams_ascend_by_plus(n):
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_orderly_pams_match_post_hoc_dedup(n):
-    # the pruned walk keeps the least table of each orbit, in the same order
+    # the pruned walk keeps the least table of each orbit, in the same order;
+    # the labeled stream is built from it, so dedup the plain walk instead
     orderly = [p.plus for p in _gen_pams(n, True)]
-    assert orderly == oracles.least_pams_per_orbit(_gen_pams(n, False))
+    walk = oracles.labeled_pams_by_walk(n)
+    labeled = (PartialAbelianMonoid(Carrier(n), 0, plus) for plus in walk)
+    assert orderly == oracles.least_pams_per_orbit(labeled)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_labeled_pams_match_the_plain_walk(n):
+    # the labeled stream expands the orderly classes into their orbits; the
+    # walk with no relabelings reaches every table without that pruning
+    assert [p.plus for p in _gen_pams(n, False)] == oracles.labeled_pams_by_walk(n)
 
 
 @pytest.mark.parametrize("n", range(1, 5))
