@@ -117,10 +117,11 @@ class PartialAbelianMonoid(Frozen):
         return cls(carrier, zero, tuple(table))
 
     def to_json(self) -> dict:
+        n = self.carrier.size
         out: dict = {
-            "carrier": self.n,
+            "carrier": n,
             "zero": self.zero,
-            "plus": [[a, b, c] for a, b, c in self.cells],
+            "plus": [[i // n, i % n, c] for i, c in enumerate(self.plus) if c >= 0],
         }
         if self.carrier.labels is not None:
             out["labels"] = list(self.carrier.labels)

@@ -25,6 +25,7 @@ import random
 from functools import lru_cache
 from heapq import merge
 from itertools import permutations, product, takewhile
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .lattice import (
@@ -160,11 +161,9 @@ class EnumSpec(Frozen):
 # permutation helpers
 
 
-def _permute_rows(rows: Sequence[int], perm: Sequence[int]) -> tuple[int, ...]:
-    out = [0] * len(rows)
-    for a, row in enumerate(compose_rows(rows, [1 << p for p in perm])):
-        out[perm[a]] = row
-    return tuple(out)
+def _mask_images(perm: Sequence[int]) -> tuple[int, ...]:
+    """perm's image of each n-bit mask; rows relabel as out[perm[a]] = img[rows[a]]."""
+    return compose_rows(range(1 << len(perm)), [1 << b for b in perm])
 
 
 @lru_cache(maxsize=None)
@@ -309,10 +308,7 @@ def _gen_relmonoids(n: int, dedup: bool) -> Iterator[RelMonoid]:
         if dedup:
             cells = [i for i in range(n * n) if t[i] == _UNSET]
             perms = [p for p in _perms(n) if all(units_mask >> p[y] & 1 for y in units)]
-            # a mask's image is the union of its elements' images
-            relabelings = _relabelings(
-                n, perms[1:], lambda p: compose_rows(range(1 << n), [1 << b for b in p])
-            )
+            relabelings = _relabelings(n, perms[1:], _mask_images)
         else:
             cells = [i for _, side in sides for i in side]
             cells += [a * n + b for a in non_units for b in non_units]
@@ -390,12 +386,10 @@ def _is_lattice_rows(
         return None
 
 
-def _poset_key(rows: Sequence[int]) -> tuple[int, ...]:
-    """The choices (d_k, u_k), k = 1..n-1, that build rows in _labeled_posets."""
-    down = transpose_rows(rows, len(rows))
-    return tuple(
-        m[k] & ((1 << k) - 1) for k in range(1, len(rows)) for m in (down, rows)
-    )
+def _poset_key(rows: Sequence[int], down: Sequence[int]) -> tuple[int, ...]:
+    """The choices (d_k, u_k), k = 1..n-1, that build rows in _labeled_posets,
+    read from rows and down, their transpose."""
+    return tuple([m[k] & (1 << k) - 1 for k in range(1, len(rows)) for m in (down, rows)])
 
 
 def _completions(n: int, b: int, t: int) -> Iterator[tuple[int, ...]]:
@@ -444,9 +438,9 @@ def _gen_lattices(n: int, dedup: bool) -> Iterator[FinLattice]:
     (b, t, P) is the image of (n-1, 0, P) under the relabeling sigma that
     sends 0 to t and n-1 to b and keeps the other labels in order, so
     whether it is a lattice depends on P alone: _is_lattice_rows runs once
-    per poset, on its (n-1, 0) completion, and each (b, t) stream relabels
-    the rows and tables of those lattices through sigma, so only lattices
-    reach _poset_key and the merge.
+    per poset, on its (n-1, 0) completion. Each (b, t) stream relabels the
+    up- and down-set rows and the tables of those lattices through sigma
+    and yields the distinct _poset_key of each beside it for the merge.
 
     With dedup on, each class keeps its least labeling. That labeling has
     its top at 0 (row 0 is then 1, the least it can be) and its bottom at
@@ -460,18 +454,18 @@ def _gen_lattices(n: int, dedup: bool) -> Iterator[FinLattice]:
     carrier = Carrier(n)
     if dedup or n < 2:
         perms = [p for p in _perms_fixing_zero(n) if p[-1] == n - 1]
+        # per relabeling, the labels its new rows read and its mask images
+        moves = [(sorted(range(n), key=p.__getitem__), _mask_images(p)) for p in perms]
         cands = _least_per_class(
             sorted(_completions(n, n - 1, 0)) if n else (),
             lambda rows: rows,
-            lambda rows: [_permute_rows(rows, p) for p in perms],
+            lambda rows: [tuple([img[rows[a]] for a in q]) for q, img in moves],
         )
-        lattices = (
-            (rows, *tables) for rows in cands if (tables := _is_lattice_rows(rows))
-        )
+        lattices = ((rows, *tables) for rows in cands if (tables := _is_lattice_rows(rows)))
     else:
-        # the tables as bytes, held for the whole stream at an eighth the size
+        # the tables as bytes, for translate, held at an eighth the size
         per_poset = [
-            (rows, tuple(map(bytes, tables)))
+            (rows, transpose_rows(rows, n), tuple(map(bytes, tables)))
             for rows in _completions(n, n - 1, 0)
             if (tables := _is_lattice_rows(rows))
         ]
@@ -482,13 +476,17 @@ def _gen_lattices(n: int, dedup: bool) -> Iterator[FinLattice]:
         ]
 
         def relabeled(sigma: tuple[int, ...], source: list[int]) -> Iterator[tuple]:
-            for rows, tables in per_poset:
-                yield _permute_rows(rows, sigma), *(
-                    tuple([sigma[table[s]] for s in source]) for table in tables
-                )
+            # sigma's images of masks and of table values; what new rows and tables read
+            img, values = _mask_images(sigma), bytes.maketrans(bytes(range(n)), bytes(sigma))
+            rows_at = itemgetter(*sorted(range(n), key=sigma.__getitem__))
+            tables_at = itemgetter(*source)
+            for rows, down, tables in per_poset:
+                up = tuple(map(img.__getitem__, rows_at(rows)))
+                key = _poset_key(up, [*map(img.__getitem__, rows_at(down))])
+                yield key, (up, *(tables_at(table.translate(values)) for table in tables))
 
         streams = (relabeled(*r) for r in _relabelings(n, sigmas, lambda p: p))
-        lattices = merge(*streams, key=lambda lat: _poset_key(lat[0]))
+        lattices = (lat for _, lat in merge(*streams))
     for rows, meet, join in lattices:
         yield FinLattice(FinRel(carrier, carrier, rows), meet, join)
 
@@ -578,15 +576,16 @@ def _gen_pams(n: int, dedup: bool) -> Iterator[PartialAbelianMonoid]:
     each of those through the same relabelings into its orbit; orbits of
     distinct classes are disjoint, so a set per class drops the tables a
     nontrivial automorphism repeats. The tables are kept as bytes of v + 1,
-    whose order is the plus order, sorted, and built into PAMs as yielded.
+    whose order is the plus order, sorted, and built as yielded into PAMs
+    that share one carrier.
     """
     if n == 0:
         return
     relabelings = _relabelings(n, _perms_fixing_zero(n)[1:], lambda p: p + (-1,))
     tables = _pam_tables(n, relabelings)
+    carrier = Carrier(n)
     if dedup:
-        for table in tables:
-            yield PartialAbelianMonoid(Carrier(n), 0, tuple(table))
+        yield from (PartialAbelianMonoid(carrier, 0, tuple(table)) for table in tables)
         return
     # per relabeling, its image of v + 1 (-1 reads the last entry, 0)
     shifted = [([v + 1 for v in image], source) for image, source in relabelings]
@@ -598,7 +597,7 @@ def _gen_pams(n: int, dedup: bool) -> Iterator[PartialAbelianMonoid]:
     keys.sort()
     value = range(-1, n)
     for key in keys:
-        yield PartialAbelianMonoid(Carrier(n), 0, tuple(map(value.__getitem__, key)))
+        yield PartialAbelianMonoid(carrier, 0, tuple(map(value.__getitem__, key)))
 
 
 def _pam_tables(n: int, relabelings: Sequence[tuple]) -> Iterator[list[int]]:

@@ -7,8 +7,9 @@ relmon's own PAM checker, so it is independent of the PAM generator's
 pruning, not of the checker. labeled_pams_by_walk is the generator's
 own P1-pruned walk with no relabelings, so it checks the orbit expansion
 of the labeled PAM stream, not the pruning. lattices_by_poset_filter runs
-relmon's labeled posets through its lattice filter, so it checks how the
-lattice generator builds and orders its candidates, not the filter.
+relmon's labeled posets through its lattice filter, and dedups them by
+the bit-by-bit permute_rows, so it checks how the lattice generator
+builds, relabels and orders its candidates, not the filter.
 relmonoids_by_product is the product-then-filter generator that the orderly
 fill replaced; it filters with _assoc_witness, the kernel the generator
 prunes with, and dedups with relmon's _least_per_class, so it checks the
@@ -49,7 +50,6 @@ from relmon.search import (
     _labeled_posets,
     _least_per_class,
     _pam_tables,
-    _permute_rows,
     _perms,
     _pool_upto,
 )
@@ -260,6 +260,19 @@ def least_pams_per_orbit(stream):
     return out
 
 
+def permute_rows(rows, perm):
+    """The row table of the relation rows relabeled by perm, bit by bit."""
+    n = len(rows)
+    out = [0] * n
+    for a in range(n):
+        mask = 0
+        for b in range(n):
+            if rows[a] >> b & 1:
+                mask |= 1 << perm[b]
+        out[perm[a]] = mask
+    return tuple(out)
+
+
 def lattices_by_poset_filter(n, dedup):
     """Row tables of the lattices on n points in relmon's stream order.
 
@@ -275,7 +288,7 @@ def lattices_by_poset_filter(n, dedup):
             continue
         out.append(rows)
         if dedup:
-            seen.update(_permute_rows(rows, p) for p in _perms(n))
+            seen.update(permute_rows(rows, p) for p in _perms(n))
     return out
 
 

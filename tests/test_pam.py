@@ -40,6 +40,7 @@ from relmon.rel import Carrier, FinRel
 from relmon.report import InputError, PreconditionError
 from relmon.search import (
     _equivalence_rows,
+    _gen_pams,
     _orthocomplementations,
     _pool,
     _pool_upto,
@@ -79,6 +80,30 @@ def test_from_cells_rejects_out_of_range():
         PartialAbelianMonoid(Carrier(2), 2, (0, 1, 1, -1))
     with pytest.raises(InputError, match="cells"):
         PartialAbelianMonoid(Carrier(2), 0, (0, 1, 1))
+
+
+# cells that are neither -1 nor an element of a 3-element carrier
+BAD_CELLS = [True, 1.0, "1", None, -2, 3]
+
+
+@pytest.mark.parametrize("k", range(len(BAD_CELLS)))
+def test_a_bad_table_names_its_first_bad_cell(k):
+    # the message names the first bad cell, wherever it stands
+    bad, other = BAD_CELLS[k], BAD_CELLS[k - 1]
+    cases = [({i: bad}, i) for i in (0, 4, 8)] + [({2: bad, 6: other}, 2)]
+    for cells, i in cases:
+        table = [cells.get(j, c) for j, c in enumerate(catalog.chain_pam(3).plus)]
+        with pytest.raises(InputError) as err:
+            PartialAbelianMonoid(Carrier(3), 0, tuple(table))
+        assert str(err.value) == f"table cell ({i // 3}, {i % 3}) holds {bad!r}, out of range"
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_to_json_plus_is_the_cells_and_caches_nothing(n):
+    for p in _gen_pams(n, False):
+        plus = p.to_json()["plus"]
+        assert "cells" not in vars(p)
+        assert plus == [[a, b, c] for a, b, c in p.cells]
 
 
 def test_cells_round_trip_table():

@@ -1,6 +1,7 @@
 """Enumeration of small structures and the universal-law registry."""
 
 import collections
+import heapq
 import itertools
 import random
 import types
@@ -30,7 +31,7 @@ from relmon.pam import (
     oml_as_effect_algebra,
     to_relmonoid,
 )
-from relmon.rel import Carrier, FinRel, bits, is_partial_order
+from relmon.rel import Carrier, FinRel, bits, is_partial_order, transpose_rows
 from relmon.report import CheckReport, InputError
 from relmon.search import (
     _UNSET,
@@ -46,6 +47,7 @@ from relmon.search import (
     _labeled_posets,
     _lax_rels,
     _left_adjoints,
+    _mask_images,
     _orthocomplementations,
     _perms_fixing_zero,
     _pool,
@@ -60,23 +62,11 @@ from relmon.search import (
 )
 
 
-def permute_rows(rows, perm):
-    n = len(rows)
-    out = [0] * n
-    for a in range(n):
-        mask = 0
-        for b in range(n):
-            if rows[a] >> b & 1:
-                mask |= 1 << perm[b]
-        out[perm[a]] = mask
-    return tuple(out)
-
-
 def isomorphic_orders(r1, r2):
     n = len(r1)
     if len(r2) != n:
         return False
-    return any(permute_rows(r1, p) == r2 for p in itertools.permutations(range(n)))
+    return any(oracles.permute_rows(r1, p) == r2 for p in itertools.permutations(range(n)))
 
 
 # -- spec validation -----------------------------------------------------------
@@ -447,7 +437,7 @@ def test_lattice_orbit_stabilizer(n):
             1
             for p in perms
             if all(ups[p[a]] == ups[a] for a in range(n))
-            and permute_rows(rows, p) == rows
+            and oracles.permute_rows(rows, p) == rows
         )
         labeled += factorial(n) // aut
     assert len(reps) == LATTICE_COUNTS[True][n - 1]
@@ -476,9 +466,33 @@ def test_each_completion_stream_ascends_by_poset_key(n):
     for b, t in itertools.product(range(n), repeat=2):
         if b == t and n > 1:
             continue
-        keys = [_poset_key(rows) for rows in _completions(n, b, t)]
+        keys = [_poset_key(rows, transpose_rows(rows, n)) for rows in _completions(n, b, t)]
         assert len(keys) == LABELED_POSETS[max(n - 2, 0)]
         assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_labeled_lattice_merge_reads_each_lattices_poset_key(n, monkeypatch):
+    # each (bottom, top) stream yields the key of its relabeled rows beside them
+    merged = []
+
+    def recording_merge(*streams):
+        merged.extend(heapq.merge(*streams))
+        return iter(merged)
+
+    monkeypatch.setattr(search, "merge", recording_merge)
+    lats = [lat.order.rows for lat in _gen_lattices(n, False)]
+    assert [rows for _, (rows, *_) in merged] == lats
+    for key, (rows, *_) in merged:
+        assert key == _poset_key(rows, transpose_rows(rows, n))
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_mask_images_relabel_every_mask_bit_by_bit(n):
+    for p in itertools.permutations(range(n)):
+        assert _mask_images(p) == tuple(
+            sum(1 << p[b] for b in range(n) if m >> b & 1) for m in range(1 << n)
+        )
 
 
 # Published counts of the building blocks, n = 0, 1, 2, ...: labeled posets
