@@ -153,12 +153,13 @@ def build_quotient_order(lat: FinLattice) -> QuotientOrder:
     """Order on quotients: b/a up-to d/c iff a = b meet c and d = b join c."""
     qmonoid = from_poset_quotients(lat.order)
     quots = quotient_pairs(lat.order)
-    k = len(quots)
-    rows = [0] * k
+    index = {q: i for i, q in enumerate(quots)}
+    rows = [0] * len(quots)
+    # d = b join c is forced, and a = b meet c puts c above a
     for i, (a, b) in enumerate(quots):
-        for j, (c, d) in enumerate(quots):
-            if a == lat.meet_of(b, c) and d == lat.join_of(b, c):
-                rows[i] |= 1 << j
+        for c in bits(lat.up_masks[a]):
+            if lat.meet_of(b, c) == a:
+                rows[i] |= 1 << index[(c, lat.join_of(b, c))]
     arrow = FinRel(qmonoid.carrier, qmonoid.carrier, tuple(rows))
     return QuotientOrder(qmonoid, arrow)
 
@@ -177,19 +178,17 @@ def check_star_star(lat: FinLattice) -> CheckReport:
         tuple(f"{lat.order.dom.label(b)}/{lat.order.dom.label(a)}" for a, b in quots),
     )
 
-    def upto(low1: int, hi1: int, low2: int, hi2: int) -> bool:
-        return low1 == lat.meet_of(hi1, low2) and hi2 == lat.join_of(hi1, low2)
-
+    # c/a up-to c'/a' forces c' = c join a' and puts a' above a = c meet a',
+    # so ascending a' keeps the order of the quotients c'/a'. b/a up-to b'/a'
+    # forces b' = b join a', which lies in [a', c']; b meet a' = a and
+    # c join b' = c' then hold, so c/b up-to c'/b' asks only c meet b' = b.
     for a, b in quots:
         for c in bits(lat.up_masks[b]):
-            for ap, cp in quots:
-                if not upto(a, c, ap, cp):
+            for ap in bits(lat.up_masks[a]):
+                if lat.meet_of(c, ap) != a:
                     continue
-                ok = any(
-                    upto(a, b, ap, bp) and upto(b, c, bp, cp)
-                    for bp in bits(lat.up_masks[ap] & lat.down_masks[cp])
-                )
-                if not ok:
+                if lat.meet_of(c, lat.join_of(b, ap)) != b:
+                    cp = lat.join_of(c, ap)
                     wit = (index[(a, b)], index[(b, c)], index[(ap, cp)])
                     return CheckReport.failing(
                         "star-star",

@@ -424,9 +424,8 @@ def from_poset_quotients(order: FinRel) -> RelMonoid:
     index = {q: i for i, q in enumerate(quots)}
     mult = set()
     for i, (a, b) in enumerate(quots):
-        for j, (c, d) in enumerate(quots):
-            if b == c:
-                mult.add((i, j, index[(a, d)]))
+        for d in bits(order.rows[b]):
+            mult.add((i, index[(b, d)], index[(a, d)]))
     units = {i for i, (a, b) in enumerate(quots) if a == b}
     lab = order.dom.label
     labels = tuple(f"{lab(b)}/{lab(a)}" for a, b in quots)

@@ -34,6 +34,7 @@ from .rel import (
     FinRel,
     bits,
     class_partition,
+    compose_rows,
     in_field,
     is_equivalence,
     is_partial_order,
@@ -651,24 +652,6 @@ def _orthogonal_families(s: OmlStructure) -> list[tuple[int, ...]]:
     return out
 
 
-def _family_matches(fam1: tuple[int, ...], fam2: tuple[int, ...], sim: FinRel) -> bool:
-    """Whether some pairing relates the families memberwise."""
-    used = [False] * len(fam2)
-
-    def go(i: int) -> bool:
-        if i == len(fam1):
-            return True
-        for j, g in enumerate(fam2):
-            if not used[j] and sim.has(fam1[i], g):
-                used[j] = True
-                if go(i + 1):
-                    return True
-                used[j] = False
-        return False
-
-    return go(0)
-
-
 def _join_of(lat: FinLattice, fam: tuple[int, ...]) -> int:
     acc = lat.bottom
     for x in fam:
@@ -697,7 +680,8 @@ def is_dimension_equivalence(
     eq = is_equivalence(sim)
     if not eq.ok:
         return CheckReport.failing("dimension-equivalence", "equivalence", eq.witness, eq.message)
-    stray = sim.rows[lat.bottom] & ~(1 << lat.bottom)
+    nonzero = ~(1 << lat.bottom)
+    stray = sim.rows[lat.bottom] & nonzero
     if stray:
         a = lowest_bit(stray)
         return CheckReport.failing(
@@ -716,12 +700,14 @@ def is_dimension_equivalence(
             f"{lab(b)} is related to {lab(a1)} join {lab(a2)} but "
             "has no matching orthogonal decomposition",
         )
+    # under an equivalence two families pair off memberwise exactly when
+    # they meet every class equally often
     families = _orthogonal_families(s)
-    for fam1 in families:
-        for fam2 in families:
-            if len(fam1) != len(fam2):
-                continue
-            if not _family_matches(fam1, fam2, sim):
+    cls_of, _ = class_partition(sim)
+    keys = [sorted(map(cls_of.__getitem__, fam)) for fam in families]
+    for fam1, key1 in zip(families, keys):
+        for fam2, key2 in zip(families, keys):
+            if key1 != key2:
                 continue
             j1 = _join_of(lat, fam1)
             j2 = _join_of(lat, fam2)
@@ -737,16 +723,13 @@ def is_dimension_equivalence(
                     family_1=list(fam1),
                     family_2=list(fam2),
                 )
+    # per a, what is related to some nonzero element below a
+    reach = compose_rows([down & nonzero for down in lat.down_masks], sim.rows)
     for a in range(lat.n):
         for b in range(lat.n):
             if s.orthogonal(a, b):
                 continue
-            below_a = lat.down_masks[a] & ~(1 << lat.bottom)
-            found = any(
-                sim.rows[a1] & lat.down_masks[b] & ~(1 << lat.bottom)
-                for a1 in bits(below_a)
-            )
-            if not found:
+            if not reach[a] & lat.down_masks[b] & nonzero:
                 return CheckReport.failing(
                     "dimension-equivalence",
                     "D",

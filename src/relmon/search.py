@@ -392,19 +392,16 @@ def _poset_key(rows: Sequence[int], down: Sequence[int]) -> tuple[int, ...]:
     return tuple([m[k] & (1 << k) - 1 for k in range(1, len(rows)) for m in (down, rows)])
 
 
-def _completions(n: int, b: int, t: int) -> Iterator[tuple[int, ...]]:
-    """Rows of the n-point posets with bottom b and top t, one per poset on
-    the other labels, in the order of _labeled_posets on them. That order
-    ascends by _poset_key, and b and t add the same bits at every position
-    of the key, so the completions ascend by _poset_key too."""
-    mid = [a for a in range(n) if a not in (b, t)]
-    moved = [1 << a for a in mid]
-    for poset in _labeled_posets(len(mid)):
-        rows = [1 << t] * n
-        rows[b] = (1 << n) - 1
-        for a, row in zip(mid, compose_rows(poset, moved)):
-            rows[a] |= row
-        yield tuple(rows)
+def _completions(n: int) -> Iterator[tuple[int, ...]]:
+    """Rows of the n-point posets with bottom n-1 and top 0, one per poset
+    on the labels between, in the order of _labeled_posets on them; at
+    n = 1 the one point is both. That order ascends by _poset_key, and the
+    bottom and top add the same bits at every position of the key, so the
+    completions ascend by _poset_key too, and so do their relabelings to
+    any other bottom and top that keep the labels between in order."""
+    full = (1 << n) - 1
+    for poset in _labeled_posets(max(n - 2, 0)):
+        yield (1, *(row << 1 | 1 for row in poset), full)[:n]
 
 
 def _least_per_class(stream: Iterable, key: Callable, orbit: Callable) -> Iterator:
@@ -457,7 +454,7 @@ def _gen_lattices(n: int, dedup: bool) -> Iterator[FinLattice]:
         # per relabeling, the labels its new rows read and its mask images
         moves = [(sorted(range(n), key=p.__getitem__), _mask_images(p)) for p in perms]
         cands = _least_per_class(
-            sorted(_completions(n, n - 1, 0)) if n else (),
+            sorted(_completions(n)) if n else (),
             lambda rows: rows,
             lambda rows: [tuple([img[rows[a]] for a in q]) for q, img in moves],
         )
@@ -466,7 +463,7 @@ def _gen_lattices(n: int, dedup: bool) -> Iterator[FinLattice]:
         # the tables as bytes, for translate, held at an eighth the size
         per_poset = [
             (rows, transpose_rows(rows, n), tuple(map(bytes, tables)))
-            for rows in _completions(n, n - 1, 0)
+            for rows in _completions(n)
             if (tables := _is_lattice_rows(rows))
         ]
         sigmas = [

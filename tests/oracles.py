@@ -28,17 +28,31 @@ additive_maps_by_filter checks it on the monoids of PAMs by a plain scan
 of the sums. The
 *_report functions rebuild a checker's whole report, verdict, witness and
 message, by plain scans; the congruence and left-adjoint ones take their
-preconditions and C1 from relmon. Slow on purpose; keep carriers tiny.
+preconditions and C1 from relmon, and dimension_equivalence_report its
+clauses before C. poset_quotients_by_pair_scan,
+quotient_order_rows_by_pair_scan, star_star_report and the backtracking
+families_pair_off are the scans that the quotient-monoid, perspectivity,
+star-star and dimension-equivalence code replaced by the one witness each
+definition forces. Slow on purpose; keep carriers tiny.
 """
 
 from functools import lru_cache
 from itertools import permutations, product
 
-from relmon.monoid import LaxMorphism, RelMonoid, _assoc_witness, is_lax_morphism
+from relmon.monoid import (
+    LaxMorphism,
+    RelMonoid,
+    _assoc_witness,
+    is_lax_morphism,
+    quotient_pairs,
+)
 from relmon.pam import (
     OmlStructure,
     PartialAbelianMonoid,
+    _join_of,
+    _orthogonal_families,
     check_pam_axioms,
+    is_dimension_equivalence,
     to_relmonoid,
     validate_oml,
 )
@@ -838,6 +852,129 @@ def dimension_clause_b_by_loop(s, sim):
                 ):
                     return a1, a2, b
     return None
+
+
+def poset_quotients_by_pair_scan(order):
+    """Monoid of the quotients b/a of a poset, from every pair of quotients:
+    (b/a, d/c)*(d/a) iff b = c."""
+    quots = quotient_pairs(order)
+    index = {q: i for i, q in enumerate(quots)}
+    mult = {
+        (i, j, index[(a, d)])
+        for i, (a, b) in enumerate(quots)
+        for j, (c, d) in enumerate(quots)
+        if b == c
+    }
+    units = {i for i, (a, b) in enumerate(quots) if a == b}
+    lab = order.dom.label
+    return RelMonoid.make(
+        len(quots), units, mult, tuple(f"{lab(b)}/{lab(a)}" for a, b in quots)
+    )
+
+
+def quotient_order_rows_by_pair_scan(lat):
+    """Rows of the perspectivity order, from every pair of quotients:
+    b/a up-to d/c iff a = b meet c and d = b join c."""
+    quots = quotient_pairs(lat.order)
+    n, meet, join = lat.n, lat.meet, lat.join
+    return tuple(
+        sum(
+            1 << j
+            for j, (c, d) in enumerate(quots)
+            if a == meet[b * n + c] and d == join[b * n + c]
+        )
+        for a, b in quots
+    )
+
+
+def star_star_report(lat, arrow):
+    """The star-star report by scanning, for each c/a up-to c'/a' in arrow,
+    the rows of the perspectivity order, every midpoint b' in [a', c']."""
+    quots = quotient_pairs(lat.order)
+    index = {q: i for i, q in enumerate(quots)}
+    lab = lat.order.dom.label
+    qcarrier = Carrier(len(quots), tuple(f"{lab(b)}/{lab(a)}" for a, b in quots))
+    for a, b in quots:
+        for c in bits(lat.up_masks[b]):
+            for k in bits(arrow[index[(a, c)]]):
+                ap, cp = quots[k]
+                if not any(
+                    arrow[index[(a, b)]] >> index[(ap, bp)] & 1
+                    and arrow[index[(b, c)]] >> index[(bp, cp)] & 1
+                    for bp in bits(lat.up_masks[ap] & lat.down_masks[cp])
+                ):
+                    wit = (index[(a, b)], index[(b, c)], k)
+                    return CheckReport.failing(
+                        "star-star",
+                        "decomposition",
+                        wit,
+                        f"quotients {qcarrier.render(wit)} admit no midpoint",
+                    )
+    return CheckReport.passing("star-star")
+
+
+def families_pair_off(fam1, fam2, sim):
+    """Whether a bijection between the families relates them memberwise,
+    by backtracking over the members of fam2."""
+    used = [False] * len(fam2)
+
+    def go(i):
+        if i == len(fam1):
+            return True
+        for j, g in enumerate(fam2):
+            if not used[j] and sim.has(fam1[i], g):
+                used[j] = True
+                if go(i + 1):
+                    return True
+                used[j] = False
+        return False
+
+    return len(fam1) == len(fam2) and go(0)
+
+
+def dimension_equivalence_report(s, sim, literal_joins=False):
+    """The dimension-equivalence report with clauses C and D by plain scans:
+    every pair of orthogonal families through families_pair_off, and for D
+    every nonzero element below a. The equivalence, A and B clauses are
+    relmon's."""
+    rep = is_dimension_equivalence(s, sim, literal_joins)
+    if rep.failed in ("equivalence", "A", "B"):
+        return rep
+    lat = s.lattice
+    lab = lat.order.dom.label
+    families = _orthogonal_families(s)
+    for fam1, fam2 in product(families, repeat=2):
+        if not families_pair_off(fam1, fam2, sim):
+            continue
+        j1, j2 = _join_of(lat, fam1), _join_of(lat, fam2)
+        if j1 != j2 if literal_joins else not sim.has(j1, j2):
+            kind = "equal" if literal_joins else "related"
+            return CheckReport.failing(
+                "dimension-equivalence",
+                "C",
+                (j1, j2),
+                f"memberwise-related orthogonal families have joins "
+                f"{lab(j1)} and {lab(j2)}, which are not {kind}",
+                family_1=list(fam1),
+                family_2=list(fam2),
+            )
+    for a, b in product(range(lat.n), repeat=2):
+        if s.orthogonal(a, b):
+            continue
+        if not any(
+            sim.has(a1, b1)
+            for a1 in range(lat.n)
+            for b1 in range(lat.n)
+            if a1 != lat.bottom and b1 != lat.bottom and lat.leq(a1, a) and lat.leq(b1, b)
+        ):
+            return CheckReport.failing(
+                "dimension-equivalence",
+                "D",
+                (a, b),
+                f"non-orthogonal {lab(a)}, {lab(b)} dominate no related "
+                "nonzero pair",
+            )
+    return CheckReport.passing("dimension-equivalence")
 
 
 def categories_by_rescan(narr):

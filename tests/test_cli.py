@@ -1,6 +1,7 @@
 """Command-line front end: verdicts, exit codes, constructions, diagnostics."""
 
 import argparse
+import importlib.util
 import json
 import os
 import re
@@ -63,6 +64,18 @@ def write_json(tmp_path, name, obj):
 
 
 # -- worked examples -----------------------------------------------------------
+
+
+def test_sample_generator_reproduces_every_sample(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location("make_samples", SAMPLES / "make_samples.py")
+    make_samples = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_samples)
+    monkeypatch.setattr(make_samples, "HERE", tmp_path)
+    make_samples.main()
+    made = sorted(path.name for path in tmp_path.iterdir())
+    assert made == sorted(path.name for path in SAMPLES.glob("*.json"))
+    for name in made:
+        assert (tmp_path / name).read_bytes() == (SAMPLES / name).read_bytes(), name
 
 
 def test_check_monoid_z2(capsys):

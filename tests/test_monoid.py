@@ -38,7 +38,7 @@ from relmon.monoid import (
 from relmon.pam import to_relmonoid
 from relmon.rel import Carrier, FinRel, refl_trans_closure
 from relmon.report import InputError, PreconditionError
-from relmon.search import _pool, _pool_upto
+from relmon.search import _labeled_posets, _pool, _pool_upto
 
 Z2 = catalog.z2_monoid()
 
@@ -268,6 +268,16 @@ def test_poset_quotients_axioms_small_posets():
         for rows in _all_posets(n):
             m = from_poset_quotients(FinRel(carrier, carrier, rows))
             assert check_monoid_axioms(m).ok
+
+
+def test_poset_quotients_match_the_pair_scan():
+    # the quotients composable after b/a are the d/b read off row b
+    for n in range(6):
+        carrier = Carrier(n)
+        for rows in _labeled_posets(n):
+            order = FinRel(carrier, carrier, rows)
+            want = oracles.poset_quotients_by_pair_scan(order)
+            assert from_poset_quotients(order).to_json() == want.to_json()
 
 
 def _all_posets(n):

@@ -36,7 +36,7 @@ from relmon.pam import (
     validate_oml,
     _decomposition_witness,
 )
-from relmon.rel import Carrier, FinRel
+from relmon.rel import Carrier, FinRel, class_partition
 from relmon.report import InputError, PreconditionError
 from relmon.search import (
     _equivalence_rows,
@@ -588,6 +588,35 @@ def test_dimension_clause_c_literal_joins():
     # families may pad with the bottom, which is orthogonal to everything
     assert rep.details["family_1"] == [0, 1]
     assert rep.details["family_2"] == [0, 2]
+
+
+@pytest.mark.parametrize("literal_joins", [False, True])
+def test_dimension_equivalence_matches_the_family_scan(literal_joins):
+    # every clause C and D failure, and the passes, as the plain scans find them
+    failed = Counter()
+    for s in (catalog.boolean_oml(2), catalog.mo2_oml(), catalog.boolean_oml(3)):
+        carrier = s.lattice.order.dom
+        for rows in _equivalence_rows(s.lattice.n):
+            sim = FinRel(carrier, carrier, rows)
+            rep = is_dimension_equivalence(s, sim, literal_joins)
+            want = oracles.dimension_equivalence_report(s, sim, literal_joins)
+            assert rep.to_json() == want.to_json()
+            failed[rep.failed] += 1
+    assert failed["C"] and failed["D"] and failed[None]
+
+
+def test_families_pair_off_exactly_when_they_meet_each_class_equally():
+    # the pairing lemma behind clause C, on every equivalence up to 5 points
+    for n in range(6):
+        subsets = [
+            fam for k in range(n + 1) for fam in itertools.combinations(range(n), k)
+        ]
+        for rows in _equivalence_rows(n):
+            sim = FinRel(Carrier(n), Carrier(n), rows)
+            cls_of, _ = class_partition(sim)
+            for fam1, fam2 in itertools.product(subsets, repeat=2):
+                meets = sorted(cls_of[x] for x in fam1) == sorted(cls_of[x] for x in fam2)
+                assert oracles.families_pair_off(fam1, fam2, sim) == meets
 
 
 def test_dimension_equivalence_rejects_bad_inputs():

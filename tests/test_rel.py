@@ -385,6 +385,19 @@ def test_closure_and_compose_match_reference_loop():
             assert d.compose(f).rows == oracles.compose_rows_by_loop(d.rows, f.rows)
 
 
+def test_closure_is_monotone():
+    # f within g puts cl f within cl g, over every pair of relations on at
+    # most 3 points; a sweep that checks only the largest relation of a
+    # union-closed family relies on this
+    for n in range(4):
+        rels = [f for f in ENDO_RELS if f.dom.size == n]
+        closed = [refl_trans_closure(f) for f in rels]
+        for f, cl_f in zip(rels, closed):
+            for g, cl_g in zip(rels, closed):
+                if g.contains(f):
+                    assert cl_g.contains(cl_f)
+
+
 def check_left_adjoint_rel(f, g):
     """is_left_adjoint_rel's report and _adjoint_witness's (clause, pair)
     both match the reference scan; returns the report."""

@@ -462,29 +462,31 @@ def test_labeled_lattice_tables_match_the_derived_ones(n):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_each_completion_stream_ascends_by_poset_key(n):
-    # the labeled lattice walk merges these streams, so each must ascend
-    for b, t in itertools.product(range(n), repeat=2):
-        if b == t and n > 1:
-            continue
-        keys = [_poset_key(rows, transpose_rows(rows, n)) for rows in _completions(n, b, t)]
-        assert len(keys) == LABELED_POSETS[max(n - 2, 0)]
-        assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
+    # one completion per poset on the labels between bottom n-1 and top 0
+    keys = [_poset_key(rows, transpose_rows(rows, n)) for rows in _completions(n)]
+    assert len(keys) == LABELED_POSETS[max(n - 2, 0)]
+    assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
 
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_labeled_lattice_merge_reads_each_lattices_poset_key(n, monkeypatch):
-    # each (bottom, top) stream yields the key of its relabeled rows beside them
-    merged = []
+    # each (bottom, top) stream yields the key of its relabeled rows beside
+    # them, and ascends by it, as the merge needs
+    streams = []
 
-    def recording_merge(*streams):
-        merged.extend(heapq.merge(*streams))
-        return iter(merged)
+    def recording_merge(*merging):
+        streams.extend(map(list, merging))
+        return heapq.merge(*streams)
 
     monkeypatch.setattr(search, "merge", recording_merge)
     lats = [lat.order.rows for lat in _gen_lattices(n, False)]
-    assert [rows for _, (rows, *_) in merged] == lats
-    for key, (rows, *_) in merged:
-        assert key == _poset_key(rows, transpose_rows(rows, n))
+    assert len(streams) == n * (n - 1)
+    assert [rows for _, (rows, *_) in heapq.merge(*streams)] == lats
+    for stream in streams:
+        keys = [key for key, _ in stream]
+        assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
+        for key, (rows, *_) in stream:
+            assert key == _poset_key(rows, transpose_rows(rows, n))
 
 
 @pytest.mark.parametrize("n", range(6))
