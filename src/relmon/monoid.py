@@ -819,7 +819,7 @@ def quotient_relmonoid(
     monad_from_adjunction_conditions(MonadCandidate(m, equiv)).require(
         "quotient needs a symmetric monad order"
     )
-    cls_of, reps = class_partition(equiv)
+    cls_of, reps = class_partition(equiv.rows)
     k = len(reps)
     mult = {(cls_of[a1], cls_of[a2], cls_of[a]) for a1, a2, a in m.mult}
     units = {cls_of[y] for y in m.unit_list}

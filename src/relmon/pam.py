@@ -413,29 +413,25 @@ class CongruenceCandidate(Frozen):
         return cls(base, rel)
 
 
-@cached_verdict
-def check_congruence(c: CongruenceCandidate) -> CheckReport:
-    """C1 equivalence, C2 sum compatibility, C5 decomposition lifting.
+def _congruence_witness(
+    p: PartialAbelianMonoid, rows: Sequence[int]
+) -> tuple[str, tuple[int, ...]] | None:
+    """First failure of C2, then of C5, of an equivalence's rows on p:
+    ("C2", (x1, y1, x2, y2)) or ("C5", (x, y, z)); None if both hold.
 
     C2: defined sums of related summands are related. C5: if x+y exists and
     is related to z, then z = x1+y1 for some x1 related to x, y1 related to y.
-    Past C1, "related to x" is the class of x, so both clauses read off
-    sums[X, Y], the mask of all defined x1+y1 with x1 in X and y1 in Y: at
-    each defined x+y = s, C2 fails iff sums & ~rows[s], C5 iff rows[s] & ~sums.
+    "Related to x" is the class of x, so both clauses read off sums[X, Y],
+    the mask of all defined x1+y1 with x1 in X and y1 in Y: at each defined
+    x+y = s, C2 fails iff sums & ~rows[s], C5 iff rows[s] & ~sums.
     """
-    check_pam_axioms(c.base).require("not a partial abelian monoid")
-    p, sim = c.base, c.classes
-    eq = is_equivalence(sim)
-    if not eq.ok:
-        return CheckReport.failing("congruence", "C1", eq.witness, eq.message)
-    lab = p.carrier.label
-    n, plus, rows = p.n, p.plus, sim.rows
-    cls_of, reps = class_partition(sim)
+    n, plus, cells = p.n, p.plus, p.cells
+    cls_of, reps = class_partition(rows)
     k = len(reps)
     sums = [0] * (k * k)
-    for x, y, s in p.cells:
+    for x, y, s in cells:
         sums[cls_of[x] * k + cls_of[y]] |= 1 << s
-    for x1, y1, s in p.cells:
+    for x1, y1, s in cells:
         if sums[cls_of[x1] * k + cls_of[y1]] & ~rows[s]:
             x2, y2 = next(
                 (x2, y2)
@@ -443,25 +439,33 @@ def check_congruence(c: CongruenceCandidate) -> CheckReport:
                 for y2 in bits(rows[y1])
                 if plus[x2 * n + y2] >= 0 and not rows[s] >> plus[x2 * n + y2] & 1
             )
-            return CheckReport.failing(
-                "congruence",
-                "C2",
-                (x1, y1, x2, y2),
-                f"{lab(x1)}+{lab(y1)} and {lab(x2)}+{lab(y2)} are "
-                "sums of related summands but are unrelated",
-            )
-    for x, y, s in p.cells:
+            return "C2", (x1, y1, x2, y2)
+    for x, y, s in cells:
         missing = rows[s] & ~sums[cls_of[x] * k + cls_of[y]]
         if missing:
-            z = lowest_bit(missing)
-            return CheckReport.failing(
-                "congruence",
-                "C5",
-                (x, y, z),
-                f"{lab(z)} is related to {lab(x)}+{lab(y)} but has no "
-                "decomposition along related parts",
-            )
-    return CheckReport.passing("congruence")
+            return "C5", (x, y, lowest_bit(missing))
+    return None
+
+
+@cached_verdict
+def check_congruence(c: CongruenceCandidate) -> CheckReport:
+    """C1 equivalence, then C2 and C5 as _congruence_witness decides them."""
+    check_pam_axioms(c.base).require("not a partial abelian monoid")
+    eq = is_equivalence(c.classes)
+    if not eq.ok:
+        return CheckReport.failing("congruence", "C1", eq.witness, eq.message)
+    found = _congruence_witness(c.base, c.classes.rows)
+    if found is None:
+        return CheckReport.passing("congruence")
+    clause, w = found
+    lab = c.base.carrier.label
+    if clause == "C2":
+        x1, y1, x2, y2 = map(lab, w)
+        message = f"{x1}+{y1} and {x2}+{y2} are sums of related summands but are unrelated"
+    else:
+        x, y, z = map(lab, w)
+        message = f"{z} is related to {x}+{y} but has no decomposition along related parts"
+    return CheckReport.failing("congruence", clause, w, message)
 
 
 def quotient_pam(c: CongruenceCandidate) -> PartialAbelianMonoid:
@@ -473,7 +477,7 @@ def quotient_pam(c: CongruenceCandidate) -> PartialAbelianMonoid:
     """
     check_congruence(c).require("not a congruence")
     p, sim = c.base, c.classes
-    cls_of, reps = class_partition(sim)
+    cls_of, reps = class_partition(sim.rows)
     k = len(reps)
     table = [-1] * (k * k)
     for a, b, s in p.cells:
@@ -501,7 +505,7 @@ def quotient_map_is_left_adjoint(c: CongruenceCandidate) -> CheckReport:
     """
     p, sim = c.base, c.classes
     quot = quotient_pam(c)
-    cls_of, _ = class_partition(sim)
+    cls_of, _ = class_partition(sim.rows)
     rel = FinRel(p.carrier, quot.carrier, tuple(1 << cls_of[a] for a in range(p.n)))
     h = LaxMorphism(to_relmonoid(p), to_relmonoid(quot), rel)
     zero_stray = sim.rows[p.zero] & ~(1 << p.zero)
@@ -703,7 +707,7 @@ def is_dimension_equivalence(
     # under an equivalence two families pair off memberwise exactly when
     # they meet every class equally often
     families = _orthogonal_families(s)
-    cls_of, _ = class_partition(sim)
+    cls_of, _ = class_partition(sim.rows)
     keys = [sorted(map(cls_of.__getitem__, fam)) for fam in families]
     for fam1, key1 in zip(families, keys):
         for fam2, key2 in zip(families, keys):

@@ -235,8 +235,6 @@ class FinRel(Frozen):
     def from_json(cls, obj: object) -> "FinRel":
         dom, cod, pairs = json_fields(obj, "relation", "dom", "cod", "pairs")
         for field, size in (("dom", dom), ("cod", cod)):
-            if not isinstance(size, int) or isinstance(size, bool) or size < 0:
-                raise InputError(f"field '{field}' must be a nonnegative integer")
             json_size(size, field)
         if not isinstance(pairs, list):
             raise InputError("field 'pairs' must be a list of [a, b] pairs")
@@ -357,15 +355,15 @@ def kernel(f: FinRel) -> FinRel:
     return f.compose(f.dagger())
 
 
-def class_partition(sim: FinRel) -> tuple[list[int], list[int]]:
-    """Class index per element and least member per class of an equivalence.
+def class_partition(rows: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Class index per element and least member per class of an equivalence's rows.
 
     Classes are indexed in order of their least members.
     """
     seen: dict[int, int] = {}
     cls_of = []
     reps: list[int] = []
-    for a, row in enumerate(sim.rows):
+    for a, row in enumerate(rows):
         if row not in seen:
             seen[row] = len(reps)
             reps.append(a)

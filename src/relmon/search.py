@@ -10,7 +10,9 @@ Generation is deterministic; isomorphism rejection (dedup) keeps the
 lexicographically least labeling of each class. One orderly kernel, _fill,
 fills every table searched: PAMs, relational monoids, categories (endpoints
 and composites), lax relations, the lax maps that may be left adjoints, and
-orthocomplementations.
+orthocomplementations; its least-labeling test, _least, also picks the
+lattice classes. A search decides each candidate once, by the kernels its
+checker reports from, and runs no checker on the candidates it keeps.
 
 verify_universal runs a named law over the relevant enumeration and reports
 the first counterexample, in enumeration order, with a full serialization.
@@ -47,6 +49,7 @@ from .monoid import (
     _map_square_witness,
     _monad_conditions,
     _square_witness,
+    _stray_unit_image,
     check_monoid_axioms,
     check_reflection_universal,
     from_category,
@@ -78,6 +81,7 @@ from .pam import (
     quotient_pam,
     to_relmonoid,
     validate_oml,
+    _congruence_witness,
     _decomposition_witness,
     _p1_witness,
 )
@@ -94,6 +98,7 @@ from .rel import (
     product_rel,
     refl_trans_closure,
     transpose_rows,
+    union,
 )
 from .report import CheckReport, Frozen, InputError, _set, cached_verdict, record_verdict
 
@@ -193,6 +198,19 @@ def _relabelings(n: int, perms: Sequence[tuple[int, ...]], image: Callable) -> l
     return out
 
 
+def _least(t: Sequence[int], pairs: Sequence[tuple]) -> bool:
+    """Whether no relabeling makes t smaller: pairs gives per relabeling its
+    image and the (i, j) to compare in order, u[i] = image[t[j]] against t[i]."""
+    for image, prefix in pairs:
+        for i, j in prefix:
+            w, v = image[t[j]], t[i]
+            if w != v:
+                if w < v:
+                    return False
+                break
+    return True
+
+
 def _fill(
     t: list[int], slots: Sequence[Sequence[int]], values: Sequence[Iterable[int]],
     ok: Callable[[int], bool], relabelings: Sequence[tuple] = (),
@@ -208,9 +226,9 @@ def _fill(
 
     With relabelings the fill is orderly (Read 1978, McKay 1998). Each maps
     t to u, u[i] = image[t[source[i]]], and agrees with t off the slots.
-    After slot k the slot entries are compared in ascending order up to the
-    first one unset in t or in its source, and a branch is pruned if some u
-    is smaller at the first difference: every completion keeps both
+    After slot k, _least compares the slot entries in ascending order up to
+    the first one unset in t or in its source, and a branch is pruned if
+    some u is smaller at the first difference: every completion keeps both
     prefixes, so none is the least of its orbit, and no prefix of a least
     table is pruned. At a full table the test is exact.
     """
@@ -224,16 +242,6 @@ def _fill(
             ready = takewhile(lambda e: max(step[e[0]], step[e[1]]) <= k, pairs)
             after_k.append((image, list(ready)))
 
-    def least(k: int) -> bool:
-        for image, prefix in images[k]:
-            for i, j in prefix:
-                w, v = image[t[j]], t[i]
-                if w != v:
-                    if w < v:
-                        return False
-                    break
-        return True
-
     if not slots:
         yield t
         return
@@ -245,7 +253,7 @@ def _fill(
         for v in walks[k]:
             for e in slots[k]:
                 t[e] = v
-            if ok(k) and least(k):
+            if ok(k) and _least(t, images[k]):
                 break
         else:
             for e in slots[k]:
@@ -404,21 +412,6 @@ def _completions(n: int) -> Iterator[tuple[int, ...]]:
         yield (1, *(row << 1 | 1 for row in poset), full)[:n]
 
 
-def _least_per_class(stream: Iterable, key: Callable, orbit: Callable) -> Iterator:
-    """The least labeling of each isomorphism class, from a stream that
-    already ascends by key.
-
-    In key order the first member of each orbit met is its minimum
-    serialized image, so this matches min-over-permutations canonicalization
-    at a fraction of the cost, and holds only the orbits of the kept ones.
-    """
-    seen: set = set()
-    for s in stream:
-        if key(s) not in seen:
-            seen.update(orbit(s))
-            yield s
-
-
 def _gen_lattices(n: int, dedup: bool) -> Iterator[FinLattice]:
     """All lattices on {0..n-1}, as bounded completions of smaller posets.
 
@@ -443,22 +436,25 @@ def _gen_lattices(n: int, dedup: bool) -> Iterator[FinLattice]:
     its top at 0 (row 0 is then 1, the least it can be) and its bottom at
     n-1 (moving the bottom last shifts the higher bits of the rows before
     it down and puts a row below the full one where it stood). So only
-    (b, t) = (n-1, 0) is walked, in ascending row order through
-    _least_per_class under the relabelings fixing 0 and n-1; a candidate
-    whose orbit is met already is skipped before _is_lattice_rows runs on
-    it. Below two points the labeled stream is that one too.
+    (b, t) = (n-1, 0) is walked, in ascending row order, and a candidate is
+    kept if it passes _fill's test _least under the relabelings fixing 0
+    and n-1, before _is_lattice_rows runs on it. Below two points the
+    labeled stream is that one too.
     """
     carrier = Carrier(n)
     if dedup or n < 2:
-        perms = [p for p in _perms_fixing_zero(n) if p[-1] == n - 1]
-        # per relabeling, the labels its new rows read and its mask images
-        moves = [(sorted(range(n), key=p.__getitem__), _mask_images(p)) for p in perms]
-        cands = _least_per_class(
-            sorted(_completions(n)) if n else (),
-            lambda rows: rows,
-            lambda rows: [tuple([img[rows[a]] for a in q]) for q, img in moves],
+        # per relabeling p, its mask images and, for each row between the top
+        # and the bottom (p fixes both), the row its image reads
+        moves = [
+            (_mask_images(p), list(enumerate(sorted(range(n), key=p.__getitem__)))[1:-1])
+            for p in _perms_fixing_zero(n)[1:]
+            if p[-1] == n - 1
+        ]
+        lattices = (
+            (rows, *tables)
+            for rows in sorted(_completions(n))
+            if _least(rows, moves) and (tables := _is_lattice_rows(rows))
         )
-        lattices = ((rows, *tables) for rows in cands if (tables := _is_lattice_rows(rows)))
     else:
         # the tables as bytes, for translate, held at an eighth the size
         per_poset = [
@@ -521,43 +517,48 @@ def _preorders(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def _passed(kind: type, base: object, rows: Iterable, check: Callable, name: str) -> list:
+    """kind(base, relation) for each of the rows a sweep kept, carrying the
+    passing verdict, named name, of check, which later preconditions read."""
+    carrier, passed = base.carrier, CheckReport.passing(name)
+    out = []
+    for r in rows:
+        cand = kind(base, FinRel(carrier, carrier, r))
+        record_verdict(check, cand, passed)
+        out.append(cand)
+    return out
+
+
 def _gen_monad_orders(base: RelMonoid) -> list[MonadCandidate]:
+    """The monad orders on a valid base, in _preorders order: the preorders
+    that _monad_conditions' kernels, _stray_unit_image and _square_witness,
+    pass."""
     rep = check_monoid_axioms(base)
     if not rep.ok:
         raise InputError(f"base is not a relational monoid: {rep.summary()}")
-    candidates = (
-        MonadCandidate(base, FinRel(base.carrier, base.carrier, rows))
-        for rows in _preorders(base.n)
+    orders = (
+        r for r in _preorders(base.n)
+        if _stray_unit_image(base, r, base) is None and _square_witness(base, r, base) is None
     )
-    return [c for c in candidates if is_monad(c).ok]
+    return _passed(MonadCandidate, base, orders, is_monad, "monad")
 
 
 @cached_verdict
 def _congruence_rows(base: PartialAbelianMonoid) -> tuple[tuple[int, ...], ...]:
     """The class rows of every congruence on a valid base, in
-    _equivalence_rows order. The sweep runs once per base instance and its
-    rows, not candidates, stay on the instance, so both congruence laws share
-    it over the PAM pool and a caller's base takes them along when it goes."""
-    carrier = base.carrier
-    return tuple(
-        rows
-        for rows in _equivalence_rows(base.n)
-        if check_congruence(CongruenceCandidate(base, FinRel(carrier, carrier, rows))).ok
-    )
+    _equivalence_rows order: the equivalences _congruence_witness passes.
+    The rows, not candidates, stay on the base instance, so both congruence
+    laws share one sweep over the PAM pool and a caller's base takes them
+    along when it goes."""
+    return tuple(r for r in _equivalence_rows(base.n) if _congruence_witness(base, r) is None)
 
 
 def _gen_congruences(base: PartialAbelianMonoid) -> list[CongruenceCandidate]:
     rep = check_pam_axioms(base)
     if not rep.ok:
         raise InputError(f"base is not a partial abelian monoid: {rep.summary()}")
-    carrier = base.carrier
-    passed = CheckReport.passing("congruence")
-    out = []
-    for rows in _congruence_rows(base):
-        cand = CongruenceCandidate(base, FinRel(carrier, carrier, rows))
-        record_verdict(check_congruence, cand, passed)  # quotient_pam's precondition
-        out.append(cand)
-    return out
+    rows = _congruence_rows(base)
+    return _passed(CongruenceCandidate, base, rows, check_congruence, "congruence")
 
 
 # ---------------------------------------------------------------------------
@@ -1004,11 +1005,11 @@ def _law_adjoint_transpose_lax(size: int, rng: random.Random) -> CheckReport:
 
 @lru_cache(maxsize=None)
 def _lax_rels(src: RelMonoid, dst: RelMonoid) -> tuple[LaxMorphism, ...]:
-    """Every lax morphism src -> dst in product order, verdict cached, one
-    table per pair for the laws that read it again. _fill places row a, a
-    unit's among the subsets of dst's units, and checks the square on the
-    src triples whose largest index is a; is_lax_morphism decides at each
-    full table."""
+    """Every lax morphism src -> dst in product order, one table per pair
+    for the laws that read it again. _fill places row a, a unit's among the
+    subsets of dst's units (the triangle), and checks the square on the src
+    triples whose largest index is a; every triple has one, so each full
+    table passes both and is not checked again."""
     rows = [_UNSET] * src.n
     due = src.triples_by_last
     full = range(1 << dst.n)
@@ -1019,8 +1020,7 @@ def _lax_rels(src: RelMonoid, dst: RelMonoid) -> tuple[LaxMorphism, ...]:
         return _square_witness(src, rows[:k + 1], dst, due[k]) is None
 
     tables = _fill(rows, [(a,) for a in range(src.n)], values, ok)
-    rels = (FinRel(src.carrier, dst.carrier, tuple(t)) for t in tables)
-    return tuple(h for h in (LaxMorphism(src, dst, r) for r in rels) if is_lax_morphism(h).ok)
+    return tuple(LaxMorphism(src, dst, FinRel(src.carrier, dst.carrier, tuple(t))) for t in tables)
 
 
 def _left_adjoints(src: RelMonoid, dst: RelMonoid) -> Iterator[LaxMorphism]:
@@ -1050,12 +1050,7 @@ def _law_morphism_closure_ops(size: int, rng: random.Random) -> CheckReport:
         rels = [h.rel for h in _lax_rels(src, dst)]
         for a, r1 in enumerate(rels):
             for r2 in rels[a + 1:]:
-                u = FinRel(
-                    src.carrier,
-                    dst.carrier,
-                    tuple(x | y for x, y in zip(r1.rows, r2.rows)),
-                )
-                if not is_lax_morphism(LaxMorphism(src, dst, u)).ok:
+                if not is_lax_morphism(LaxMorphism(src, dst, union((r1, r2)))).ok:
                     return _fail(
                         "union of lax morphisms is not lax",
                         first=r1.to_json(), second=r2.to_json(),

@@ -12,8 +12,9 @@ the bit-by-bit permute_rows, so it checks how the lattice generator
 builds, relabels and orders its candidates, not the filter.
 relmonoids_by_product is the product-then-filter generator that the orderly
 fill replaced; it filters with _assoc_witness, the kernel the generator
-prunes with, and dedups with relmon's _least_per_class, so it checks the
-fill's walk and pruning only. The independent checks of associativity
+prunes with, so it checks the fill's walk and pruning only, and dedups
+on its own, keeping the first of each orbit met in key order as
+least_relmonoids_per_orbit does. The independent checks of associativity
 and P1 stay: categories_by_rescan scans on its own, pams_by_filter runs the
 PAM checker on whole tables, so it checks which triples the generator
 gives the shared kernel, and monoid_ok and pam_ok check the checkers, and
@@ -62,7 +63,6 @@ from relmon.report import CheckReport
 from relmon.search import (
     _is_lattice_rows,
     _labeled_posets,
-    _least_per_class,
     _pam_tables,
     _perms,
     _pool_upto,
@@ -1057,8 +1057,13 @@ def relmonoids_by_product(n, dedup):
     (units_mask, prod_masks) and keeps the first of each orbit met.
     """
     if dedup:
-        labeled = sorted(relmonoids_by_product(n, False), key=_relmonoid_key)
-        return list(_least_per_class(labeled, _relmonoid_key, _relmonoid_orbit))
+        seen = set()
+        out = []
+        for m in sorted(relmonoids_by_product(n, False), key=_relmonoid_key):
+            if _relmonoid_key(m) not in seen:
+                seen.update(_relmonoid_orbit(m))
+                out.append(m)
+        return out
     if n == 0:
         return [RelMonoid.make(0, [], [])]
     cells = [(b, b * n + c, c) for b, c in product(range(n), repeat=2)]

@@ -379,12 +379,12 @@ NEGATIVE_SIZES = {
     "rel-dom": (
         FinRel,
         {"dom": -1, "cod": 2, "pairs": []},
-        "field 'dom' must be a nonnegative integer",
+        "field 'dom' must be a nonnegative integer size",
     ),
     "rel-cod": (
         FinRel,
         {"dom": 2, "cod": -1, "pairs": []},
-        "field 'cod' must be a nonnegative integer",
+        "field 'cod' must be a nonnegative integer size",
     ),
 }
 

@@ -613,7 +613,7 @@ def test_families_pair_off_exactly_when_they_meet_each_class_equally():
         ]
         for rows in _equivalence_rows(n):
             sim = FinRel(Carrier(n), Carrier(n), rows)
-            cls_of, _ = class_partition(sim)
+            cls_of, _ = class_partition(sim.rows)
             for fam1, fam2 in itertools.product(subsets, repeat=2):
                 meets = sorted(cls_of[x] for x in fam1) == sorted(cls_of[x] for x in fam2)
                 assert oracles.families_pair_off(fam1, fam2, sim) == meets

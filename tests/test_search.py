@@ -1,6 +1,7 @@
 """Enumeration of small structures and the universal-law registry."""
 
 import collections
+import functools
 import heapq
 import itertools
 import random
@@ -14,6 +15,7 @@ from relmon import catalog, monoid, pam, search
 from relmon.lattice import lattice_from_order
 from relmon.monoid import (
     LaxMorphism,
+    MonadCandidate,
     RelMonoid,
     _assoc_witness,
     _monad_conditions,
@@ -42,6 +44,7 @@ from relmon.search import (
     _fill,
     _gen_congruences,
     _gen_lattices,
+    _gen_monad_orders,
     _gen_pams,
     _gen_relmonoids,
     _labeled_posets,
@@ -293,6 +296,23 @@ def test_monad_orders_are_monads():
         assert is_monad(cand).ok
     identity_rows = (1, 2)
     assert any(c.order.rows == identity_rows for c in cands)
+
+
+def test_monad_orders_are_the_monad_filter_over_preorders():
+    # every labeled relational monoid up to 3 points: the kernel sweep keeps
+    # the preorders is_monad passes, in order, each with that verdict
+    for n in range(4):
+        carrier = Carrier(n)
+        for base in _pool("relmonoid", n, False):
+            expect = [
+                rows
+                for rows in _preorders(n)
+                if is_monad(MonadCandidate(base, FinRel(carrier, carrier, rows))).ok
+            ]
+            orders = _gen_monad_orders(base)
+            assert [c.order.rows for c in orders] == expect
+            for c in orders:
+                assert c.__dict__["is_monad"] == is_monad(MonadCandidate(base, c.order))
 
 
 def test_monad_orders_reject_broken_base():
@@ -779,6 +799,34 @@ def test_lax_rels_match_the_product_filter_at_size_three():
         adjoints += len(streamed)
     assert total == 5035  # recorded regression value
     assert adjoints == 15  # recorded regression value
+
+
+def test_sweeps_call_no_checker_per_candidate(monkeypatch):
+    # the congruence, monad-order and lax-morphism sweeps decide each
+    # candidate by the kernels their checkers report from, never through
+    # the checkers, so no candidate is validated twice
+    calls = collections.Counter()
+
+    def counted(check):
+        @functools.wraps(check)
+        def wrapper(*args):
+            calls[check.__name__] += 1
+            return check(*args)
+        return wrapper
+
+    checks = (pam.check_congruence, monoid.is_monad, monoid._monad_conditions,
+              monoid.is_lax_morphism)
+    for check in checks:
+        for module in (monoid, search, pam):
+            if hasattr(module, check.__name__):
+                monkeypatch.setattr(module, check.__name__, counted(check))
+    pams = [PartialAbelianMonoid(p.carrier, p.zero, p.plus) for p in _pool_upto("pam", 4)]
+    assert sum(len(_congruence_rows(p)) for p in pams) == 343
+    monoids = _pool_upto("relmonoid", 2)
+    assert sum(len(_gen_monad_orders(m)) for m in monoids) == 14
+    lax = [_lax_rels.__wrapped__(src, dst) for src, dst in itertools.product(monoids, repeat=2)]
+    assert sum(map(len, lax)) == 164
+    assert not calls
 
 
 def test_adjoint_transpose_lax_holds_at_its_max_size():
