@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 # the public names, by the submodule that defines them
 _EXPORTS = {
     "rel": (
-        "Carrier", "FinRel", "TwoCell", "is_equivalence", "is_left_adjoint_rel",
+        "Carrier", "FinRel", "is_equivalence", "is_left_adjoint_rel",
         "is_partial_order", "is_preorder", "is_subcell", "kernel", "product_carrier",
         "product_rel", "refl_trans_closure", "union",
     ),
@@ -30,7 +30,7 @@ _EXPORTS = {
         "quotient_pairs", "quotient_relmonoid", "right_unit_of",
     ),
     "lattice": (
-        "FinLattice", "QuotientOrder", "build_quotient_order", "check_qa_monad_iff_modular",
+        "FinLattice", "build_quotient_order", "check_qa_monad_iff_modular",
         "check_star_star", "is_modular", "is_qa_monad", "lattice_from_order", "q_functor",
     ),
     "pam": (

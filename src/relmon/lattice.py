@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Sequence
 
-from .monoid import MonadCandidate, RelMonoid, from_poset_quotients, is_monad, quotient_pairs
+from .monoid import MonadCandidate, from_poset_quotients, is_monad, quotient_pairs
 from .rel import Carrier, FinRel, bits, in_field, is_partial_order, json_size, lowest_bit
 from .report import CheckReport, Frozen, InputError, PreconditionError, _set, json_fields
 
@@ -138,19 +138,9 @@ def is_modular(lat: FinLattice) -> CheckReport:
     return CheckReport.passing("modular")
 
 
-class QuotientOrder(Frozen):
-    """The quotient monoid of a lattice with its perspectivity order."""
-
-    qmonoid: RelMonoid
-    arrow: FinRel
-
-    def __init__(self, qmonoid: RelMonoid, arrow: FinRel) -> None:
-        _set(self, "qmonoid", qmonoid)
-        _set(self, "arrow", arrow)
-
-
-def build_quotient_order(lat: FinLattice) -> QuotientOrder:
-    """Order on quotients: b/a up-to d/c iff a = b meet c and d = b join c."""
+def build_quotient_order(lat: FinLattice) -> MonadCandidate:
+    """The quotient monoid of lat with its perspectivity order: b/a up-to
+    d/c iff a = b meet c and d = b join c."""
     qmonoid = from_poset_quotients(lat.order)
     quots = quotient_pairs(lat.order)
     index = {q: i for i, q in enumerate(quots)}
@@ -160,8 +150,7 @@ def build_quotient_order(lat: FinLattice) -> QuotientOrder:
         for c in bits(lat.up_masks[a]):
             if lat.meet_of(b, c) == a:
                 rows[i] |= 1 << index[(c, lat.join_of(b, c))]
-    arrow = FinRel(qmonoid.carrier, qmonoid.carrier, tuple(rows))
-    return QuotientOrder(qmonoid, arrow)
+    return MonadCandidate(qmonoid, FinRel(qmonoid.carrier, qmonoid.carrier, tuple(rows)))
 
 
 def check_star_star(lat: FinLattice) -> CheckReport:
@@ -201,8 +190,7 @@ def check_star_star(lat: FinLattice) -> CheckReport:
 
 def is_qa_monad(lat: FinLattice) -> CheckReport:
     """Monad conditions for the perspectivity order on the quotients of lat."""
-    qo = build_quotient_order(lat)
-    return is_monad(MonadCandidate(qo.qmonoid, qo.arrow))
+    return is_monad(build_quotient_order(lat))
 
 
 def check_qa_monad_iff_modular(lat: FinLattice) -> CheckReport:

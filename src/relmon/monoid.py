@@ -22,16 +22,17 @@ from typing import Iterable, Mapping, Sequence
 from .rel import (
     Carrier,
     FinRel,
+    _inclusion_witness,
     bits,
-    class_partition,
+    class_map,
     compose_rows,
     in_field,
     is_equivalence,
     is_partial_order,
     is_preorder,
-    is_subcell,
     json_labels,
     json_size,
+    kernel,
     lowest_bit,
     refl_trans_closure,
 )
@@ -512,32 +513,27 @@ def _square_witness(
     have (b1, b2)*b in dst. Scan order: the src triples (by default all,
     ascending), then b. rows needs only the rows those triples read.
 
-    right[b1][a2] masks the products (b1, b2)*b over every b2 related to a2
-    (built on first use), so OR-ing it over the b1 related to a1 gives every
-    product above (a1, a2); the least b of rows[a] left out is the witness.
-    The OR stops once it covers rows[a].
-
-    When rows is a map, _map_square_witness scans it.
+    want starts as rows[a] and loses the products (b1, b2)*b of every pair
+    (b1, b2) related to (a1, a2); the least b it keeps is the witness. The
+    scan of a triple stops once want is empty.
     """
     m = dst.n
     dpm = dst.prod_masks
     triples = src.triples if triples is None else triples
-    if all(r.bit_count() == 1 for r in rows):
-        return _map_square_witness([r.bit_length() - 1 for r in rows], dpm, m, triples)
-    right: list[tuple[int, ...] | None] = [None] * m
     for a1, a2, a in triples:
         want = rows[a]
-        got = 0
-        for b1 in bits(rows[a1]):
-            if not want & ~got:
-                break
-            r = right[b1]
-            if r is None:
-                r = right[b1] = compose_rows(rows, dpm[b1 * m:b1 * m + m])
-            got |= r[a2]
-        missing = want & ~got
-        if missing:
-            return a1, a2, a, lowest_bit(missing)
+        r1 = rows[a1]
+        while r1 and want:
+            low = r1 & -r1
+            r1 ^= low
+            base = (low.bit_length() - 1) * m
+            r2 = rows[a2]
+            while r2:
+                low = r2 & -r2
+                r2 ^= low
+                want &= ~dpm[base + low.bit_length() - 1]
+        if want:
+            return a1, a2, a, lowest_bit(want)
     return None
 
 
@@ -687,7 +683,7 @@ def is_left_adjoint_relmon(h: LaxMorphism) -> CheckReport:
 def induced_monad(h: LaxMorphism) -> MonadCandidate:
     """Monad induced by a left adjoint: the fiber preorder of its mapping."""
     is_left_adjoint_relmon(h).require("not a left adjoint")
-    return MonadCandidate(h.src, h.rel.compose(h.rel.dagger()))
+    return MonadCandidate(h.src, kernel(h.rel))
 
 
 @cached_verdict
@@ -741,15 +737,14 @@ def is_endo_square(u: LaxMorphism, f: FinRel, g: FinRel) -> CheckReport:
         raise InputError("first endo-relation does not live on the source carrier")
     if g.dom.size != u.dst.n or g.cod.size != u.dst.n:
         raise InputError("second endo-relation does not live on the target carrier")
-    cell = is_subcell(f.compose(u.rel), u.rel.compose(g))
-    if cell.holds:
+    extra = _inclusion_witness(f.compose(u.rel).rows, u.rel.compose(g).rows)
+    if extra is None:
         return CheckReport.passing("endo-square")
     return CheckReport.failing(
         "endo-square",
         "inclusion",
-        cell.counterexample,
-        f"pair {cell.counterexample} reached via the endo-then-morphism "
-        "composite only",
+        extra,
+        f"pair {extra} reached via the endo-then-morphism composite only",
     )
 
 
@@ -819,13 +814,9 @@ def quotient_relmonoid(
     monad_from_adjunction_conditions(MonadCandidate(m, equiv)).require(
         "quotient needs a symmetric monad order"
     )
-    cls_of, reps = class_partition(equiv.rows)
-    k = len(reps)
+    rel = class_map(m.carrier, equiv.rows)
+    cls_of = [row.bit_length() - 1 for row in rel.rows]
     mult = {(cls_of[a1], cls_of[a2], cls_of[a]) for a1, a2, a in m.mult}
     units = {cls_of[y] for y in m.unit_list}
-    labels = None
-    if m.carrier.labels is not None:
-        labels = tuple(f"[{m.carrier.label(r)}]" for r in reps)
-    quot = RelMonoid.make(k, units, mult, labels)
-    rel = FinRel(m.carrier, quot.carrier, tuple(1 << cls_of[a] for a in range(m.n)))
+    quot = RelMonoid.make(rel.cod.size, units, mult, rel.cod.labels)
     return quot, LaxMorphism(m, quot, rel)

@@ -33,6 +33,8 @@ from .rel import (
     Carrier,
     FinRel,
     bits,
+    class_carrier,
+    class_map,
     class_partition,
     compose_rows,
     in_field,
@@ -40,6 +42,7 @@ from .rel import (
     is_partial_order,
     json_labels,
     json_size,
+    kernel,
     lowest_bit,
 )
 from .report import (
@@ -489,11 +492,7 @@ def quotient_pam(c: CongruenceCandidate) -> PartialAbelianMonoid:
                 f"({cls_of[a]}, {cls_of[b]}) despite a valid congruence"
             )
         table[i] = v
-    labels = None
-    if p.carrier.labels is not None:
-        labels = tuple(f"[{p.carrier.label(r)}]" for r in reps)
-    carrier = Carrier(k, labels)
-    return PartialAbelianMonoid(carrier, cls_of[p.zero], tuple(table))
+    return PartialAbelianMonoid(class_carrier(p.carrier, reps), cls_of[p.zero], tuple(table))
 
 
 def quotient_map_is_left_adjoint(c: CongruenceCandidate) -> CheckReport:
@@ -504,14 +503,12 @@ def quotient_map_is_left_adjoint(c: CongruenceCandidate) -> CheckReport:
     equals the congruence.
     """
     p, sim = c.base, c.classes
-    quot = quotient_pam(c)
-    cls_of, _ = class_partition(sim.rows)
-    rel = FinRel(p.carrier, quot.carrier, tuple(1 << cls_of[a] for a in range(p.n)))
-    h = LaxMorphism(to_relmonoid(p), to_relmonoid(quot), rel)
+    rel = class_map(p.carrier, sim.rows)
+    h = LaxMorphism(to_relmonoid(p), to_relmonoid(quotient_pam(c)), rel)
     zero_stray = sim.rows[p.zero] & ~(1 << p.zero)
     details = {
         "zero_faithful": zero_stray == 0,
-        "induced_equals_classes": rel.compose(rel.dagger()).rows == sim.rows,
+        "induced_equals_classes": kernel(rel).rows == sim.rows,
     }
     if zero_stray:
         details["zero_faithful_witness"] = (lowest_bit(zero_stray),)

@@ -7,8 +7,10 @@ matrix product at O(n^3 / wordsize), and all the order/equivalence checks are
 mask arithmetic. compose_rows is the one OR-of-rows kernel that composition,
 closure and transitivity go through; symmetry, and the unit of an adjunction,
 are read off transpose_rows. _adjoint_witness is the adjunction scan that
-is_left_adjoint_rel reports from and the left-adjoint sweep reads directly.
-The empty carrier is legal everywhere.
+is_left_adjoint_rel reports from and the left-adjoint sweep reads directly,
+and _inclusion_witness the one inclusion scan, of 2-cells and contains.
+class_map sends each element of an equivalence to its class. The empty
+carrier is legal everywhere.
 
 Relations serialize as {"dom": n, "cod": m, "pairs": [[a, b], ...]}; pair
 order is irrelevant on input and lexicographic on output.
@@ -206,7 +208,7 @@ class FinRel(Frozen):
 
     def contains(self, other: "FinRel") -> bool:
         _require_parallel(other, self)
-        return all(o & ~s == 0 for o, s in zip(other.rows, self.rows))
+        return _inclusion_witness(other.rows, self.rows) is None
 
     # -- algebra -----------------------------------------------------------
 
@@ -241,24 +243,6 @@ class FinRel(Frozen):
         return cls.from_pairs(Carrier(dom), Carrier(cod), pairs)
 
 
-class TwoCell(Frozen):
-    """An inclusion claim between parallel relations, with a counterexample."""
-
-    lhs: FinRel
-    rhs: FinRel
-    holds: bool
-    counterexample: tuple[int, int] | None
-
-    def __init__(
-        self, lhs: FinRel, rhs: FinRel, holds: bool,
-        counterexample: tuple[int, int] | None = None,
-    ) -> None:
-        _set(self, "lhs", lhs)
-        _set(self, "rhs", rhs)
-        _set(self, "holds", holds)
-        _set(self, "counterexample", counterexample)
-
-
 def _require_parallel(f: FinRel, g: FinRel) -> None:
     if f.dom.size != g.dom.size or f.cod.size != g.cod.size:
         raise InputError(
@@ -274,14 +258,25 @@ def _require_endo(f: FinRel) -> None:
         )
 
 
-def is_subcell(f: FinRel, g: FinRel) -> TwoCell:
-    """Whether f is contained in g; counterexample is the first extra pair."""
-    _require_parallel(f, g)
-    for a, (fr, gr) in enumerate(zip(f.rows, g.rows)):
-        extra = fr & ~gr
+def _inclusion_witness(rows: Sequence[int], orows: Sequence[int]) -> tuple[int, int] | None:
+    """First pair (a, b) of the rows that the parallel orows lack, or None."""
+    for a, (row, orow) in enumerate(zip(rows, orows)):
+        extra = row & ~orow
         if extra:
-            return TwoCell(f, g, False, (a, lowest_bit(extra)))
-    return TwoCell(f, g, True)
+            return a, lowest_bit(extra)
+    return None
+
+
+def is_subcell(f: FinRel, g: FinRel) -> CheckReport:
+    """The 2-cell f ⊆ g between parallel relations; the witness of a failed
+    inclusion is the first pair of f that g lacks."""
+    _require_parallel(f, g)
+    extra = _inclusion_witness(f.rows, g.rows)
+    if extra is None:
+        return CheckReport.passing("subcell")
+    return CheckReport.failing(
+        "subcell", "inclusion", extra, f"{extra} is in the first relation but not the second"
+    )
 
 
 def union(rels: Sequence[FinRel]) -> FinRel:
@@ -369,6 +364,21 @@ def class_partition(rows: Sequence[int]) -> tuple[list[int], list[int]]:
             reps.append(a)
         cls_of.append(seen[row])
     return cls_of, reps
+
+
+def class_carrier(dom: Carrier, reps: Sequence[int]) -> Carrier:
+    """Carrier of the classes with least members reps, in that order,
+    labelled [least member] when dom is labelled."""
+    if dom.labels is None:
+        return Carrier(len(reps))
+    return Carrier(len(reps), tuple(f"[{dom.labels[r]}]" for r in reps))
+
+
+def class_map(dom: Carrier, rows: Sequence[int]) -> FinRel:
+    """The map of each element of dom to its class under the equivalence
+    with rows, onto class_carrier's classes as class_partition indexes them."""
+    cls_of, reps = class_partition(rows)
+    return FinRel(dom, class_carrier(dom, reps), tuple(1 << c for c in cls_of))
 
 
 def refl_trans_closure(f: FinRel) -> FinRel:

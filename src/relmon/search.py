@@ -89,6 +89,7 @@ from .rel import (
     Carrier,
     FinRel,
     _adjoint_witness,
+    _inclusion_witness,
     bits,
     compose_rows,
     is_equivalence,
@@ -382,14 +383,8 @@ def _is_lattice_rows(
     n = len(rows)
     if n == 0:
         return None
-    full = (1 << n) - 1
-    if full not in rows:
-        return None
-    down = transpose_rows(rows, n)
-    if full not in down:
-        return None
     try:
-        return meet_join_tables(rows, down)
+        return meet_join_tables(rows, transpose_rows(rows, n))
     except InputError:
         return None
 
@@ -918,8 +913,8 @@ def _law_closure_least_preorder(size: int, rng: random.Random) -> CheckReport:
                     rel=f.to_json(),
                 )
             for prows in pres:
-                if all(rows[a] & ~prows[a] == 0 for a in range(n)):
-                    if any(cl.rows[a] & ~prows[a] for a in range(n)):
+                if _inclusion_witness(rows, prows) is None:
+                    if _inclusion_witness(cl.rows, prows) is not None:
                         return _fail(
                             "a preorder contains the input but not its closure",
                             rel=f.to_json(),
@@ -1192,7 +1187,7 @@ def _law_trivial_quotient_arrow(size: int, rng: random.Random) -> CheckReport:
         for i, (a, b) in enumerate(quots):
             if a != b:
                 continue
-            for j in bits(qo.arrow.rows[i]):
+            for j in bits(qo.order.rows[i]):
                 c, d = quots[j]
                 if c != d:
                     return _fail(
@@ -1231,9 +1226,9 @@ def _law_q_functorial(size: int, rng: random.Random) -> CheckReport:
         for l2, homs12, qo2, homs2 in zip(lats, homs1, qos, homs):
             if qo1 and qo2:
                 for v, qv in homs12.items():
-                    h = LaxMorphism(qo1.qmonoid, qo2.qmonoid, _graph(qv, qo2.qmonoid.n))
+                    h = LaxMorphism(qo1.base, qo2.base, _graph(qv, qo2.base.n))
                     if not is_lax_morphism(h).ok or not is_endo_square(
-                        h, qo1.arrow, qo2.arrow
+                        h, qo1.order, qo2.order
                     ).ok:
                         return _fail(
                             "quotient map of a homomorphism breaks the order square",

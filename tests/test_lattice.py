@@ -155,21 +155,22 @@ def test_m3_is_modular_n5_is_not():
 
 def test_quotient_order_trivial_lattice():
     qo = build_quotient_order(catalog.chain_lattice(1))
-    assert qo.qmonoid.n == 1
-    assert qo.arrow == FinRel.identity(qo.arrow.dom)
+    assert type(qo) is MonadCandidate
+    assert qo.base.n == 1
+    assert qo.order == FinRel.identity(qo.order.dom)
 
 
 def test_quotient_order_two_chain():
     qo = build_quotient_order(CHAIN2)
     # quotients in (a, b) lex order: 0/0, 1/0, 1/1
-    assert qo.qmonoid.n == 3
-    assert sorted(qo.arrow.pairs()) == [(0, 0), (0, 2), (1, 1), (2, 2)]
+    assert qo.base.n == 3
+    assert sorted(qo.order.pairs()) == [(0, 0), (0, 2), (1, 1), (2, 2)]
 
 
 def test_boolean_square_has_nine_quotients():
     qo = build_quotient_order(B22)
-    assert qo.qmonoid.n == 9
-    assert check_monoid_axioms(qo.qmonoid).ok
+    assert qo.base.n == 9
+    assert check_monoid_axioms(qo.base).ok
 
 
 def test_trivial_quotient_arrows_stay_trivial():
@@ -180,7 +181,7 @@ def test_trivial_quotient_arrows_stay_trivial():
         for i, (a, b) in enumerate(quots):
             if a != b:
                 continue
-            for j in bits(qo.arrow.rows[i]):
+            for j in bits(qo.order.rows[i]):
                 c, d = quots[j]
                 assert c == d
 
@@ -205,7 +206,7 @@ def test_quotient_order_and_star_star_match_the_scans():
     failing = 0
     for lat in (*labeled, *_gen_lattices(7, True)):
         arrow = oracles.quotient_order_rows_by_pair_scan(lat)
-        assert build_quotient_order(lat).arrow.rows == arrow
+        assert build_quotient_order(lat).order.rows == arrow
         rep = check_star_star(lat)
         assert rep.to_json() == oracles.star_star_report(lat, arrow).to_json()
         failing += not rep.ok
@@ -225,10 +226,8 @@ def test_qa_monad_iff_modular_named_instances():
 
 
 def test_qa_monad_direct_checks():
-    qo = build_quotient_order(B22)
-    assert is_monad(MonadCandidate(qo.qmonoid, qo.arrow)).ok
-    qo = build_quotient_order(N5)
-    assert not is_monad(MonadCandidate(qo.qmonoid, qo.arrow)).ok
+    assert is_monad(build_quotient_order(B22)).ok
+    assert not is_monad(build_quotient_order(N5)).ok
 
 
 # -- functoriality of Q ------------------------------------------------------
@@ -303,9 +302,9 @@ def test_q_functor_oplax_square_on_modular_lattices():
         qv = q_functor(v, src, dst)
         qo_src = build_quotient_order(src)
         qo_dst = build_quotient_order(dst)
-        h = LaxMorphism(qo_src.qmonoid, qo_dst.qmonoid, qv)
+        h = LaxMorphism(qo_src.base, qo_dst.base, qv)
         assert is_lax_morphism(h).ok
-        assert is_endo_square(h, qo_src.arrow, qo_dst.arrow).ok
+        assert is_endo_square(h, qo_src.order, qo_dst.order).ok
 
 
 # -- serialization -----------------------------------------------------------

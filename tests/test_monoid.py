@@ -36,7 +36,7 @@ from relmon.monoid import (
     right_unit_of,
 )
 from relmon.pam import to_relmonoid
-from relmon.rel import Carrier, FinRel, refl_trans_closure
+from relmon.rel import Carrier, FinRel, kernel, refl_trans_closure
 from relmon.report import InputError, PreconditionError
 from relmon.search import _labeled_posets, _pool, _pool_upto
 
@@ -673,14 +673,20 @@ def test_reflection_universal_rejects_mismatched_monoids():
 
 
 def test_quotient_relmonoid_round_trip():
-    from relmon.pam import to_relmonoid
+    from relmon.pam import quotient_pam
 
-    base = to_relmonoid(catalog.boolean22_pam())
-    quot, arrow = quotient_relmonoid(base, _boolean22_congruence().classes)
+    cong = _boolean22_congruence()
+    base = to_relmonoid(cong.base)
+    quot, arrow = quotient_relmonoid(base, cong.classes)
     assert quot.n == 3
     assert check_monoid_axioms(quot).ok
     assert is_lax_morphism(arrow).ok
     assert is_left_adjoint_relmon(arrow).ok
+    # the class map lands on the carrier that quotient_pam gives the same
+    # classes, labelled by least members, and its kernel is the classes
+    assert arrow.rel.cod == quot.carrier == quotient_pam(cong).carrier
+    assert quot.carrier.labels == ("[{}]", "[{0}]", "[{0,1}]")
+    assert kernel(arrow.rel).rows == cong.classes.rows
 
     # the glued elements must form unit-closed monad classes; Z2 cannot
     # collapse since 1 would land above the unit

@@ -6,10 +6,10 @@ from functools import cached_property
 
 import pytest
 
-from relmon.lattice import FinLattice, QuotientOrder, lattice_from_order
+from relmon.lattice import FinLattice, lattice_from_order
 from relmon.monoid import LaxMorphism, MonadCandidate, RelMonoid
 from relmon.pam import CongruenceCandidate, OmlStructure, PartialAbelianMonoid
-from relmon.rel import Carrier, FinRel, TwoCell
+from relmon.rel import Carrier, FinRel
 from relmon.report import CheckReport, record_verdict
 from relmon.search import EnumSpec
 
@@ -39,12 +39,6 @@ CASES = {
         "FinRel(dom=Carrier(size=2, labels=None), cod=Carrier(size=2, labels=None), "
         "rows=(3, 2))",
     ),
-    TwoCell: (
-        lambda: TwoCell(chain2(), chain2(), True),
-        "TwoCell(lhs=FinRel(dom=Carrier(size=2, labels=None), cod=Carrier(size=2, "
-        "labels=None), rows=(3, 2)), rhs=FinRel(dom=Carrier(size=2, labels=None), "
-        "cod=Carrier(size=2, labels=None), rows=(3, 2)), holds=True, counterexample=None)",
-    ),
     RelMonoid: (
         lambda: RelMonoid.make(1, [0], [[0, 0, 0]], ["e"]),
         "RelMonoid(carrier=Carrier(size=1, labels=('e',)), units=frozenset({0}), "
@@ -69,13 +63,6 @@ CASES = {
         lambda: lattice_from_order(chain2()),
         "FinLattice(order=FinRel(dom=Carrier(size=2, labels=None), cod=Carrier(size=2, "
         "labels=None), rows=(3, 2)), meet=(0, 0, 0, 1), join=(0, 1, 1, 1))",
-    ),
-    QuotientOrder: (
-        lambda: QuotientOrder(RelMonoid.make(1, [0], [[0, 0, 0]]), FinRel.identity(Carrier(1))),
-        "QuotientOrder(qmonoid=RelMonoid(carrier=Carrier(size=1, labels=None), "
-        "units=frozenset({0}), mult=frozenset({(0, 0, 0)})), "
-        "arrow=FinRel(dom=Carrier(size=1, labels=None), cod=Carrier(size=1, "
-        "labels=None), rows=(1,)))",
     ),
     PartialAbelianMonoid: (
         pam2,

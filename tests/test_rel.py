@@ -103,12 +103,25 @@ def test_dagger_reverses_composition(pair):
 
 def test_subcell_examples():
     f = rel(2, 2, [(0, 1)])
-    assert is_subcell(FinRel.empty(f.dom, f.cod), f).holds
-    assert is_subcell(f, f).holds
+    assert is_subcell(FinRel.empty(f.dom, f.cod), f).ok
+    assert is_subcell(f, f).ok
 
     cell = is_subcell(rel(1, 2, [(0, 0)]), rel(1, 2, [(0, 1)]))
-    assert not cell.holds
-    assert cell.counterexample == (0, 0)
+    assert not cell.ok
+    assert cell.failed == "inclusion"
+    assert cell.witness == (0, 0)
+
+
+def test_contains_and_subcell_read_one_inclusion_scan():
+    # on every pair of 2x2 relations, g contains f iff f is a subcell of g,
+    # and a failing subcell's witness is f's first pair that g lacks
+    c = Carrier(2)
+    rels = [FinRel(c, c, rows) for rows in product(range(4), repeat=2)]
+    for f, g in product(rels, repeat=2):
+        cell = is_subcell(f, g)
+        assert g.contains(f) == cell.ok
+        extra = [p for p in f.pairs() if not g.has(*p)]
+        assert cell.witness == (extra[0] if extra else None)
 
 
 def test_subcell_requires_parallel():
@@ -122,7 +135,7 @@ def test_subcell_monotone_under_composition(pair, data):
     f1, f2 = pair
     g1 = union([f1, data.draw(finrels(dom_size=f1.dom.size, cod_size=f1.cod.size))])
     g2 = union([f2, data.draw(finrels(dom_size=f2.dom.size, cod_size=f2.cod.size))])
-    assert is_subcell(f1.compose(f2), g1.compose(g2)).holds
+    assert is_subcell(f1.compose(f2), g1.compose(g2)).ok
 
 
 # -- union -------------------------------------------------------------------

@@ -1,8 +1,18 @@
-"""CheckReport: the passing/failing constructors against its __init__."""
+"""CheckReport: the passing/failing constructors against its __init__, and
+the one result type of every exported checker."""
+
+import inspect
 
 import pytest
 
+import relmon
 from relmon.report import CheckReport
+
+# exported checkers named otherwise than is_*, check_*, has_* or validate_*
+OTHER_CHECKERS = (
+    "adjoint_induces_c1c2c5", "monad_from_adjunction_conditions",
+    "quotient_map_is_left_adjoint",
+)
 
 # (built by a constructor, the same report built by __init__)
 CASES = {
@@ -62,3 +72,14 @@ def test_reports_never_share_a_details_dict():
     assert len({id(rep.details) for rep in reports} | {id(details)}) == len(reports) + 1
     reports[0].details["n"] = 2
     assert reports[1].details == {} and details == {"n": 1}
+
+
+def test_every_exported_checker_returns_a_check_report():
+    checkers = [
+        name for name in relmon.__all__
+        if name.startswith(("is_", "check_", "has_", "validate_")) or name in OTHER_CHECKERS
+    ]
+    assert set(OTHER_CHECKERS) <= set(checkers)
+    for name in checkers:
+        returns = inspect.signature(getattr(relmon, name)).return_annotation
+        assert returns in (CheckReport, "CheckReport"), name
