@@ -16,8 +16,8 @@ scan order.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import product
-from typing import Iterable, Mapping, Sequence
+from itertools import chain, product
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .rel import (
     Carrier,
@@ -35,6 +35,7 @@ from .rel import (
     kernel,
     lowest_bit,
     refl_trans_closure,
+    transpose_rows,
 )
 from .report import (
     CheckReport,
@@ -118,8 +119,21 @@ class RelMonoid(Frozen):
             due[max(triple)].append(triple)
         return tuple(map(tuple, due))
 
-    def products(self, a1: int, a2: int) -> tuple[int, ...]:
-        return tuple(bits(self.prod_masks[a1 * self.n + a2]))
+    @cached_property
+    def factor_masks(self) -> tuple[int, ...]:
+        """factor_masks[a] has bit a1 * n + a2 set for each (a1, a2)*a."""
+        return transpose_rows(self.prod_masks, self.n)
+
+    @cached_property
+    def factors_by_last(self) -> tuple[tuple[tuple[int, tuple], ...], ...]:
+        """Per index k, each element a with its triples (a1, a2, a) when k is
+        the largest index they hold (a, if none), ascending: those a search
+        that places rows 0, 1, ... can lift once k is set."""
+        due: list[list] = [[] for _ in range(self.n)]
+        for a in range(self.n):
+            over = tuple(t for t in self.triples if t[2] == a)
+            due[max([a, *map(max, over)])].append((a, over))
+        return tuple(map(tuple, due))
 
     def to_json(self) -> dict:
         out: dict = {
@@ -610,29 +624,30 @@ def is_lax_morphism(h: LaxMorphism) -> CheckReport:
     return CheckReport.passing("lax-morphism", **details)
 
 
+def _unlifted(
+    f: Sequence[int], dfm: Sequence[int], m: int, due: Iterable[tuple[int, tuple]]
+) -> Iterator[tuple[int, int, int]]:
+    """(b1, b2, a) per element a of due, with its triples as factors_by_last
+    lists them, that does not lift through the map f: (b1, b2) is the least
+    factor pair of f[a] in dfm, the target's factor_masks on m elements, that
+    is no (f[a1], f[a2]). The test reads f only at a and its triples."""
+    for a, over in due:
+        lifted = 0
+        for a1, a2, _ in over:
+            lifted |= 1 << f[a1] * m + f[a2]
+        missing = dfm[f[a]] & ~lifted
+        if missing:
+            b1, b2 = divmod(lowest_bit(missing), m)
+            yield b1, b2, a
+
+
 def _factorization_witness(
     f: Sequence[int], src: RelMonoid, dst: RelMonoid
 ) -> tuple[int, int, int] | None:
-    """First (b1, b2, a) where the target product (b1, b2)*f[a] does not lift
-    through the map f to a product over a, or None.
-
-    f gives each src element's image in dst. lift[b1, b2] masks the products
-    of all source pairs over (b1, b2) and fmask[b] the fiber of b, so
-    (b1, b2)*b fails to lift exactly at the bits of fmask[b] & ~lift[b1, b2],
-    the least first.
-    """
-    m = dst.n
-    fmask = [0] * m
-    for a, b in enumerate(f):
-        fmask[b] |= 1 << a
-    lift = [0] * (m * m)
-    for a1, a2, a in src.triples:
-        lift[f[a1] * m + f[a2]] |= 1 << a
-    for b1, b2, b in dst.triples:
-        missing = fmask[b] & ~lift[b1 * m + b2]
-        if missing:
-            return b1, b2, lowest_bit(missing)
-    return None
+    """Least (b1, b2, f[a]), then least a, where _unlifted finds that the
+    target product (b1, b2)*f[a] does not lift through the map f; or None."""
+    failed = _unlifted(f, dst.factor_masks, dst.n, chain.from_iterable(src.factors_by_last))
+    return min(failed, key=lambda w: (w[0], w[1], f[w[2]], w[2]), default=None)
 
 
 @cached_verdict

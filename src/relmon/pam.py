@@ -34,7 +34,6 @@ from .rel import (
     FinRel,
     bits,
     class_carrier,
-    class_map,
     class_partition,
     compose_rows,
     in_field,
@@ -353,8 +352,9 @@ def has_rdp(p: PartialAbelianMonoid) -> CheckReport:
     )
 
 
+@cached_verdict
 def to_relmonoid(p: PartialAbelianMonoid) -> RelMonoid:
-    """The graph of the partial addition as a relational monoid."""
+    """The graph of the partial addition as a relational monoid, one per PAM."""
     check_pam_axioms(p).require("not a partial abelian monoid")
     return RelMonoid(p.carrier, frozenset([p.zero]), frozenset(p.cells))
 
@@ -420,7 +420,7 @@ def _congruence_witness(
     p: PartialAbelianMonoid, rows: Sequence[int]
 ) -> tuple[str, tuple[int, ...]] | None:
     """First failure of C2, then of C5, of an equivalence's rows on p:
-    ("C2", (x1, y1, x2, y2)) or ("C5", (x, y, z)); None if both hold.
+    ("C2", (x1, y1, x1+y1)) or ("C5", (x, y, z)); None if both hold.
 
     C2: defined sums of related summands are related. C5: if x+y exists and
     is related to z, then z = x1+y1 for some x1 related to x, y1 related to y.
@@ -428,7 +428,7 @@ def _congruence_witness(
     the mask of all defined x1+y1 with x1 in X and y1 in Y: at each defined
     x+y = s, C2 fails iff sums & ~rows[s], C5 iff rows[s] & ~sums.
     """
-    n, plus, cells = p.n, p.plus, p.cells
+    cells = p.cells
     cls_of, reps = class_partition(rows)
     k = len(reps)
     sums = [0] * (k * k)
@@ -436,13 +436,7 @@ def _congruence_witness(
         sums[cls_of[x] * k + cls_of[y]] |= 1 << s
     for x1, y1, s in cells:
         if sums[cls_of[x1] * k + cls_of[y1]] & ~rows[s]:
-            x2, y2 = next(
-                (x2, y2)
-                for x2 in bits(rows[x1])
-                for y2 in bits(rows[y1])
-                if plus[x2 * n + y2] >= 0 and not rows[s] >> plus[x2 * n + y2] & 1
-            )
-            return "C2", (x1, y1, x2, y2)
+            return "C2", (x1, y1, s)
     for x, y, s in cells:
         missing = rows[s] & ~sums[cls_of[x] * k + cls_of[y]]
         if missing:
@@ -457,12 +451,18 @@ def check_congruence(c: CongruenceCandidate) -> CheckReport:
     eq = is_equivalence(c.classes)
     if not eq.ok:
         return CheckReport.failing("congruence", "C1", eq.witness, eq.message)
-    found = _congruence_witness(c.base, c.classes.rows)
+    p, rows = c.base, c.classes.rows
+    found = _congruence_witness(p, rows)
     if found is None:
         return CheckReport.passing("congruence")
     clause, w = found
-    lab = c.base.carrier.label
+    lab = p.carrier.label
     if clause == "C2":
+        x1, y1, s = w  # the first x2 ~ x1, y2 ~ y1 with x2+y2 not related to s
+        w = next(
+            (x1, y1, x2, y2) for x2 in bits(rows[x1]) for y2 in bits(rows[y1])
+            if p.defined(x2, y2) and not rows[s] >> p.value(x2, y2) & 1
+        )
         x1, y1, x2, y2 = map(lab, w)
         message = f"{x1}+{y1} and {x2}+{y2} are sums of related summands but are unrelated"
     else:
@@ -478,6 +478,11 @@ def quotient_pam(c: CongruenceCandidate) -> PartialAbelianMonoid:
     all representative choices are re-verified to agree, a disagreement
     raises an internal error.
     """
+    return _quotient(c)[0]
+
+
+def _quotient(c: CongruenceCandidate) -> tuple[PartialAbelianMonoid, list[int]]:
+    """quotient_pam's quotient and the index of each element's class."""
     check_congruence(c).require("not a congruence")
     p, sim = c.base, c.classes
     cls_of, reps = class_partition(sim.rows)
@@ -492,7 +497,8 @@ def quotient_pam(c: CongruenceCandidate) -> PartialAbelianMonoid:
                 f"({cls_of[a]}, {cls_of[b]}) despite a valid congruence"
             )
         table[i] = v
-    return PartialAbelianMonoid(class_carrier(p.carrier, reps), cls_of[p.zero], tuple(table))
+    q = PartialAbelianMonoid(class_carrier(p.carrier, reps), cls_of[p.zero], tuple(table))
+    return q, cls_of
 
 
 def quotient_map_is_left_adjoint(c: CongruenceCandidate) -> CheckReport:
@@ -503,8 +509,9 @@ def quotient_map_is_left_adjoint(c: CongruenceCandidate) -> CheckReport:
     equals the congruence.
     """
     p, sim = c.base, c.classes
-    rel = class_map(p.carrier, sim.rows)
-    h = LaxMorphism(to_relmonoid(p), to_relmonoid(quotient_pam(c)), rel)
+    q, cls_of = _quotient(c)
+    rel = FinRel(p.carrier, q.carrier, tuple(1 << k for k in cls_of))
+    h = LaxMorphism(to_relmonoid(p), to_relmonoid(q), rel)
     zero_stray = sim.rows[p.zero] & ~(1 << p.zero)
     details = {
         "zero_faithful": zero_stray == 0,

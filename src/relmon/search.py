@@ -9,7 +9,7 @@ enumerate_structures, the laws' cached pools and the CLI read that table.
 Generation is deterministic; isomorphism rejection (dedup) keeps the
 lexicographically least labeling of each class. One orderly kernel, _fill,
 fills every table searched: PAMs, relational monoids, categories (endpoints
-and composites), lax relations, the lax maps that may be left adjoints, and
+and composites), lax relations, the left adjoints between two monoids, and
 orthocomplementations; its least-labeling test, _least, also picks the
 lattice classes. A search decides each candidate once, by the kernels its
 checker reports from, and runs no checker on the candidates it keeps.
@@ -45,11 +45,11 @@ from .monoid import (
     MonadCandidate,
     RelMonoid,
     _assoc_witness,
-    _factorization_witness,
     _map_square_witness,
     _monad_conditions,
     _square_witness,
     _stray_unit_image,
+    _unlifted,
     check_monoid_axioms,
     check_reflection_universal,
     from_category,
@@ -223,7 +223,8 @@ def _fill(
     while ok(k) holds. Slots in entry order with ascending values give the
     tables in ascending order. Callers: _pam_tables, _gen_relmonoids,
     _gen_categories, _lax_rels, _left_adjoints, _orthocomplementations. The
-    first five check a placed slot with their checkers' own kernels.
+    first five check a placed slot with their checkers' own kernels
+    (_left_adjoints two: the square and factorization).
 
     With relabelings the fill is orderly (Read 1978, McKay 1998). Each maps
     t to u, u[i] = image[t[source[i]]], and agrees with t off the slots.
@@ -1021,20 +1022,21 @@ def _lax_rels(src: RelMonoid, dst: RelMonoid) -> tuple[LaxMorphism, ...]:
 def _left_adjoints(src: RelMonoid, dst: RelMonoid) -> Iterator[LaxMorphism]:
     """The left adjoints src -> dst in _lax_rels order, uncached: _fill gives
     f[a] each unit of dst when a is a unit and each non-unit otherwise (a left
-    adjoint reflects units), checks the square on the src triples whose
-    largest index is a, and _factorization_witness decides at each full map."""
+    adjoint reflects units), and at f[k] checks the square on the src triples
+    and factorization at the src elements whose largest index is k, so each
+    full map is a left adjoint."""
     f = [_UNSET] * src.n
-    due = src.triples_by_last
-    dpm, m = dst.prod_masks, dst.n
+    due, lifts = src.triples_by_last, src.factors_by_last
+    dpm, dfm, m = dst.prod_masks, dst.factor_masks, dst.n
     others = [b for b in range(m) if not dst.units_mask >> b & 1]
     values = [dst.unit_list if src.units_mask >> a & 1 else others for a in range(src.n)]
 
     def ok(k: int) -> bool:
-        return _map_square_witness(f, dpm, m, due[k]) is None
+        square = _map_square_witness(f, dpm, m, due[k])
+        return square is None and not any(_unlifted(f, dfm, m, lifts[k]))
 
     for t in _fill(f, [(a,) for a in range(src.n)], values, ok):
-        if _factorization_witness(t, src, dst) is None:
-            yield LaxMorphism(src, dst, FinRel(src.carrier, dst.carrier, tuple(1 << b for b in t)))
+        yield LaxMorphism(src, dst, FinRel(src.carrier, dst.carrier, tuple(1 << b for b in t)))
 
 
 @_law("morphism-closure-ops", 2, 2)

@@ -26,7 +26,8 @@ as their verdicts, so they check the pruning, not the checkers;
 left_adjoints_by_filter keeps those of its tables that left_adjoint_report
 passes, so it checks the map search _left_adjoints, and
 additive_maps_by_filter checks it on the monoids of PAMs by a plain scan
-of the sums. The
+of the sums. factorization_witness_by_fibers is the bitmask fiber scan
+that the per-element lifting kernel replaced. The
 *_report functions rebuild a checker's whole report, verdict, witness and
 message, by plain scans; the congruence and left-adjoint ones take their
 preconditions and C1 from relmon, and dimension_equivalence_report its
@@ -428,6 +429,24 @@ def left_adjoint_report(h):
                 f"{dst.carrier.label(f[x])}",
             )
     return CheckReport.passing("left-adjoint")
+
+
+def factorization_witness_by_fibers(f, src, dst):
+    """The fiber scan that the per-element lifting kernel replaced: the first
+    target triple (b1, b2, b), ascending, with an a over b outside the
+    products of all source pairs over (b1, b2), and the least such a."""
+    m = dst.n
+    fmask = [0] * m
+    for a, b in enumerate(f):
+        fmask[b] |= 1 << a
+    lift = [0] * (m * m)
+    for a1, a2, a in src.triples:
+        lift[f[a1] * m + f[a2]] |= 1 << a
+    for b1, b2, b in dst.triples:
+        missing = fmask[b] & ~lift[b1 * m + b2]
+        if missing:
+            return b1, b2, (missing & -missing).bit_length() - 1
+    return None
 
 
 def lax_rels_by_filter(src, dst):

@@ -16,6 +16,7 @@ from relmon.monoid import (
     _map_square_witness,
     _monad_conditions,
     _square_witness,
+    _unlifted,
     check_monoid_axioms,
     check_reflection_universal,
     from_category,
@@ -449,8 +450,37 @@ def test_factorization_kernel_matches_fiber_scan_on_additive_maps():
         for values, rep in maps:
             want = rep.witness if rep.failed == "factorization" else None
             assert _factorization_witness(values, msrc, mdst) == want
+            assert oracles.factorization_witness_by_fibers(values, msrc, mdst) == want
             failures[rep.failed] += 1
     assert failures == {None: 1493, "factorization": 23827, "unit-reflection": 7209}
+
+
+def test_factorization_kernel_matches_fiber_scan_on_every_map():
+    # every map, lax or not, between the relational-monoid classes on at most
+    # 2 points and a seeded sample of class pairs on 3: the kernel gives the
+    # fiber scan's witness, and run per slot k on the images up to k alone
+    # (a read past k raises), as _left_adjoints prunes, it fails the same
+    # elements as over the whole map
+    rng = random.Random(11)
+    pairs = list(itertools.product(_pool_upto("relmonoid", 2), repeat=2))
+    pairs += rng.sample(list(itertools.product(_pool("relmonoid", 3, True), repeat=2)), 15)
+    verdicts = Counter()
+    for src, dst in pairs:
+        assert sorted(a for due in src.factors_by_last for a, _ in due) == list(range(src.n))
+        dfm, m = dst.factor_masks, dst.n
+        for f in itertools.product(range(m), repeat=src.n):
+            want = oracles.factorization_witness_by_fibers(f, src, dst)
+            assert _factorization_witness(f, src, dst) == want
+            every = itertools.chain.from_iterable(src.factors_by_last)
+            failed = [a for _, _, a in _unlifted(f, dfm, m, every)]
+            by_slot = [
+                a
+                for k, due in enumerate(src.factors_by_last)
+                for _, _, a in _unlifted(f[:k + 1], dfm, m, due)
+            ]
+            assert by_slot == failed and bool(failed) == (want is not None)
+            verdicts[want is None] += 1
+    assert verdicts[True] and verdicts[False]
 
 
 def test_adjoint_transpose_is_lax():

@@ -36,10 +36,11 @@ from relmon.pam import (
     validate_oml,
     _decomposition_witness,
 )
-from relmon.rel import Carrier, FinRel, class_partition
+from relmon.rel import Carrier, FinRel, class_map, class_partition, kernel
 from relmon.report import InputError, PreconditionError
 from relmon.search import (
     _equivalence_rows,
+    _gen_congruences,
     _gen_pams,
     _orthocomplementations,
     _pool,
@@ -287,6 +288,16 @@ def test_to_relmonoid_round_trip():
         assert pam_from_relmonoid(m) == p
 
 
+def test_to_relmonoid_is_built_once_per_pam():
+    # one monoid per instance, so its cached tables are built once; an equal
+    # but distinct PAM gets its own, equal monoid
+    p = catalog.chain_pam(3)
+    m = to_relmonoid(p)
+    assert to_relmonoid(p) is m
+    twin = PartialAbelianMonoid(p.carrier, p.zero, p.plus)
+    assert to_relmonoid(twin) == m and to_relmonoid(twin) is not m
+
+
 def test_pam_from_relmonoid_accepts_group_like():
     z2 = pam_from_relmonoid(catalog.z2_monoid())
     assert check_pam_axioms(z2).ok
@@ -349,7 +360,8 @@ def test_congruence_c5_witness():
 def test_congruence_kernel_matches_nested_scan():
     # every equivalence of every PAM (labeled up to 4 points, one per
     # isomorphism class at 5, and a labeled carrier), then every relation on
-    # the labeled PAMs up to 3 points; the whole report must agree
+    # the labeled PAMs up to 3 points; the whole report must agree, so the
+    # (x2, y2) that check_congruence finds for each C2 failure is the scan's
     labeled_b22 = PartialAbelianMonoid(Carrier(4, ("o", "a", "b", "t")), 0, B22.plus)
     bases = [p for n in range(1, 6) for p in _pool("pam", n, n == 5)] + [labeled_b22]
     cases = [(p, rows) for p in bases for rows in _equivalence_rows(p.n)]
@@ -365,7 +377,7 @@ def test_congruence_kernel_matches_nested_scan():
         rep = check_congruence(c)
         assert rep.to_json() == oracles.congruence_report(c).to_json()
         clauses[rep.failed] += 1
-    assert set(clauses) == {None, "C1", "C2", "C5"}
+    assert clauses == {None: 4063, "C1": 9676, "C2": 11595, "C5": 3258}
 
 
 def test_congruence_json_round_trip():
@@ -436,6 +448,27 @@ def test_zero_gluing_quotient_map_is_not_left_adjoint():
     assert rep.failed == "unit-reflection"
     assert rep.details["zero_faithful"] is False
     assert rep.details["zero_faithful_witness"] == (1,)
+
+
+def test_quotient_map_report_matches_the_fiber_scan_on_the_class_map():
+    # every congruence of the labeled PAMs up to 4 points, whose classes
+    # interleave in 447 of them: the report is the fiber scan's on
+    # rel.class_map onto quotient_pam's quotient, so the class map built
+    # beside the quotient is that map
+    clauses = Counter()
+    for n in range(1, 5):
+        for p in _pool("pam", n, False):
+            for c in _gen_congruences(p):
+                rel = class_map(p.carrier, c.classes.rows)
+                h = LaxMorphism(to_relmonoid(p), to_relmonoid(quotient_pam(c)), rel)
+                want = oracles.left_adjoint_report(h)
+                rep = quotient_map_is_left_adjoint(c)
+                verdict = (rep.ok, rep.failed, rep.witness, rep.message)
+                assert verdict == (want.ok, want.failed, want.witness, want.message)
+                induced = kernel(rel).rows == c.classes.rows
+                assert rep.details["induced_equals_classes"] is induced
+                clauses[rep.failed] += 1
+    assert set(clauses) == {None, "unit-reflection"}
 
 
 def test_adjoint_induces_congruence():

@@ -8,7 +8,7 @@ import pytest
 
 from relmon.lattice import FinLattice, lattice_from_order
 from relmon.monoid import LaxMorphism, MonadCandidate, RelMonoid
-from relmon.pam import CongruenceCandidate, OmlStructure, PartialAbelianMonoid
+from relmon.pam import CongruenceCandidate, OmlStructure, PartialAbelianMonoid, to_relmonoid
 from relmon.rel import Carrier, FinRel
 from relmon.report import CheckReport, record_verdict
 from relmon.search import EnumSpec
@@ -95,10 +95,13 @@ def fields(record, cls):
 
 
 def cache_everything(record):
-    """Fill every cached_property of record and record a verdict on it."""
+    """Fill every cached_property of record, build a PAM's cached monoid and
+    record a verdict on it."""
     for name, attr in vars(type(record)).items():
         if isinstance(attr, cached_property):
             getattr(record, name)
+    if isinstance(record, PartialAbelianMonoid):
+        assert to_relmonoid(record) is vars(record)["to_relmonoid"]
     record_verdict(cache_everything, record, CheckReport.passing("cached"))
 
 
