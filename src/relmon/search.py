@@ -224,7 +224,8 @@ def _fill(
     tables in ascending order. Callers: _pam_tables, _gen_relmonoids,
     _gen_categories, _lax_rels, _left_adjoints, _orthocomplementations. The
     first five check a placed slot with their checkers' own kernels
-    (_left_adjoints two: the square and factorization).
+    (_left_adjoints two, the square and factorization, on values it has
+    already cut by factor-pair count).
 
     With relabelings the fill is orderly (Read 1978, McKay 1998). Each maps
     t to u, u[i] = image[t[source[i]]], and agrees with t off the slots.
@@ -1020,23 +1021,35 @@ def _lax_rels(src: RelMonoid, dst: RelMonoid) -> tuple[LaxMorphism, ...]:
 
 
 def _left_adjoints(src: RelMonoid, dst: RelMonoid) -> Iterator[LaxMorphism]:
-    """The left adjoints src -> dst in _lax_rels order, uncached: _fill gives
-    f[a] each unit of dst when a is a unit and each non-unit otherwise (a left
-    adjoint reflects units), and at f[k] checks the square on the src triples
-    and factorization at the src elements whose largest index is k, so each
-    full map is a left adjoint."""
+    """The left adjoints src -> dst in _lax_rels order, uncached, each
+    carrying the passing verdict of is_left_adjoint_relmon. A left adjoint
+    reflects units, and its square and factorization map the factor pairs of
+    a onto those of f[a]; so _fill gives f[a] each unit of dst when a is a
+    unit and each non-unit otherwise, of no more factor pairs than a, and
+    there is no left adjoint if some a has no such value. At f[k] it checks
+    the square on the src triples and factorization at the src elements
+    whose largest index is k, so each full map is a left adjoint."""
     f = [_UNSET] * src.n
     due, lifts = src.triples_by_last, src.factors_by_last
     dpm, dfm, m = dst.prod_masks, dst.factor_masks, dst.n
     others = [b for b in range(m) if not dst.units_mask >> b & 1]
-    values = [dst.unit_list if src.units_mask >> a & 1 else others for a in range(src.n)]
+    values = [
+        [b for b in (dst.unit_list if src.units_mask >> a & 1 else others)
+         if dfm[b].bit_count() <= factors.bit_count()]
+        for a, factors in enumerate(src.factor_masks)
+    ]
+    if not all(values):
+        return
 
     def ok(k: int) -> bool:
         square = _map_square_witness(f, dpm, m, due[k])
         return square is None and not any(_unlifted(f, dfm, m, lifts[k]))
 
+    passed = CheckReport.passing("left-adjoint")
     for t in _fill(f, [(a,) for a in range(src.n)], values, ok):
-        yield LaxMorphism(src, dst, FinRel(src.carrier, dst.carrier, tuple(1 << b for b in t)))
+        h = LaxMorphism(src, dst, FinRel(src.carrier, dst.carrier, tuple(1 << b for b in t)))
+        record_verdict(is_left_adjoint_relmon, h, passed)
+        yield h
 
 
 @_law("morphism-closure-ops", 2, 2)

@@ -470,6 +470,19 @@ def left_adjoints_by_filter(src, dst, tables):
     return out
 
 
+@lru_cache(maxsize=None)
+def relmonoid_left_adjoints(size):
+    """Per ordered pair of relational-monoid classes up to size points:
+    both monoids and the rows of left_adjoints_by_filter over all their
+    maps. Cached, as two tests read all 8,100 pairs at 3."""
+    monoids = _pool_upto("relmonoid", size)
+    out = []
+    for src, dst in product(monoids, repeat=2):
+        maps = product([1 << b for b in range(dst.n)], repeat=src.n)
+        out.append((src, dst, left_adjoints_by_filter(src, dst, maps)))
+    return out
+
+
 def orthocomplementations_by_recursion(lat):
     """Every orthocomplementation of lat that relmon's validate_oml accepts,
     ascending: element a, unless an earlier element chose it already, takes
