@@ -305,16 +305,21 @@ def _decomposition_witness(
     This is the lax square of the relation over the partial addition, read
     off the table: cells x1+x2 = s in row-major order, and per cell the OR of
     the defined sums above (x1, x2); the witness is the least y of rows[s]
-    the OR misses. Riesz decomposition passes the down-sets of the canonical
-    order; dimension-equivalence clause B reads "y1 related to x1" in the
-    transpose direction, which is rows itself since it passes equivalences.
+    the OR misses. Each row's members are listed once per call, and every
+    cell reads those lists. Riesz decomposition passes the down-sets of the
+    canonical order; dimension-equivalence clause B reads "y1 related to x1"
+    in the transpose direction, which is rows itself since it passes
+    equivalences.
     """
     n, plus = p.n, p.plus
+    members = [list(bits(row)) for row in rows]
     for x1, x2, s in p.cells:
         got = 0
-        for y1 in bits(rows[x1]):
-            for y2 in bits(rows[x2]):
-                y = plus[y1 * n + y2]
+        second = members[x2]
+        for y1 in members[x1]:
+            base = y1 * n
+            for y2 in second:
+                y = plus[base + y2]
                 if y >= 0:
                     got |= 1 << y
         missing = rows[s] & ~got

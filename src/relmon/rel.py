@@ -302,15 +302,23 @@ def _or_all(masks: Iterable[int]) -> int:
 def _adjoint_witness(f: FinRel, g: FinRel) -> tuple[str, tuple[int, int]] | None:
     """First failing inclusion of f -| g as (clause, pair), or None.
 
-    The unit holds at a iff f.rows[a] meets g.cols[a], so it stops at the
-    first failing row without composing; g keeps its transpose, and the
-    counit is composed only once the unit holds. Carriers are the caller's.
+    Each clause stops at its first failing row. The unit holds at a iff
+    f.rows[a] meets g.cols[a], read off the transpose g keeps, without
+    composing. Once the unit holds, the counit builds row b of g then f
+    and returns at the first row with a bit other than b. Carriers are the
+    caller's.
     """
-    for a, (row, col) in enumerate(zip(f.rows, g.cols)):
-        if not row & col:
+    frows, cols = f.rows, g.cols
+    for a, row in enumerate(frows):
+        if not row & cols[a]:
             return "unit", (a, a)
-    for b, row in enumerate(compose_rows(g.rows, f.rows)):
-        extra = row & ~(1 << b)
+    for b, row in enumerate(g.rows):
+        acc = 0
+        while row:
+            low = row & -row
+            acc |= frows[low.bit_length() - 1]
+            row ^= low
+        extra = acc & ~(1 << b)
         if extra:
             return "counit", (b, lowest_bit(extra))
     return None

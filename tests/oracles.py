@@ -35,7 +35,11 @@ clauses before C. poset_quotients_by_pair_scan,
 quotient_order_rows_by_pair_scan, star_star_report and the backtracking
 families_pair_off are the scans that the quotient-monoid, perspectivity,
 star-star and dimension-equivalence code replaced by the one witness each
-definition forces. Slow on purpose; keep carriers tiny.
+definition forces. adjoint_witness_by_composites is the adjunction scan
+that composed the whole counit before it scanned, and
+reflection_universal_by_every_endo the reflection sweep over every
+endomorphism that the law reduced to one per box. Slow on purpose; keep
+carriers tiny.
 """
 
 from functools import lru_cache
@@ -45,6 +49,7 @@ from relmon.monoid import (
     LaxMorphism,
     RelMonoid,
     _assoc_witness,
+    check_reflection_universal,
     is_lax_morphism,
     quotient_pairs,
 )
@@ -62,8 +67,10 @@ from relmon.rel import Carrier, FinRel, bits, compose_rows
 from relmon.rel import is_equivalence as is_equivalence_rel
 from relmon.report import CheckReport
 from relmon.search import (
+    _gen_monad_orders,
     _is_lattice_rows,
     _labeled_posets,
+    _lax_rels,
     _pam_tables,
     _perms,
     _pool_upto,
@@ -715,6 +722,49 @@ def left_adjoint_rel_report(f, g):
                 f"({b}, {c}) appears in the round trip through g and f",
             )
     return CheckReport.passing("left-adjoint-rel")
+
+
+def adjoint_witness_by_composites(f, g):
+    """_adjoint_witness as it was before each clause stopped at its first
+    failing row: the unit read off g's transpose, then the whole counit
+    composite g then f, then its scan."""
+    for a, (row, col) in enumerate(zip(f.rows, g.cols)):
+        if not row & col:
+            return "unit", (a, a)
+    for b, row in enumerate(compose_rows(g.rows, f.rows)):
+        extra = row & ~(1 << b)
+        if extra:
+            return "counit", (b, _lowest(extra))
+    return None
+
+
+def reflection_universal_by_every_endo(size):
+    """Every (endo, monad order, arrow) cocone over the relational monoids up
+    to size through check_reflection_universal, endo by endo, the sweep the
+    reflection-universal law reduced to one largest endomorphism per box.
+
+    Returns the first failing report, or None, and the rows of the endos
+    checked per (monoid index, target index, order rows, arrow rows).
+    """
+    monoids = _pool_upto("relmonoid", size)
+    covered = {}
+    for i, m in enumerate(monoids):
+        endos = _lax_rels(m, m)
+        for j, other in enumerate(monoids):
+            orders = _gen_monad_orders(other)
+            arrows = _lax_rels(m, other)
+            for endo in endos:
+                f = endo.rel
+                for cand in orders:
+                    for u in arrows:
+                        if not u.rel.compose(cand.order).contains(f.compose(u.rel)):
+                            continue
+                        rep = check_reflection_universal(endo, cand, u)
+                        if not rep.ok:
+                            return rep, covered
+                        key = (i, j, cand.order.rows, u.rel.rows)
+                        covered.setdefault(key, []).append(f.rows)
+    return None, covered
 
 
 def square_witness_by_search(src, rows, dst, triples=None):

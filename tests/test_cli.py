@@ -385,10 +385,18 @@ def test_verify_json(capsys):
     assert json.loads(out)["ok"] is True
 
 
-@pytest.mark.parametrize("key", ["compose-associativity", "dagger-laws"])
-def test_verify_above_max_size_is_refused(key, capsys):
-    # both laws enumerate carriers up to the size; 3 is past their max of 2
-    code, out, err = run(capsys, "verify", "--property", key, "--size", "3")
+@pytest.mark.parametrize(
+    "key, size",
+    [
+        pytest.param("compose-associativity", 3, id="compose-associativity"),
+        pytest.param("dagger-laws", 3, id="dagger-laws"),
+        pytest.param("reflection-universal", 4, id="reflection-universal"),
+    ],
+)
+def test_verify_above_max_size_is_refused(key, size, capsys):
+    # each size is one past the law's max: 2 for the two random-relation
+    # laws, 3 for reflection-universal
+    code, out, err = run(capsys, "verify", "--property", key, "--size", str(size))
     assert code == 2
     assert out == ""
     assert "safety bound" in err

@@ -413,11 +413,14 @@ def test_closure_is_monotone():
 
 def check_left_adjoint_rel(f, g):
     """is_left_adjoint_rel's report and _adjoint_witness's (clause, pair)
-    both match the reference scan; returns the report."""
+    both match the reference scan, and the (clause, pair) that of the scan
+    of the whole counit composite; returns the report."""
     ref = oracles.left_adjoint_rel_report(f, g)
     rep = is_left_adjoint_rel(f, g)
     assert rep.to_json() == ref.to_json()
-    assert _adjoint_witness(f, g) == (None if ref.ok else (ref.failed, ref.witness))
+    found = _adjoint_witness(f, g)
+    assert found == (None if ref.ok else (ref.failed, ref.witness))
+    assert found == oracles.adjoint_witness_by_composites(f, g)
     return rep
 
 

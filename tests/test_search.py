@@ -33,7 +33,14 @@ from relmon.pam import (
     oml_as_effect_algebra,
     to_relmonoid,
 )
-from relmon.rel import Carrier, FinRel, bits, is_partial_order, transpose_rows
+from relmon.rel import (
+    Carrier,
+    FinRel,
+    bits,
+    is_partial_order,
+    refl_trans_closure,
+    transpose_rows,
+)
 from relmon.report import CheckReport, InputError
 from relmon.search import (
     _UNSET,
@@ -766,6 +773,41 @@ def test_reflection_least_holds_at_its_max_size():
     assert verify_universal("reflection-least", size=3).ok
 
 
+def test_reflection_universal_checks_the_union_of_every_cocone(monkeypatch):
+    # the law closes one endomorphism per box: the union of the endos that
+    # the sweep over every endo checks at some (order, arrow), and every
+    # such union is closed by the law
+    closed = []
+
+    def spy(f):
+        closed.append(f.rows)
+        return refl_trans_closure(f)
+
+    monkeypatch.setattr(search, "refl_trans_closure", spy)
+    assert verify_universal("reflection-universal", size=2).ok
+    failure, covered = oracles.reflection_universal_by_every_endo(2)
+    assert failure is None
+    unions = {
+        functools.reduce(lambda f, g: tuple(a | b for a, b in zip(f, g)), endos)
+        for endos in covered.values()
+    }
+    assert set(closed) == unions
+    assert sum(map(len, covered.values())) > len(covered) > len(closed)
+
+
+def full_relation(f):
+    """A broken closure: the full relation on f's carrier."""
+    return FinRel(f.dom, f.cod, ((1 << f.cod.size) - 1,) * f.dom.size)
+
+
+def test_reflection_universal_fails_with_the_every_endo_sweep(monkeypatch):
+    monkeypatch.setattr(search, "refl_trans_closure", full_relation)
+    monkeypatch.setattr(monoid, "refl_trans_closure", full_relation)
+    assert not verify_universal("reflection-universal", size=2).ok
+    failure, _ = oracles.reflection_universal_by_every_endo(2)
+    assert failure is not None and failure.check == "reflection-universal"
+
+
 def test_lax_rels_is_one_table_per_monoid_pair():
     # the laws that read lax arrows share one table per (src, dst), with
     # the rows the product filter keeps, in its order; _left_adjoints
@@ -1049,6 +1091,23 @@ FORCED_FAILURES = {
                         [1, 3], [2, 2], [3, 0], [3, 1], [3, 3],
                     ],
                 },
+            },
+        },
+    ),
+    "reflection-universal": (
+        "refl_trans_closure",
+        full_relation,
+        {
+            "check": "verify:reflection-universal",
+            "ok": False,
+            "failed": "law",
+            "message": "a cocone fails to factor through the closure",
+            "details": {
+                "monoid": {"carrier": 2, "units": [0], "mult": [[0, 0, 0], [0, 1, 1], [1, 0, 1]]},
+                "endo": {"dom": 2, "cod": 2, "pairs": [[0, 0], [1, 1]]},
+                "target": {"carrier": 1, "units": [0], "mult": [[0, 0, 0]]},
+                "order": {"dom": 1, "cod": 1, "pairs": [[0, 0]]},
+                "arrow": {"dom": 2, "cod": 1, "pairs": [[0, 0]]},
             },
         },
     ),
