@@ -6,17 +6,21 @@ loads ``relmon.report`` and nothing else. check-monoid, check-morphism,
 check-adjoint, check-monad and reflect load rel and monoid; check-lattice
 and check-qa also lattice; check-pam, check-rdp, check-congruence,
 quotient and check-dimeq also pam. Only enumerate and verify import
-search, which loads all of them.
+search, which loads all of them, and only verify loads the law registry,
+laws.
 
 Exit codes: 0 when the property holds or the construction succeeded, 1 when
 the property fails (witness printed, machine-readable with --json), 2 on
-parse, input, or precondition errors.
+parse, input, or precondition errors. A reader that closes stdout early
+(``relmon enumerate ... | head -1``) ends the output quietly and changes no
+exit code: a stream the reader cut short exits 0, a check its verdict's.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from importlib import import_module
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
@@ -44,16 +48,31 @@ def _load(path: str) -> object:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _print_lines(lines: Iterable[str]) -> None:
+    """Print each line and flush. If the reader has closed the pipe, stop,
+    and point stdout at os.devnull so that the interpreter's last flush
+    stays quiet too."""
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _finish(rep: CheckReport, args: argparse.Namespace) -> int:
     if args.json:
-        print(json.dumps(rep.to_json(), sort_keys=True))
+        lines = [json.dumps(rep.to_json(), sort_keys=True)]
     else:
-        print(rep.summary())
+        lines = [rep.summary()]
         for key, value in rep.details.items():
             if isinstance(value, (bool, int, str)):
-                print(f"  {key} = {value}")
+                lines.append(f"  {key} = {value}")
             elif isinstance(value, tuple) and all(isinstance(x, int) for x in value):
-                print(f"  {key} = {value}")
+                lines.append(f"  {key} = {value}")
+    _print_lines(lines)
     return 0 if rep.ok else 1
 
 
@@ -67,8 +86,7 @@ def _write_lines(lines: Iterable[str], args: argparse.Namespace) -> int:
         except OSError as exc:
             raise InputError(f"cannot write {args.out}: {exc}") from exc
     else:
-        for line in lines:
-            print(line)
+        _print_lines(lines)
     return 0
 
 

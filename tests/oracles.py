@@ -45,6 +45,7 @@ carriers tiny.
 from functools import lru_cache
 from itertools import permutations, product
 
+from relmon.laws import _lax_rels
 from relmon.monoid import (
     LaxMorphism,
     RelMonoid,
@@ -70,7 +71,6 @@ from relmon.search import (
     _gen_monad_orders,
     _is_lattice_rows,
     _labeled_posets,
-    _lax_rels,
     _pam_tables,
     _perms,
     _pool_upto,

@@ -22,6 +22,7 @@ from relmon.lattice import (
     is_modular,
     is_qa_monad,
 )
+from relmon.laws import PROPERTIES
 from relmon.monoid import (
     LaxMorphism,
     MonadCandidate,
@@ -44,7 +45,7 @@ from relmon.pam import (
     is_positive,
 )
 from relmon.report import CheckReport
-from relmon.search import KIND_LIMITS, PROPERTIES, property_keys
+from relmon.search import KIND_LIMITS, property_keys
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLES = ROOT / "samples"
@@ -329,6 +330,38 @@ def test_enumerate_streams_do_not_depend_on_the_hash_seed():
         assert len(streams) == 31
         for key, digest in streams.items():
             assert digest == pinned[key], (seed, key)
+
+
+def cli_with_stdout_closed(argv, lines_read):
+    """Exit status and stderr of `python -m relmon.cli argv` when the reader
+    closes its stdout after lines_read lines."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "relmon.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, cwd=ROOT,
+    )
+    for _ in range(lines_read):
+        assert proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    return proc.returncode, err
+
+
+def test_a_stream_cut_short_by_its_reader_exits_quietly():
+    # about 1 MB of JSON lines, far more than a pipe holds: the writer is
+    # still streaming when the reader goes
+    status, err = cli_with_stdout_closed(
+        ["enumerate", "--kind", "pam", "--size", "5", "--no-dedup"], 1
+    )
+    assert err == b""
+    assert status == 0
+
+
+def test_a_check_keeps_its_verdict_when_stdout_is_closed():
+    status, err = cli_with_stdout_closed(["check-monad", "samples/diamond_ge.json"], 0)
+    assert err == b""
+    assert status == 1
 
 
 def test_enumerate_congruences_from_base(capsys):

@@ -22,6 +22,8 @@ LOADED = {
     ("check-pam", "boolean22_pam.json"): BASE | {"relmon.lattice", "relmon.pam"},
     ("enumerate", "--kind", "lattice", "--size", "2"):
         BASE | {"relmon.lattice", "relmon.pam", "relmon.search"},
+    ("verify", "--property", "kernel-equivalence"):
+        BASE | {"relmon.lattice", "relmon.pam", "relmon.search", "relmon.laws"},
 }
 
 
@@ -49,6 +51,10 @@ def test_each_subcommand_loads_only_what_it_runs(argv):
     args = [str(SAMPLES / a) if a.endswith(".json") else a for a in argv]
     code = f"import relmon.cli\nrelmon.cli.main({args!r})"
     assert loaded_after(code) == LOADED[argv]
+
+
+def test_search_import_loads_no_law():
+    assert "relmon.laws" not in loaded_after("import relmon.search")
 
 
 def test_bare_import_loads_no_submodule():

@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from relmon import catalog
+from relmon.laws import _orthocomplementations
 from relmon.monoid import (
     LaxMorphism,
     _square_witness,
@@ -42,7 +43,6 @@ from relmon.search import (
     _equivalence_rows,
     _gen_congruences,
     _gen_pams,
-    _orthocomplementations,
     _pool,
     _pool_upto,
     _preorders,

@@ -11,8 +11,9 @@ from math import factorial
 import pytest
 
 import oracles
-from relmon import catalog, monoid, pam, search
+from relmon import catalog, laws, monoid, pam, search
 from relmon.lattice import lattice_from_order
+from relmon.laws import _lax_rels, _left_adjoints, _orthocomplementations
 from relmon.monoid import (
     LaxMorphism,
     MonadCandidate,
@@ -55,10 +56,7 @@ from relmon.search import (
     _gen_pams,
     _gen_relmonoids,
     _labeled_posets,
-    _lax_rels,
-    _left_adjoints,
     _mask_images,
-    _orthocomplementations,
     _perms_fixing_zero,
     _pool,
     _pool_upto,
@@ -195,7 +193,7 @@ def test_generators_with_no_free_slots_yield_once():
     for dedup in (False, True):
         assert [p.plus for p in _gen_pams(1, dedup)] == [(0,)]
         assert [monoid_key(m) for m in _gen_relmonoids(1, dedup)] == [(1, (1,))]
-    assert search._gen_categories(1) == [(1, ((0, 0),), {(0, 0): 0})]
+    assert laws._gen_categories(1) == [(1, ((0, 0),), {(0, 0): 0})]
 
 
 def test_fill_yields_the_tables_ok_admits_in_product_order():
@@ -755,7 +753,7 @@ CATEGORY_COUNTS = [1, 1, 6, 75, 1536]
 
 def test_categories_match_the_rescan_oracle():
     for narr, count in enumerate(CATEGORY_COUNTS):
-        cats = search._gen_categories(narr)
+        cats = laws._gen_categories(narr)
         assert cats == oracles.categories_by_rescan(narr)
         assert len(cats) == count
 
@@ -783,7 +781,7 @@ def test_reflection_universal_checks_the_union_of_every_cocone(monkeypatch):
         closed.append(f.rows)
         return refl_trans_closure(f)
 
-    monkeypatch.setattr(search, "refl_trans_closure", spy)
+    monkeypatch.setattr(laws, "refl_trans_closure", spy)
     assert verify_universal("reflection-universal", size=2).ok
     failure, covered = oracles.reflection_universal_by_every_endo(2)
     assert failure is None
@@ -801,7 +799,7 @@ def full_relation(f):
 
 
 def test_reflection_universal_fails_with_the_every_endo_sweep(monkeypatch):
-    monkeypatch.setattr(search, "refl_trans_closure", full_relation)
+    monkeypatch.setattr(laws, "refl_trans_closure", full_relation)
     monkeypatch.setattr(monoid, "refl_trans_closure", full_relation)
     assert not verify_universal("reflection-universal", size=2).ok
     failure, _ = oracles.reflection_universal_by_every_endo(2)
@@ -859,7 +857,7 @@ def test_sweeps_call_no_checker_per_candidate(monkeypatch):
     checks = (pam.check_congruence, monoid.is_monad, monoid._monad_conditions,
               monoid.is_lax_morphism)
     for check in checks:
-        for module in (monoid, search, pam):
+        for module in (monoid, search, laws, pam):
             if hasattr(module, check.__name__):
                 monkeypatch.setattr(module, check.__name__, counted(check))
     pams = [PartialAbelianMonoid(p.carrier, p.zero, p.plus) for p in _pool_upto("pam", 4)]
@@ -900,7 +898,7 @@ def test_adjoint_law_checks_each_adjoint_once(monkeypatch):
     checks = (monoid.is_left_adjoint_relmon, monoid.is_lax_morphism,
               monoid._factorization_witness, pam.check_congruence)
     for check in checks:
-        for module in (monoid, search, pam):
+        for module in (monoid, search, laws, pam):
             if hasattr(module, check.__name__):
                 monkeypatch.setattr(module, check.__name__, counted(check))
     rep = verify_universal("adjoint-induces-congruence", size=4)
@@ -993,7 +991,7 @@ def test_q_functorial_holds_at_its_max_size():
 
 
 def test_q_functorial_catches_a_broken_quotient_map(monkeypatch):
-    honest = search.quotient_map
+    honest = laws.quotient_map
 
     def reversed_map(f, src, dst):
         return honest(f, src, dst)[::-1]
@@ -1006,7 +1004,7 @@ def test_q_functorial_catches_a_broken_quotient_map(monkeypatch):
         (reversed_map, "quotient map of the identity is not the identity"),
         (zeros_unless_injective, "quotient construction fails to preserve composition"),
     ]:
-        monkeypatch.setattr(search, "quotient_map", kernel)
+        monkeypatch.setattr(laws, "quotient_map", kernel)
         rep = verify_universal("q-functorial")
         assert not rep.ok
         assert rep.message == message
@@ -1025,7 +1023,7 @@ def test_dimeq_square_shortcut_keeps_the_monad_verdict():
     assert set(clauses) >= {None, "square"}
 
 
-# law -> (name on search, stand-in that breaks it, the whole report), one law per layer
+# law -> (name on laws, stand-in that breaks it, the whole report), one law per layer
 FORCED_FAILURES = {
     "left-adjoint-iff-map": (
         "_adjoint_witness",
@@ -1133,7 +1131,7 @@ FORCED_FAILURES = {
 @pytest.mark.parametrize("key", sorted(FORCED_FAILURES))
 def test_a_broken_kernel_gives_the_pinned_law_report(key, monkeypatch):
     name, stub, expected = FORCED_FAILURES[key]
-    monkeypatch.setattr(search, name, stub)
+    monkeypatch.setattr(laws, name, stub)
     assert verify_universal(key).to_json() == expected
 
 
