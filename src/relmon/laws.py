@@ -5,9 +5,12 @@ the first counterexample, in enumeration order, with a full serialization.
 Each law registers itself where it is defined, with its key and size bounds.
 Most laws are exhaustive; compose-associativity, dagger-laws and
 product-functorial also draw random relations from the seeded generator.
-Beside the laws live the helpers only laws call: the lax relations and left
-adjoints between two monoids, orthocomplementations, lattice homomorphisms,
-finite categories, and the naive filters enumeration-complete compares with.
+Beside the laws live the helpers only laws call: the lax relations between
+two monoids, cached as row tables that a law wraps in a relation only for a
+checker or a witness, the left adjoints between them, the
+orthocomplementations of a lattice as the structures validate_oml passed,
+lattice homomorphisms, finite categories, and the naive filters
+enumeration-complete compares with.
 
 search.verify_universal and search.property_keys import this module when
 first called, so enumeration alone compiles no law.
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .lattice import (
@@ -83,9 +86,8 @@ from .rel import (
     kernel,
     product_rel,
     refl_trans_closure,
-    union,
 )
-from .report import CheckReport, record_verdict
+from .report import CheckReport, InternalCheckError, PreconditionError, record_verdict
 from .search import (
     _UNSET,
     _equivalence_rows,
@@ -355,8 +357,11 @@ def _law_unit_uniqueness(size: int, rng: random.Random) -> CheckReport:
         for m in _pool("relmonoid", n, False):
             count += 1
             for a in range(n):
-                right_unit_of(m, a)
-                left_unit_of(m, a)
+                try:
+                    right_unit_of(m, a)
+                    left_unit_of(m, a)
+                except PreconditionError as exc:
+                    return _fail(str(exc), monoid=m.to_json(), element=a)
     return _pass(monoids_checked=count)
 
 
@@ -372,12 +377,12 @@ def _law_adjoint_transpose_lax(size: int, rng: random.Random) -> CheckReport:
 
 
 @lru_cache(maxsize=None)
-def _lax_rels(src: RelMonoid, dst: RelMonoid) -> tuple[LaxMorphism, ...]:
-    """Every lax morphism src -> dst in product order, one table per pair
-    for the laws that read it again. _fill places row a, a unit's among the
-    subsets of dst's units (the triangle), and checks the square on the src
-    triples whose largest index is a; every triple has one, so each full
-    table passes both and is not checked again."""
+def _lax_rels(src: RelMonoid, dst: RelMonoid) -> tuple[tuple[int, ...], ...]:
+    """The row tables of every lax morphism src -> dst in product order, one
+    tuple per pair for the laws that read it again. _fill places row a, a
+    unit's among the subsets of dst's units (the triangle), and checks the
+    square on the src triples whose largest index is a; every triple has
+    one, so each full table passes both and is not checked again."""
     rows = [_UNSET] * src.n
     due = src.triples_by_last
     full = range(1 << dst.n)
@@ -387,8 +392,7 @@ def _lax_rels(src: RelMonoid, dst: RelMonoid) -> tuple[LaxMorphism, ...]:
     def ok(k: int) -> bool:
         return _square_witness(src, rows[:k + 1], dst, due[k]) is None
 
-    tables = _fill(rows, [(a,) for a in range(src.n)], values, ok)
-    return tuple(LaxMorphism(src, dst, FinRel(src.carrier, dst.carrier, tuple(t))) for t in tables)
+    return tuple(map(tuple, _fill(rows, [(a,) for a in range(src.n)], values, ok)))
 
 
 def _left_adjoints(src: RelMonoid, dst: RelMonoid) -> Iterator[LaxMorphism]:
@@ -428,23 +432,24 @@ def _law_morphism_closure_ops(size: int, rng: random.Random) -> CheckReport:
     """lax morphisms are closed under composition and union"""
     monoids = _pool_upto("relmonoid", size)
     for src, dst in product(monoids, repeat=2):
-        rels = [h.rel for h in _lax_rels(src, dst)]
-        for a, r1 in enumerate(rels):
-            for r2 in rels[a + 1:]:
-                if not is_lax_morphism(LaxMorphism(src, dst, union((r1, r2)))).ok:
-                    return _fail(
-                        "union of lax morphisms is not lax",
-                        first=r1.to_json(), second=r2.to_json(),
-                    )
+        rels = _lax_rels(src, dst)
+        for r1, r2 in combinations(rels, 2):
+            joined = FinRel(src.carrier, dst.carrier, tuple(x | y for x, y in zip(r1, r2)))
+            if not is_lax_morphism(LaxMorphism(src, dst, joined)).ok:
+                return _fail(
+                    "union of lax morphisms is not lax",
+                    first=FinRel(src.carrier, dst.carrier, r1).to_json(),
+                    second=FinRel(src.carrier, dst.carrier, r2).to_json(),
+                )
         for mid in monoids:
-            seconds = [h.rel for h in _lax_rels(dst, mid)]
-            for r1 in rels:
-                for r2 in seconds:
-                    if not is_lax_morphism(LaxMorphism(src, mid, r1.compose(r2))).ok:
-                        return _fail(
-                            "composite of lax morphisms is not lax",
-                            first=r1.to_json(), second=r2.to_json(),
-                        )
+            for r1, r2 in product(rels, _lax_rels(dst, mid)):
+                composite = FinRel(src.carrier, mid.carrier, compose_rows(r1, r2))
+                if not is_lax_morphism(LaxMorphism(src, mid, composite)).ok:
+                    return _fail(
+                        "composite of lax morphisms is not lax",
+                        first=FinRel(src.carrier, dst.carrier, r1).to_json(),
+                        second=FinRel(dst.carrier, mid.carrier, r2).to_json(),
+                    )
     return _pass()
 
 
@@ -531,7 +536,7 @@ def _law_reflection_least(size: int, rng: random.Random) -> CheckReport:
     """closure of a lax endomorphism is the least monad order over it"""
     for m in _pool_upto("relmonoid", size):
         orders = [c.order for c in _gen_monad_orders(m)]
-        for f in (h.rel for h in _lax_rels(m, m)):
+        for f in (FinRel(m.carrier, m.carrier, rows) for rows in _lax_rels(m, m)):
             cand = monad_reflection(m, f)
             if not is_monad(cand).ok or not cand.order.contains(f):
                 return _fail(
@@ -559,13 +564,12 @@ def _law_reflection_universal(size: int, rng: random.Random) -> CheckReport:
     monoids = _pool_upto("relmonoid", size)
     monads = [_gen_monad_orders(other) for other in monoids]
     for m in monoids:
-        endos = {h.rel.rows: h.rel for h in _lax_rels(m, m)}
+        endos = set(_lax_rels(m, m))
         decided: set[tuple[int, ...]] = set()
         for other, orders in zip(monoids, monads):
             masks = range(1 << other.n)
             ups = [compose_rows(masks, cand.order.rows) for cand in orders]
-            for u in _lax_rels(m, other):
-                urows = u.rel.rows
+            for urows in _lax_rels(m, other):
                 fit = [sum(1 << b for b, row in enumerate(urows) if not row & ~t) for t in masks]
                 for cand, up in zip(orders, ups):
                     box = tuple([fit[up[r]] for r in urows])
@@ -576,18 +580,18 @@ def _law_reflection_universal(size: int, rng: random.Random) -> CheckReport:
                     for rows in endos:
                         if _inclusion_witness(rows, box) is None:
                             big = [r | acc for r, acc in zip(rows, big)]
-                    big = tuple(big)
-                    if big not in endos:
+                    endo = FinRel(m.carrier, m.carrier, tuple(big))
+                    if endo.rows not in endos:
                         message = "the union of lax endomorphisms is not lax"
-                    elif _inclusion_witness(refl_trans_closure(endos[big]).rows, box) is not None:
+                    elif _inclusion_witness(refl_trans_closure(endo).rows, box) is not None:
                         message = "a cocone fails to factor through the closure"
                     else:
                         continue
                     return _fail(
                         message,
-                        monoid=m.to_json(), endo=FinRel(m.carrier, m.carrier, big).to_json(),
+                        monoid=m.to_json(), endo=endo.to_json(),
                         target=other.to_json(), order=cand.order.to_json(),
-                        arrow=u.rel.to_json(),
+                        arrow=FinRel(m.carrier, other.carrier, urows).to_json(),
                     )
     return _pass()
 
@@ -719,7 +723,10 @@ def _law_rdp_iff_monad(size: int, rng: random.Random) -> CheckReport:
     """Riesz decomposition coincides with the reverse order being a monad"""
     geas = [p for p in _pool_upto("pam", size) if is_gea(p).ok]
     for p in geas:
-        has_rdp(p)  # raises InternalCheckError if its monad cross-check disagrees
+        try:
+            has_rdp(p)  # raises if its monad cross-check disagrees
+        except InternalCheckError as exc:
+            return _fail(str(exc), pam=p.to_json())
     return _pass(geas_checked=len(geas))
 
 
@@ -767,11 +774,12 @@ def _law_faithful_congruence_adjoint(size: int, rng: random.Random) -> CheckRepo
     return _pass(pams_checked=len(pams))
 
 
-def _orthocomplementations(lat: FinLattice) -> list[tuple[int, ...]]:
-    """Every orthocomplementation of lat, ascending. _fill gives element a
-    each of its complements in turn, keeping the placed prefix an involution
-    (with no fixed point when n > 1, as a is its own complement only in the
-    one-point lattice); validate_oml decides at each full table."""
+def _orthocomplementations(lat: FinLattice) -> list[OmlStructure]:
+    """Every orthocomplementation of lat, ascending, as the OmlStructure that
+    validate_oml passed: _fill gives element a each of its complements in
+    turn, keeping the placed prefix an involution (no fixed point when n > 1,
+    as a is its own complement only in the one-point lattice), and
+    validate_oml decides at each full table."""
     n, top, bottom = lat.n, lat.top, lat.bottom
     complements = [
         [c for c in range(n) if lat.join_of(a, c) == top and lat.meet_of(a, c) == bottom]
@@ -785,7 +793,7 @@ def _orthocomplementations(lat: FinLattice) -> list[tuple[int, ...]]:
 
     tables = _fill(ortho, [(a,) for a in range(n)], complements, ok)
     structures = (OmlStructure(lat, tuple(t)) for t in tables)
-    return [s.ortho for s in structures if validate_oml(s).ok]
+    return [s for s in structures if validate_oml(s).ok]
 
 
 @_law("oml-effect-algebra", 6, 7)
@@ -793,8 +801,7 @@ def _law_oml_effect_algebra(size: int, rng: random.Random) -> CheckReport:
     """orthomodular lattices give lattice-ordered effect algebras"""
     count = 0
     for lat in _pool_upto("lattice", size):
-        for ortho in _orthocomplementations(lat):
-            s = OmlStructure(lat, ortho)
+        for s in _orthocomplementations(lat):
             p = oml_as_effect_algebra(s)
             count += 1
             if not is_effect_algebra(p).ok:

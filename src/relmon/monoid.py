@@ -191,6 +191,10 @@ class LaxMorphism(Frozen):
         src, dst, _ = json_fields(obj, "morphism", "src", "dst", "rel")
         src = in_field("src", RelMonoid.from_json, src)
         dst = in_field("dst", RelMonoid.from_json, dst)
+        for key, m in (("src", src), ("dst", dst)):
+            rep = check_monoid_axioms(m)
+            if not rep.ok:
+                raise InputError(f"field {key!r}: not a relational monoid: {rep.summary()}")
         rel = in_field("rel", FinRel.from_pairs, src.carrier, dst.carrier, obj["rel"])
         return cls(src, dst, rel)
 
@@ -588,6 +592,9 @@ def is_lax_morphism(h: LaxMorphism) -> CheckReport:
     The converse direction, whether every target unit is the image of some
     source unit, is reported in details as "units_covered" but does not
     affect the verdict.
+
+    Assumes both endpoints are relational monoids and checks neither:
+    LaxMorphism.from_json refuses a file whose endpoints fail the axioms.
     """
     src, dst, rows = h.src, h.dst, h.rel.rows
     square = _square_witness(src, rows, dst)

@@ -749,10 +749,13 @@ def reflection_universal_by_every_endo(size):
     monoids = _pool_upto("relmonoid", size)
     covered = {}
     for i, m in enumerate(monoids):
-        endos = _lax_rels(m, m)
+        endos = [LaxMorphism(m, m, FinRel(m.carrier, m.carrier, rows)) for rows in _lax_rels(m, m)]
         for j, other in enumerate(monoids):
             orders = _gen_monad_orders(other)
-            arrows = _lax_rels(m, other)
+            arrows = [
+                LaxMorphism(m, other, FinRel(m.carrier, other.carrier, rows))
+                for rows in _lax_rels(m, other)
+            ]
             for endo in endos:
                 f = endo.rel
                 for cand in orders:

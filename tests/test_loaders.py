@@ -24,6 +24,7 @@ from relmon.report import InputError
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 TRIVIAL = {"carrier": 1, "units": [0], "mult": [[0, 0, 0]]}
+NO_UNIT = {"carrier": 1, "units": [0], "mult": []}  # loads, but fails the unit axiom
 CHAIN2_PAM = {"carrier": 2, "zero": 0, "plus": [[0, 0, 0], [0, 1, 1], [1, 0, 1]]}
 MO2_OML = json.loads((SAMPLES / "mo2_oml.json").read_text())
 MO2_SIM = SAMPLES / "mo2_identity_rel.json"
@@ -552,6 +553,20 @@ INDEX_AND_NESTED_ERRORS = {
         LaxMorphism,
         {"src": TRIVIAL, "dst": {}, "rel": []},
         "field 'dst': monoid JSON missing field 'carrier'",
+        ["check-adjoint", "{}"],
+    ),
+    "morphism-src-not-a-monoid": (
+        LaxMorphism,
+        {"src": NO_UNIT, "dst": NO_UNIT, "rel": [[0, 0]]},
+        "field 'src': not a relational monoid: monoid-axioms: FAIL clause=right-unit "
+        "witness=(0,) element 0 has no right unit",
+        ["check-morphism", "{}"],
+    ),
+    "morphism-dst-not-a-monoid": (
+        LaxMorphism,
+        {"src": TRIVIAL, "dst": NO_UNIT, "rel": [[0, 0]]},
+        "field 'dst': not a relational monoid: monoid-axioms: FAIL clause=right-unit "
+        "witness=(0,) element 0 has no right unit",
         ["check-adjoint", "{}"],
     ),
     "monad-base-not-an-object": (

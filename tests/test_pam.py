@@ -597,9 +597,7 @@ def test_dimension_clause_b_witness():
 
 def test_dimension_clause_b_matches_the_reference_scan():
     structures = [catalog.boolean_oml(k) for k in (1, 2, 3)] + [
-        OmlStructure(lat, ortho)
-        for lat in _pool_upto("lattice", 6)
-        for ortho in _orthocomplementations(lat)
+        s for lat in _pool_upto("lattice", 6) for s in _orthocomplementations(lat)
     ]
     failing = 0
     for s in structures:

@@ -42,7 +42,7 @@ from relmon.rel import (
     refl_trans_closure,
     transpose_rows,
 )
-from relmon.report import CheckReport, InputError
+from relmon.report import CheckReport, InputError, InternalCheckError, PreconditionError
 from relmon.search import (
     _UNSET,
     EnumSpec,
@@ -807,16 +807,18 @@ def test_reflection_universal_fails_with_the_every_endo_sweep(monkeypatch):
 
 
 def test_lax_rels_is_one_table_per_monoid_pair():
-    # the laws that read lax arrows share one table per (src, dst), with
-    # the rows the product filter keeps, in its order; _left_adjoints
-    # streams the left adjoints among them
+    # the laws that read lax arrows share one table per (src, dst), a
+    # tuple of row tuples, with the rows the product filter keeps, in its
+    # order; _left_adjoints streams the left adjoints among them
     monoids = _pool_upto("relmonoid", 2)
     total = adjoints = 0
     for src, dst in itertools.product(monoids, repeat=2):
         lax = _lax_rels(src, dst)
         assert _lax_rels(src, dst) is lax
+        assert type(lax) is tuple
+        assert all(type(rows) is tuple and all(type(r) is int for r in rows) for rows in lax)
         expect = oracles.lax_rels_by_filter(src, dst)
-        assert [h.rel.rows for h in lax] == expect
+        assert list(lax) == expect
         streamed = [h.rel.rows for h in _left_adjoints(src, dst)]
         assert streamed == oracles.left_adjoints_by_filter(src, dst, expect)
         total += len(lax)
@@ -832,7 +834,7 @@ def test_lax_rels_match_the_product_filter_at_size_three():
     total = adjoints = 0
     for src, dst in pairs:
         expect = oracles.lax_rels_by_filter(src, dst)
-        assert [h.rel.rows for h in _lax_rels(src, dst)] == expect
+        assert list(_lax_rels(src, dst)) == expect
         streamed = [h.rel.rows for h in _left_adjoints(src, dst)]
         assert streamed == oracles.left_adjoints_by_filter(src, dst, expect)
         total += len(expect)
@@ -976,7 +978,8 @@ def test_orthocomplementations_match_the_recursion():
     total = 0
     for lat in _pool_upto("lattice", 7):
         found = _orthocomplementations(lat)
-        assert found == oracles.orthocomplementations_by_recursion(lat)
+        assert all(s.lattice is lat for s in found)
+        assert [s.ortho for s in found] == oracles.orthocomplementations_by_recursion(lat)
         total += len(found)
     assert total == 6
 
@@ -1023,7 +1026,17 @@ def test_dimeq_square_shortcut_keeps_the_monad_verdict():
     assert set(clauses) >= {None, "square"}
 
 
-# law -> (name on laws, stand-in that breaks it, the whole report), one law per layer
+def raising(error, message):
+    """A stand-in kernel that raises error(message) whatever it is given."""
+
+    def stub(*args):
+        raise error(message)
+
+    return stub
+
+
+# law -> (name on laws, stand-in that breaks it, the whole report), one law
+# per layer, and the two laws whose kernels raise on a counterexample
 FORCED_FAILURES = {
     "left-adjoint-iff-map": (
         "_adjoint_witness",
@@ -1107,6 +1120,31 @@ FORCED_FAILURES = {
                 "order": {"dom": 1, "cod": 1, "pairs": [[0, 0]]},
                 "arrow": {"dom": 2, "cod": 1, "pairs": [[0, 0]]},
             },
+        },
+    ),
+    "unit-uniqueness": (
+        "right_unit_of",
+        raising(PreconditionError, "monoid axioms violated: element 0 has 0 right units"),
+        {
+            "check": "verify:unit-uniqueness",
+            "ok": False,
+            "failed": "law",
+            "message": "monoid axioms violated: element 0 has 0 right units",
+            "details": {
+                "monoid": {"carrier": 1, "units": [0], "mult": [[0, 0, 0]]},
+                "element": 0,
+            },
+        },
+    ),
+    "rdp-iff-monad": (
+        "has_rdp",
+        raising(InternalCheckError, "Riesz decomposition scan and the monad check disagree"),
+        {
+            "check": "verify:rdp-iff-monad",
+            "ok": False,
+            "failed": "law",
+            "message": "Riesz decomposition scan and the monad check disagree",
+            "details": {"pam": {"carrier": 1, "zero": 0, "plus": [[0, 0, 0]]}},
         },
     ),
     "quotient-pam-valid": (
