@@ -79,6 +79,7 @@ from .rel import (
     _adjoint_witness,
     _inclusion_witness,
     bits,
+    class_partition,
     compose_rows,
     is_equivalence,
     is_partial_order,
@@ -733,27 +734,46 @@ def _law_rdp_iff_monad(size: int, rng: random.Random) -> CheckReport:
 @_law("quotient-pam-valid", 5, 6)
 def _law_quotient_pam_valid(size: int, rng: random.Random) -> CheckReport:
     """quotients by valid congruences satisfy the axioms"""
+    # every quotient is built, but the axioms are decided once per distinct
+    # (zero, table), the whole of what their verdict reads; only passing
+    # tables are kept, so the first failing congruence is still the one named
     pams = _pool_upto("pam", size)
+    passed: set[tuple[int, tuple[int, ...]]] = set()
     for p in pams:
         for cand in _gen_congruences(p):
-            if not check_pam_axioms(quotient_pam(cand)).ok:
+            q = quotient_pam(cand)
+            key = (q.zero, q.plus)
+            if key in passed:
+                continue
+            if not check_pam_axioms(q).ok:
                 return _fail(
                     "quotient by a valid congruence fails the axioms",
                     congruence=cand.to_json(),
                 )
+            passed.add(key)
     return _pass(pams_checked=len(pams))
 
 
 @_law("adjoint-induces-congruence", 4, 5)
 def _law_adjoint_induces_congruence(size: int, rng: random.Random) -> CheckReport:
     """left adjoints between partial-addition monoids induce congruences"""
+    # the induced relation is the kernel of the map, fixed by its source and
+    # its fibre partition, so the congruence is decided once per partition
+    # of each source; only passing partitions are kept, so the first failing
+    # adjoint is still the one named
     monoids = [to_relmonoid(p) for p in _pool_upto("pam", size)]
     adjoints = 0
-    for msrc, mdst in product(monoids, repeat=2):
-        for h in _left_adjoints(msrc, mdst):
-            adjoints += 1
-            if not adjoint_induces_c1c2c5(h).ok:
-                return _fail("a left adjoint induces a non-congruence", morphism=h.to_json())
+    for msrc in monoids:
+        passed: set[tuple[int, ...]] = set()
+        for mdst in monoids:
+            for h in _left_adjoints(msrc, mdst):
+                adjoints += 1
+                key = tuple(class_partition(h.rel.rows)[0])
+                if key in passed:
+                    continue
+                if not adjoint_induces_c1c2c5(h).ok:
+                    return _fail("a left adjoint induces a non-congruence", morphism=h.to_json())
+                passed.add(key)
     return _pass(adjoints_checked=adjoints)
 
 

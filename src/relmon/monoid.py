@@ -777,6 +777,7 @@ def monad_reflection(m: RelMonoid, f: FinRel) -> MonadCandidate:
     is the least preorder above f, so it is the reflection of (m, f) into
     monads.
     """
+    check_monoid_axioms(m).require("base is not a relational monoid")
     is_lax_morphism(LaxMorphism(m, m, f)).require("not a lax endomorphism")
     return MonadCandidate(m, refl_trans_closure(f))
 

@@ -38,14 +38,19 @@ star-star and dimension-equivalence code replaced by the one witness each
 definition forces. adjoint_witness_by_composites is the adjunction scan
 that composed the whole counit before it scanned, and
 reflection_universal_by_every_endo the reflection sweep over every
-endomorphism that the law reduced to one per box. Slow on purpose; keep
-carriers tiny.
+endomorphism that the law reduced to one per box.
+quotient_pam_valid_by_every_quotient and
+adjoint_induces_congruence_by_every_adjoint are the quotient-pam-valid and
+adjoint-induces-congruence sweeps before they decided each distinct
+quotient table, and each induced partition per source, once; they take the
+checker as an argument, so a test can plant a failure in both. Slow on
+purpose; keep carriers tiny.
 """
 
 from functools import lru_cache
 from itertools import permutations, product
 
-from relmon.laws import _lax_rels
+from relmon.laws import _lax_rels, _left_adjoints
 from relmon.monoid import (
     LaxMorphism,
     RelMonoid,
@@ -59,8 +64,10 @@ from relmon.pam import (
     PartialAbelianMonoid,
     _join_of,
     _orthogonal_families,
+    adjoint_induces_c1c2c5,
     check_pam_axioms,
     is_dimension_equivalence,
+    quotient_pam,
     to_relmonoid,
     validate_oml,
 )
@@ -68,6 +75,7 @@ from relmon.rel import Carrier, FinRel, bits, compose_rows
 from relmon.rel import is_equivalence as is_equivalence_rel
 from relmon.report import CheckReport
 from relmon.search import (
+    _gen_congruences,
     _gen_monad_orders,
     _is_lattice_rows,
     _labeled_posets,
@@ -768,6 +776,38 @@ def reflection_universal_by_every_endo(size):
                         key = (i, j, cand.order.rows, u.rel.rows)
                         covered.setdefault(key, []).append(f.rows)
     return None, covered
+
+
+def quotient_pam_valid_by_every_quotient(size, check=check_pam_axioms):
+    """The quotient-pam-valid report, with check run on the quotient by every
+    congruence of every PAM up to size, in enumeration order."""
+    pams = _pool_upto("pam", size)
+    for p in pams:
+        for cand in _gen_congruences(p):
+            if not check(quotient_pam(cand)).ok:
+                return CheckReport.failing(
+                    "verify:quotient-pam-valid", "law", None,
+                    "quotient by a valid congruence fails the axioms",
+                    congruence=cand.to_json(),
+                )
+    return CheckReport.passing("verify:quotient-pam-valid", pams_checked=len(pams))
+
+
+def adjoint_induces_congruence_by_every_adjoint(size, check=adjoint_induces_c1c2c5):
+    """The adjoint-induces-congruence report, with check run on every left
+    adjoint between the monoids of the PAMs up to size, in enumeration order."""
+    monoids = [to_relmonoid(p) for p in _pool_upto("pam", size)]
+    adjoints = 0
+    for msrc, mdst in product(monoids, repeat=2):
+        for h in _left_adjoints(msrc, mdst):
+            adjoints += 1
+            if not check(h).ok:
+                return CheckReport.failing(
+                    "verify:adjoint-induces-congruence", "law", None,
+                    "a left adjoint induces a non-congruence",
+                    morphism=h.to_json(),
+                )
+    return CheckReport.passing("verify:adjoint-induces-congruence", adjoints_checked=adjoints)
 
 
 def square_witness_by_search(src, rows, dst, triples=None):

@@ -251,6 +251,17 @@ def test_reflect_to_stdout(capsys):
     assert json.loads(out)["base"]["carrier"] == 9
 
 
+def test_reflect_rejects_a_base_that_is_not_a_monoid(tmp_path, capsys):
+    # element 0 has no unit, so the base fails the monoid axioms as it does
+    # for check-monad
+    bad = {"base": {"carrier": 1, "units": [0], "mult": []}, "order": [[0, 0]]}
+    path = write_json(tmp_path, "bad.json", bad)
+    for command in ("reflect", "check-monad"):
+        code, out, err = run(capsys, command, path)
+        assert code == 2 and out == ""
+        assert "base is not a relational monoid" in err, command
+
+
 def test_quotient_round_trip(tmp_path, capsys):
     out_path = tmp_path / "quot.json"
     code, _, _ = run(capsys, "quotient", SAMPLES / "boolean22_congruence.json", "--out", out_path)

@@ -131,6 +131,12 @@ CASES = {
         (Z2, BAD_ENDO),
         f"not a lax endomorphism: {SQUARE_FAIL}",
     ),
+    "monad_reflection-not-monoid": (
+        monad_reflection,
+        (NOT_MONOID, FinRel.identity(Carrier(1))),
+        "base is not a relational monoid: monoid-axioms: FAIL clause=right-unit "
+        "witness=(0,) element 0 has no right unit",
+    ),
     "adjoint_induces_c1c2c5-not-lax": (
         adjoint_induces_c1c2c5,
         (NOT_LAX,),

@@ -32,6 +32,7 @@ from relmon.pam import (
     check_congruence,
     check_pam_axioms,
     oml_as_effect_algebra,
+    quotient_pam,
     to_relmonoid,
 )
 from relmon.rel import (
@@ -39,6 +40,7 @@ from relmon.rel import (
     FinRel,
     bits,
     is_partial_order,
+    kernel,
     refl_trans_closure,
     transpose_rows,
 )
@@ -843,10 +845,9 @@ def test_lax_rels_match_the_product_filter_at_size_three():
     assert adjoints == 15  # recorded regression value
 
 
-def test_sweeps_call_no_checker_per_candidate(monkeypatch):
-    # the congruence, monad-order and lax-morphism sweeps decide each
-    # candidate by the kernels their checkers report from, never through
-    # the checkers, so no candidate is validated twice
+def count_calls(monkeypatch, checks, modules=(monoid, search, laws, pam)):
+    """A Counter of the calls, by name, to each of checks through every one
+    of modules that imports it."""
     calls = collections.Counter()
 
     def counted(check):
@@ -856,12 +857,19 @@ def test_sweeps_call_no_checker_per_candidate(monkeypatch):
             return check(*args)
         return wrapper
 
-    checks = (pam.check_congruence, monoid.is_monad, monoid._monad_conditions,
-              monoid.is_lax_morphism)
     for check in checks:
-        for module in (monoid, search, laws, pam):
+        for module in modules:
             if hasattr(module, check.__name__):
                 monkeypatch.setattr(module, check.__name__, counted(check))
+    return calls
+
+
+def test_sweeps_call_no_checker_per_candidate(monkeypatch):
+    # the congruence, monad-order and lax-morphism sweeps decide each
+    # candidate by the kernels their checkers report from, never through
+    # the checkers, so no candidate is validated twice
+    calls = count_calls(monkeypatch, (pam.check_congruence, monoid.is_monad,
+                                      monoid._monad_conditions, monoid.is_lax_morphism))
     pams = [PartialAbelianMonoid(p.carrier, p.zero, p.plus) for p in _pool_upto("pam", 4)]
     assert sum(len(_congruence_rows(p)) for p in pams) == 343
     monoids = _pool_upto("relmonoid", 2)
@@ -883,29 +891,91 @@ def test_adjoint_transpose_lax_holds_at_its_max_size():
 
 
 def test_adjoint_law_checks_each_adjoint_once(monkeypatch):
-    # adjoint-induces-congruence@4 asks is_left_adjoint_relmon once per
-    # adjoint the search yields, through induced_monad, and reads the
-    # verdict the search handed on: the checker's body, which calls
+    # adjoint-induces-congruence@4 counts all 1,493 adjoints the search
+    # yields but decides the induced congruence once for each of the 135
+    # distinct (source, fibre partition) pairs: each asks
+    # is_left_adjoint_relmon once, through induced_monad, and reads the
+    # verdict the search handed on, so the checker's body, which calls
     # is_lax_morphism and _factorization_witness, runs on no adjoint; the
     # congruence check of each induced relation is the law's own claim
-    calls = collections.Counter()
-
-    def counted(check):
-        @functools.wraps(check)
-        def wrapper(*args):
-            calls[check.__name__] += 1
-            return check(*args)
-        return wrapper
-
-    checks = (monoid.is_left_adjoint_relmon, monoid.is_lax_morphism,
-              monoid._factorization_witness, pam.check_congruence)
-    for check in checks:
-        for module in (monoid, search, laws, pam):
-            if hasattr(module, check.__name__):
-                monkeypatch.setattr(module, check.__name__, counted(check))
+    calls = count_calls(monkeypatch, (monoid.is_left_adjoint_relmon, monoid.is_lax_morphism,
+                                      monoid._factorization_witness, pam.check_congruence))
     rep = verify_universal("adjoint-induces-congruence", size=4)
     assert rep.details == {"adjoints_checked": 1493}
-    assert calls == {"is_left_adjoint_relmon": 1493, "check_congruence": 1493}
+    assert calls == {"is_left_adjoint_relmon": 135, "check_congruence": 135}
+
+
+def test_quotient_law_checks_each_quotient_table_once(monkeypatch):
+    # quotient-pam-valid@5 builds the quotient by each of the 2,917
+    # congruences of the PAMs up to 5 points, and runs the axioms once on
+    # each of the 412 distinct (zero, table) pairs among them
+    calls = count_calls(monkeypatch, (quotient_pam, check_pam_axioms), modules=(laws,))
+    assert verify_universal("quotient-pam-valid", size=5).ok
+    assert calls == {"quotient_pam": 2917, "check_pam_axioms": 412}
+
+
+@pytest.mark.parametrize("key, size, oracle", [
+    ("quotient-pam-valid", 5, oracles.quotient_pam_valid_by_every_quotient),
+    ("adjoint-induces-congruence", 4, oracles.adjoint_induces_congruence_by_every_adjoint),
+])
+def test_congruence_laws_report_as_their_every_item_sweeps(key, size, oracle):
+    assert verify_universal(key, size=size) == oracle(size)
+
+
+def planted_failure(check, fails):
+    """check, but failing on every argument that fails picks."""
+    def planted(x):
+        if fails(x):
+            return CheckReport.failing("planted", "planted", None)
+        return check(x)
+    return planted
+
+
+def first_appearances(keys):
+    """The distinct keys, in order of first appearance, each with the
+    distinct keys before it."""
+    distinct = list(dict.fromkeys(keys))
+    return [(k, distinct[:i]) for i, k in enumerate(distinct)]
+
+
+@pytest.mark.parametrize("pick", [0, -1])
+def test_quotient_law_names_the_first_congruence_onto_a_planted_failing_table(monkeypatch, pick):
+    # the planted table first appears after another table of its size has
+    # passed, so a key coarser than the table, such as its size, skips it
+    tables = first_appearances(
+        (q.zero, q.plus)
+        for p in _pool_upto("pam", 5)
+        for q in map(quotient_pam, _gen_congruences(p))
+    )
+    bad = [t for t, before in tables if any(len(e[1]) == len(t[1]) for e in before)][pick]
+    check = planted_failure(check_pam_axioms, lambda q: (q.zero, q.plus) == bad)
+    monkeypatch.setattr(laws, "check_pam_axioms", check)
+    rep = verify_universal("quotient-pam-valid", size=5)
+    assert not rep.ok
+    assert rep == oracles.quotient_pam_valid_by_every_quotient(5, check)
+
+
+@pytest.mark.parametrize("pick", [0, -1])
+def test_adjoint_law_names_the_first_adjoint_onto_a_planted_failing_partition(monkeypatch, pick):
+    # the planted (source, kernel) pair first appears after the same kernel
+    # has passed on an earlier source, so a partition key shared across
+    # sources skips it
+    monoids = [to_relmonoid(p) for p in _pool_upto("pam", 4)]
+    kernels = first_appearances(
+        (i, kernel(h.rel).rows)
+        for i, msrc in enumerate(monoids)
+        for mdst in monoids
+        for h in _left_adjoints(msrc, mdst)
+    )
+    bad = [k for k, before in kernels if any(e[1] == k[1] for e in before)][pick]
+    src, rows = monoids[bad[0]], bad[1]
+    check = planted_failure(
+        pam.adjoint_induces_c1c2c5, lambda h: h.src == src and kernel(h.rel).rows == rows
+    )
+    monkeypatch.setattr(laws, "adjoint_induces_c1c2c5", check)
+    rep = verify_universal("adjoint-induces-congruence", size=4)
+    assert not rep.ok
+    assert rep == oracles.adjoint_induces_congruence_by_every_adjoint(4, check)
 
 
 def factor_counts(m):
