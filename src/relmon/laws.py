@@ -6,11 +6,11 @@ Each law registers itself where it is defined, with its key and size bounds.
 Most laws are exhaustive; compose-associativity, dagger-laws and
 product-functorial also draw random relations from the seeded generator.
 Beside the laws live the helpers only laws call: the lax relations between
-two monoids, cached as row tables that a law wraps in a relation only for a
-checker or a witness, the left adjoints between them, the
-orthocomplementations of a lattice as the structures validate_oml passed,
-lattice homomorphisms, finite categories, and the naive filters
-enumeration-complete compares with.
+two monoids, cached as row tables, and the left adjoints between them, as
+image tables, which a law wraps in a relation only for a checker or a
+witness; the orthocomplementations of a lattice as the structures
+validate_oml passed, lattice homomorphisms, finite categories, and the naive
+filters enumeration-complete compares with.
 
 search.verify_universal and search.property_keys import this module when
 first called, so enumeration alone compiles no law.
@@ -50,7 +50,6 @@ from .monoid import (
     is_monad,
     left_unit_of,
     monad_from_adjunction_conditions,
-    monad_reflection,
     quotient_pairs,
     quotient_relmonoid,
     right_unit_of,
@@ -88,7 +87,7 @@ from .rel import (
     product_rel,
     refl_trans_closure,
 )
-from .report import CheckReport, InternalCheckError, PreconditionError, record_verdict
+from .report import CheckReport, InternalCheckError, PreconditionError
 from .search import (
     _UNSET,
     _equivalence_rows,
@@ -371,9 +370,10 @@ def _law_adjoint_transpose_lax(size: int, rng: random.Random) -> CheckReport:
     """the transpose of a left adjoint is a lax morphism"""
     monoids = _pool_upto("relmonoid", size)
     for src, dst in product(monoids, repeat=2):
-        for h in _left_adjoints(src, dst):
-            if not is_lax_morphism(LaxMorphism(dst, src, h.rel.dagger())).ok:
-                return _fail("transpose of a left adjoint is not lax", morphism=h.to_json())
+        for rel in (_graph(t, dst.n) for t in _left_adjoints(src, dst)):
+            if not is_lax_morphism(LaxMorphism(dst, src, rel.dagger())).ok:
+                morphism = LaxMorphism(src, dst, rel).to_json()
+                return _fail("transpose of a left adjoint is not lax", morphism=morphism)
     return _pass()
 
 
@@ -396,9 +396,9 @@ def _lax_rels(src: RelMonoid, dst: RelMonoid) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, _fill(rows, [(a,) for a in range(src.n)], values, ok)))
 
 
-def _left_adjoints(src: RelMonoid, dst: RelMonoid) -> Iterator[LaxMorphism]:
-    """The left adjoints src -> dst in _lax_rels order, uncached, each
-    carrying the passing verdict of is_left_adjoint_relmon. A left adjoint
+def _left_adjoints(src: RelMonoid, dst: RelMonoid) -> Iterator[tuple[int, ...]]:
+    """The left adjoints src -> dst in _lax_rels order, uncached, each as
+    the tuple of its images, f[a] per element a of src. A left adjoint
     reflects units, and its square and factorization map the factor pairs of
     a onto those of f[a]; so _fill gives f[a] each unit of dst when a is a
     unit and each non-unit otherwise, of no more factor pairs than a, and
@@ -421,11 +421,8 @@ def _left_adjoints(src: RelMonoid, dst: RelMonoid) -> Iterator[LaxMorphism]:
         square = _map_square_witness(f, dpm, m, due[k])
         return square is None and not any(_unlifted(f, dfm, m, lifts[k]))
 
-    passed = CheckReport.passing("left-adjoint")
     for t in _fill(f, [(a,) for a in range(src.n)], values, ok):
-        h = LaxMorphism(src, dst, FinRel(src.carrier, dst.carrier, tuple(1 << b for b in t)))
-        record_verdict(is_left_adjoint_relmon, h, passed)
-        yield h
+        yield tuple(t)
 
 
 @_law("morphism-closure-ops", 2, 2)
@@ -538,7 +535,8 @@ def _law_reflection_least(size: int, rng: random.Random) -> CheckReport:
     for m in _pool_upto("relmonoid", size):
         orders = [c.order for c in _gen_monad_orders(m)]
         for f in (FinRel(m.carrier, m.carrier, rows) for rows in _lax_rels(m, m)):
-            cand = monad_reflection(m, f)
+            # _lax_rels proved f lax, so its reflection is its closure
+            cand = MonadCandidate(m, refl_trans_closure(f))
             if not is_monad(cand).ok or not cand.order.contains(f):
                 return _fail(
                     "closure of a lax endomorphism is not a monad order over it",
@@ -759,18 +757,19 @@ def _law_adjoint_induces_congruence(size: int, rng: random.Random) -> CheckRepor
     """left adjoints between partial-addition monoids induce congruences"""
     # the induced relation is the kernel of the map, fixed by its source and
     # its fibre partition, so the congruence is decided once per partition
-    # of each source; only passing partitions are kept, so the first failing
-    # adjoint is still the one named
+    # of each source, on the first adjoint with it; only passing partitions
+    # are kept, so the first failing adjoint is still the one named
     monoids = [to_relmonoid(p) for p in _pool_upto("pam", size)]
     adjoints = 0
     for msrc in monoids:
         passed: set[tuple[int, ...]] = set()
         for mdst in monoids:
-            for h in _left_adjoints(msrc, mdst):
+            for t in _left_adjoints(msrc, mdst):
                 adjoints += 1
-                key = tuple(class_partition(h.rel.rows)[0])
+                key = tuple(class_partition(t)[0])
                 if key in passed:
                     continue
+                h = LaxMorphism(msrc, mdst, _graph(t, mdst.n))
                 if not adjoint_induces_c1c2c5(h).ok:
                     return _fail("a left adjoint induces a non-congruence", morphism=h.to_json())
                 passed.add(key)

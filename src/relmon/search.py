@@ -36,7 +36,6 @@ from .monoid import (
     _square_witness,
     _stray_unit_image,
     check_monoid_axioms,
-    is_monad,
 )
 from .pam import (
     CongruenceCandidate,
@@ -460,18 +459,6 @@ def _preorders(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _passed(kind: type, base: object, rows: Iterable, check: Callable, name: str) -> list:
-    """kind(base, relation) for each of the rows a sweep kept, carrying the
-    passing verdict, named name, of check, which later preconditions read."""
-    carrier, passed = base.carrier, CheckReport.passing(name)
-    out = []
-    for r in rows:
-        cand = kind(base, FinRel(carrier, carrier, r))
-        record_verdict(check, cand, passed)
-        out.append(cand)
-    return out
-
-
 def _gen_monad_orders(base: RelMonoid) -> list[MonadCandidate]:
     """The monad orders on a valid base, in _preorders order: the preorders
     that _monad_conditions' kernels, _stray_unit_image and _square_witness,
@@ -479,11 +466,12 @@ def _gen_monad_orders(base: RelMonoid) -> list[MonadCandidate]:
     rep = check_monoid_axioms(base)
     if not rep.ok:
         raise InputError(f"base is not a relational monoid: {rep.summary()}")
-    orders = (
-        r for r in _preorders(base.n)
+    carrier = base.carrier
+    return [
+        MonadCandidate(base, FinRel(carrier, carrier, r))
+        for r in _preorders(base.n)
         if _stray_unit_image(base, r, base) is None and _square_witness(base, r, base) is None
-    )
-    return _passed(MonadCandidate, base, orders, is_monad, "monad")
+    ]
 
 
 @cached_verdict
@@ -500,8 +488,14 @@ def _gen_congruences(base: PartialAbelianMonoid) -> list[CongruenceCandidate]:
     rep = check_pam_axioms(base)
     if not rep.ok:
         raise InputError(f"base is not a partial abelian monoid: {rep.summary()}")
-    rows = _congruence_rows(base)
-    return _passed(CongruenceCandidate, base, rows, check_congruence, "congruence")
+    # each carries the passing verdict that later preconditions read
+    carrier, passed = base.carrier, CheckReport.passing("congruence")
+    out = []
+    for r in _congruence_rows(base):
+        cand = CongruenceCandidate(base, FinRel(carrier, carrier, r))
+        record_verdict(check_congruence, cand, passed)
+        out.append(cand)
+    return out
 
 
 # ---------------------------------------------------------------------------

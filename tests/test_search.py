@@ -2,8 +2,10 @@
 
 import collections
 import functools
+import hashlib
 import heapq
 import itertools
+import json
 import random
 import types
 from math import factorial
@@ -307,7 +309,7 @@ def test_monad_orders_are_monads():
 
 def test_monad_orders_are_the_monad_filter_over_preorders():
     # every labeled relational monoid up to 3 points: the kernel sweep keeps
-    # the preorders is_monad passes, in order, each with that verdict
+    # the preorders is_monad passes, in order
     for n in range(4):
         carrier = Carrier(n)
         for base in _pool("relmonoid", n, False):
@@ -318,8 +320,27 @@ def test_monad_orders_are_the_monad_filter_over_preorders():
             ]
             orders = _gen_monad_orders(base)
             assert [c.order.rows for c in orders] == expect
-            for c in orders:
-                assert c.__dict__["is_monad"] == is_monad(MonadCandidate(base, c.order))
+
+
+@pytest.mark.parametrize("kind, pool, count, digest", [
+    ("monad-order", ("relmonoid", 3), 821,
+     "6c648e1fc731d5b7fc5a6a3c23b66805d5ab4b0999502ae6bfb6c17c1735d432"),
+    ("congruence", ("pam", 5), 2917,
+     "9d61d6e81903d1dc23ba83341e186a50f6df9b9d48d7dd5e8363d5f36239fe0e"),
+])
+def test_based_streams_are_pinned(kind, pool, count, digest):
+    # recorded regression values: the stream of a based kind over every
+    # class of its base kind, bases in pool order, each structure as a
+    # compact JSON line, as relmon enumerate prints it
+    h = hashlib.sha256()
+    structures = 0
+    for base in _pool_upto(*pool):
+        for s in enumerate_structures(EnumSpec(kind, base.n, base)):
+            line = json.dumps(s.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
+            h.update(line.encode())
+            structures += 1
+    assert structures == count
+    assert h.hexdigest() == digest
 
 
 def test_monad_orders_reject_broken_base():
@@ -627,8 +648,14 @@ def test_pam_generation_matches_brute_filter(n):
     assert sorted(p.plus for p in _gen_pams(n, False)) == oracles.pams_by_filter(n)
 
 
-def images(h):
-    return tuple(r.bit_length() - 1 for r in h.rel.rows)
+def adjoint_morphism(src, dst, images):
+    """The map src -> dst with the given images, as a lax morphism."""
+    return LaxMorphism(src, dst, FinRel(src.carrier, dst.carrier, tuple(1 << b for b in images)))
+
+
+def adjoint_rows(src, dst):
+    """The row table of each left adjoint src -> dst the search yields."""
+    return [tuple(1 << b for b in t) for t in _left_adjoints(src, dst)]
 
 
 def test_additive_maps_match_product_filter():
@@ -638,7 +665,7 @@ def test_additive_maps_match_product_filter():
     # the fiber scan finds left adjoint
     total = streamed = 0
     for _, _, msrc, mdst, maps in oracles.additive_map_reports(4):
-        adjoints = [images(h) for h in _left_adjoints(msrc, mdst)]
+        adjoints = list(_left_adjoints(msrc, mdst))
         assert adjoints == [values for values, rep in maps if rep.ok]
         total += len(maps)
         streamed += len(adjoints)
@@ -773,6 +800,32 @@ def test_reflection_least_holds_at_its_max_size():
     assert verify_universal("reflection-least", size=3).ok
 
 
+@pytest.mark.parametrize("pick", [0, -1])
+def test_reflection_least_names_the_first_endo_onto_a_planted_failing_closure(monkeypatch, pick):
+    # the planted (monoid, closure) pair closes more than one lax
+    # endomorphism, the first of them not its monoid's first, so the law
+    # must name that first one, in pool then _lax_rels order
+    monoids = _pool_upto("relmonoid", 2)
+    endos = [
+        (i, FinRel(m.carrier, m.carrier, rows))
+        for i, m in enumerate(monoids)
+        for rows in _lax_rels(m, m)
+    ]
+    keys = [(i, refl_trans_closure(f).rows) for i, f in endos]
+    counts = collections.Counter(keys)
+    firsts = {i: key for (i, _), key in zip(reversed(endos), reversed(keys))}
+    bad = [k for k in dict.fromkeys(keys) if counts[k] > 1 and k != firsts[k[0]]][pick]
+    m, endo = monoids[bad[0]], endos[keys.index(bad)][1]
+    check = planted_failure(is_monad, lambda c: c.base == m and c.order.rows == bad[1])
+    monkeypatch.setattr(laws, "is_monad", check)
+    rep = verify_universal("reflection-least", size=2)
+    assert rep == CheckReport.failing(
+        "verify:reflection-least", "law", None,
+        "closure of a lax endomorphism is not a monad order over it",
+        monoid=m.to_json(), endo=endo.to_json(),
+    )
+
+
 def test_reflection_universal_checks_the_union_of_every_cocone(monkeypatch):
     # the law closes one endomorphism per box: the union of the endos that
     # the sweep over every endo checks at some (order, arrow), and every
@@ -821,7 +874,7 @@ def test_lax_rels_is_one_table_per_monoid_pair():
         assert all(type(rows) is tuple and all(type(r) is int for r in rows) for rows in lax)
         expect = oracles.lax_rels_by_filter(src, dst)
         assert list(lax) == expect
-        streamed = [h.rel.rows for h in _left_adjoints(src, dst)]
+        streamed = adjoint_rows(src, dst)
         assert streamed == oracles.left_adjoints_by_filter(src, dst, expect)
         total += len(lax)
         adjoints += len(streamed)
@@ -837,7 +890,7 @@ def test_lax_rels_match_the_product_filter_at_size_three():
     for src, dst in pairs:
         expect = oracles.lax_rels_by_filter(src, dst)
         assert list(_lax_rels(src, dst)) == expect
-        streamed = [h.rel.rows for h in _left_adjoints(src, dst)]
+        streamed = adjoint_rows(src, dst)
         assert streamed == oracles.left_adjoints_by_filter(src, dst, expect)
         total += len(expect)
         adjoints += len(streamed)
@@ -885,7 +938,7 @@ def test_adjoint_transpose_lax_holds_at_its_max_size():
     assert verify_universal("adjoint-transpose-lax", size=3).ok
     adjoints = 0
     for src, dst, expect in oracles.relmonoid_left_adjoints(3):
-        assert [h.rel.rows for h in _left_adjoints(src, dst)] == expect
+        assert adjoint_rows(src, dst) == expect
         adjoints += len(expect)
     assert adjoints == 1054
 
@@ -893,16 +946,16 @@ def test_adjoint_transpose_lax_holds_at_its_max_size():
 def test_adjoint_law_checks_each_adjoint_once(monkeypatch):
     # adjoint-induces-congruence@4 counts all 1,493 adjoints the search
     # yields but decides the induced congruence once for each of the 135
-    # distinct (source, fibre partition) pairs: each asks
-    # is_left_adjoint_relmon once, through induced_monad, and reads the
-    # verdict the search handed on, so the checker's body, which calls
-    # is_lax_morphism and _factorization_witness, runs on no adjoint; the
+    # distinct (source, fibre partition) pairs: each builds its morphism
+    # and asks is_left_adjoint_relmon once, through induced_monad, whose
+    # body calls is_lax_morphism and _factorization_witness once; the
     # congruence check of each induced relation is the law's own claim
     calls = count_calls(monkeypatch, (monoid.is_left_adjoint_relmon, monoid.is_lax_morphism,
                                       monoid._factorization_witness, pam.check_congruence))
     rep = verify_universal("adjoint-induces-congruence", size=4)
     assert rep.details == {"adjoints_checked": 1493}
-    assert calls == {"is_left_adjoint_relmon": 135, "check_congruence": 135}
+    assert calls == {"is_left_adjoint_relmon": 135, "is_lax_morphism": 135,
+                     "_factorization_witness": 135, "check_congruence": 135}
 
 
 def test_quotient_law_checks_each_quotient_table_once(monkeypatch):
@@ -962,10 +1015,10 @@ def test_adjoint_law_names_the_first_adjoint_onto_a_planted_failing_partition(mo
     # sources skips it
     monoids = [to_relmonoid(p) for p in _pool_upto("pam", 4)]
     kernels = first_appearances(
-        (i, kernel(h.rel).rows)
+        (i, kernel(adjoint_morphism(msrc, mdst, t).rel).rows)
         for i, msrc in enumerate(monoids)
         for mdst in monoids
-        for h in _left_adjoints(msrc, mdst)
+        for t in _left_adjoints(msrc, mdst)
     )
     bad = [k for k, before in kernels if any(e[1] == k[1] for e in before)][pick]
     src, rows = monoids[bad[0]], bad[1]
@@ -1020,24 +1073,25 @@ def test_left_adjoints_match_the_filter_between_size_five_pams():
         msrc, mdst = to_relmonoid(psrc), to_relmonoid(pdst)
         additive = oracles.additive_maps_by_filter(psrc, pdst)
         tables = [tuple(1 << v for v in values) for values in additive]
-        streamed = [h.rel.rows for h in _left_adjoints(msrc, mdst)]
+        streamed = adjoint_rows(msrc, mdst)
         assert streamed == oracles.left_adjoints_by_filter(msrc, mdst, tables)
         adjoints += len(streamed)
     assert adjoints == 88  # recorded regression value
 
 
-def test_left_adjoints_carry_the_checkers_verdict():
-    # each left adjoint the search yields carries the report that the
-    # body of is_left_adjoint_relmon gives it, for later preconditions to
-    # read, over the PAM classes up to 4 and the monoid classes up to 3
+def test_left_adjoints_pass_the_checker():
+    # each image table the search yields, as a lax morphism, passes the
+    # body of is_left_adjoint_relmon, run uncached, over the PAM classes up
+    # to 4 and the monoid classes up to 3: the search yields only left adjoints
     pams = [to_relmonoid(p) for p in _pool_upto("pam", 4)]
     monoids = _pool_upto("relmonoid", 3)
     pairs = [*itertools.product(pams, repeat=2), *itertools.product(monoids, repeat=2)]
     adjoints = 0
     for src, dst in pairs:
-        for h in _left_adjoints(src, dst):
-            carried = h.__dict__["is_left_adjoint_relmon"]
-            assert carried.to_json() == is_left_adjoint_relmon.__wrapped__(h).to_json()
+        for t in _left_adjoints(src, dst):
+            h = adjoint_morphism(src, dst, t)
+            assert is_left_adjoint_relmon.__wrapped__(h) == CheckReport.passing("left-adjoint")
+            assert "is_left_adjoint_relmon" not in vars(h)
             adjoints += 1
     assert adjoints == 1493 + 1054
 
