@@ -5,12 +5,14 @@ the first counterexample, in enumeration order, with a full serialization.
 Each law registers itself where it is defined, with its key and size bounds.
 Most laws are exhaustive; compose-associativity, dagger-laws and
 product-functorial also draw random relations from the seeded generator.
-Beside the laws live the helpers only laws call: the lax relations between
-two monoids, cached as row tables, and the left adjoints between them, as
-image tables, which a law wraps in a relation only for a checker or a
-witness; the orthocomplementations of a lattice as the structures
-validate_oml passed, lattice homomorphisms, finite categories, and the naive
-filters enumeration-complete compares with.
+The congruence laws sweep the class rows search keeps on each PAM, and
+build a congruence only to name a failing one. Beside the laws live the
+helpers only laws call: the lax relations between two monoids, cached as
+row tables, and the left adjoints between them, as image tables, which a law
+wraps in a relation only for a checker or a witness; the
+orthocomplementations of a lattice as the structures validate_oml passed,
+lattice homomorphisms, finite categories, and the naive filters
+enumeration-complete compares with.
 
 search.verify_universal and search.property_keys import this module when
 first called, so enumeration alone compiles no law.
@@ -66,11 +68,11 @@ from .pam import (
     is_effect_algebra,
     is_gea,
     oml_as_effect_algebra,
-    quotient_map_is_left_adjoint,
-    quotient_pam,
     to_relmonoid,
     validate_oml,
     _decomposition_witness,
+    _quotient,
+    _quotient_map_report,
 )
 from .rel import (
     Carrier,
@@ -90,6 +92,7 @@ from .rel import (
 from .report import CheckReport, InternalCheckError, PreconditionError
 from .search import (
     _UNSET,
+    _congruence_rows,
     _equivalence_rows,
     _fill,
     _gen_congruences,
@@ -738,15 +741,15 @@ def _law_quotient_pam_valid(size: int, rng: random.Random) -> CheckReport:
     pams = _pool_upto("pam", size)
     passed: set[tuple[int, tuple[int, ...]]] = set()
     for p in pams:
-        for cand in _gen_congruences(p):
-            q = quotient_pam(cand)
+        for rows in _congruence_rows(p):
+            q = _quotient(p, rows)[0]
             key = (q.zero, q.plus)
             if key in passed:
                 continue
             if not check_pam_axioms(q).ok:
                 return _fail(
                     "quotient by a valid congruence fails the axioms",
-                    congruence=cand.to_json(),
+                    congruence=_congruence(p, rows).to_json(),
                 )
             passed.add(key)
     return _pass(pams_checked=len(pams))
@@ -781,16 +784,21 @@ def _law_faithful_congruence_adjoint(size: int, rng: random.Random) -> CheckRepo
     """zero-faithful congruences give left-adjoint quotient maps"""
     pams = _pool_upto("pam", size)
     for p in pams:
-        for cand in _gen_congruences(p):
-            if cand.classes.rows[p.zero] != 1 << p.zero:
+        for rows in _congruence_rows(p):
+            if rows[p.zero] != 1 << p.zero:
                 continue
-            rep = quotient_map_is_left_adjoint(cand)
+            rep = _quotient_map_report(p, rows)
             if not rep.ok or not rep.details.get("induced_equals_classes"):
                 return _fail(
                     "a zero-faithful congruence fails to give a left-adjoint quotient map",
-                    congruence=cand.to_json(),
+                    congruence=_congruence(p, rows).to_json(),
                 )
     return _pass(pams_checked=len(pams))
+
+
+def _congruence(p: PartialAbelianMonoid, rows: tuple[int, ...]) -> CongruenceCandidate:
+    """The congruence with these class rows on p, for a failing report."""
+    return CongruenceCandidate(p, FinRel(p.carrier, p.carrier, rows))
 
 
 def _orthocomplementations(lat: FinLattice) -> list[OmlStructure]:

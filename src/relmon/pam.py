@@ -483,14 +483,15 @@ def quotient_pam(c: CongruenceCandidate) -> PartialAbelianMonoid:
     all representative choices are re-verified to agree, a disagreement
     raises an internal error.
     """
-    return _quotient(c)[0]
-
-
-def _quotient(c: CongruenceCandidate) -> tuple[PartialAbelianMonoid, list[int]]:
-    """quotient_pam's quotient and the index of each element's class."""
     check_congruence(c).require("not a congruence")
-    p, sim = c.base, c.classes
-    cls_of, reps = class_partition(sim.rows)
+    return _quotient(c.base, c.classes.rows)[0]
+
+
+def _quotient(
+    p: PartialAbelianMonoid, rows: Sequence[int]
+) -> tuple[PartialAbelianMonoid, list[int]]:
+    """quotient_pam's quotient of p by congruence rows, and each element's class."""
+    cls_of, reps = class_partition(rows)
     k = len(reps)
     table = [-1] * (k * k)
     for a, b, s in p.cells:
@@ -513,14 +514,19 @@ def quotient_map_is_left_adjoint(c: CongruenceCandidate) -> CheckReport:
     record that side condition and whether the adjunction-induced order
     equals the congruence.
     """
-    p, sim = c.base, c.classes
-    q, cls_of = _quotient(c)
+    check_congruence(c).require("not a congruence")
+    return _quotient_map_report(c.base, c.classes.rows)
+
+
+def _quotient_map_report(p: PartialAbelianMonoid, rows: tuple[int, ...]) -> CheckReport:
+    """quotient_map_is_left_adjoint's report on a congruence's class rows."""
+    q, cls_of = _quotient(p, rows)
     rel = FinRel(p.carrier, q.carrier, tuple(1 << k for k in cls_of))
     h = LaxMorphism(to_relmonoid(p), to_relmonoid(q), rel)
-    zero_stray = sim.rows[p.zero] & ~(1 << p.zero)
+    zero_stray = rows[p.zero] & ~(1 << p.zero)
     details = {
         "zero_faithful": zero_stray == 0,
-        "induced_equals_classes": kernel(rel).rows == sim.rows,
+        "induced_equals_classes": kernel(rel).rows == rows,
     }
     if zero_stray:
         details["zero_faithful_witness"] = (lowest_bit(zero_stray),)

@@ -176,12 +176,6 @@ def cached_verdict(check: Callable[[Any], T]) -> Callable[[Any], T]:
     return cached
 
 
-def record_verdict(check: Callable[[Any], T], x: Any, rep: T) -> None:
-    """Keep rep as cached_verdict's result of check on x, for an instance
-    rebuilt from one that is already known to have given rep."""
-    x.__dict__[check.__name__] = rep
-
-
 def _jsonable(value: Any) -> Any:
     if isinstance(value, CheckReport):
         return value.to_json()

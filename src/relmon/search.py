@@ -40,13 +40,12 @@ from .monoid import (
 from .pam import (
     CongruenceCandidate,
     PartialAbelianMonoid,
-    check_congruence,
     check_pam_axioms,
     _congruence_witness,
     _p1_witness,
 )
 from .rel import Carrier, FinRel, bits, compose_rows, transpose_rows
-from .report import CheckReport, Frozen, InputError, _set, cached_verdict, record_verdict
+from .report import CheckReport, Frozen, InputError, _set, cached_verdict
 
 
 class _Kind(NamedTuple):
@@ -440,12 +439,10 @@ def _set_partitions(n: int) -> Iterator[list[int]]:
         yield blocks + [new]
 
 
-def _equivalence_rows(n: int) -> list[tuple[int, ...]]:
+@lru_cache(maxsize=None)
+def _equivalence_rows(n: int) -> tuple[tuple[int, ...], ...]:
     # the transpose takes each point to its block, whose mask is then its row
-    return [
-        compose_rows(transpose_rows(blocks, n), blocks)
-        for blocks in _set_partitions(n)
-    ]
+    return tuple(compose_rows(transpose_rows(blocks, n), blocks) for blocks in _set_partitions(n))
 
 
 @lru_cache(maxsize=None)
@@ -488,14 +485,8 @@ def _gen_congruences(base: PartialAbelianMonoid) -> list[CongruenceCandidate]:
     rep = check_pam_axioms(base)
     if not rep.ok:
         raise InputError(f"base is not a partial abelian monoid: {rep.summary()}")
-    # each carries the passing verdict that later preconditions read
-    carrier, passed = base.carrier, CheckReport.passing("congruence")
-    out = []
-    for r in _congruence_rows(base):
-        cand = CongruenceCandidate(base, FinRel(carrier, carrier, r))
-        record_verdict(check_congruence, cand, passed)
-        out.append(cand)
-    return out
+    carrier = base.carrier
+    return [CongruenceCandidate(base, FinRel(carrier, carrier, r)) for r in _congruence_rows(base)]
 
 
 # ---------------------------------------------------------------------------

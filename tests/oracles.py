@@ -42,9 +42,13 @@ endomorphism that the law reduced to one per box.
 quotient_pam_valid_by_every_quotient and
 adjoint_induces_congruence_by_every_adjoint are the quotient-pam-valid and
 adjoint-induces-congruence sweeps before they decided each distinct
-quotient table, and each induced partition per source, once; they take the
-checker as an argument, so a test can plant a failure in both. Slow on
-purpose; keep carriers tiny.
+quotient table, and each induced partition per source, once;
+faithful_congruence_adjoint_by_every_congruence is the
+faithful-congruence-adjoint sweep through the public
+quotient_map_is_left_adjoint on every candidate, before the law reported
+on class rows. The three take the checker as an argument, so a test can
+plant a failure in the law and its oracle alike. Slow on purpose; keep
+carriers tiny.
 """
 
 from functools import lru_cache
@@ -67,6 +71,7 @@ from relmon.pam import (
     adjoint_induces_c1c2c5,
     check_pam_axioms,
     is_dimension_equivalence,
+    quotient_map_is_left_adjoint,
     quotient_pam,
     to_relmonoid,
     validate_oml,
@@ -791,6 +796,25 @@ def quotient_pam_valid_by_every_quotient(size, check=check_pam_axioms):
                     congruence=cand.to_json(),
                 )
     return CheckReport.passing("verify:quotient-pam-valid", pams_checked=len(pams))
+
+
+def faithful_congruence_adjoint_by_every_congruence(size, check=quotient_map_is_left_adjoint):
+    """The faithful-congruence-adjoint report, with check run on every
+    congruence of every PAM up to size whose class of zero holds zero alone
+    by a scan of its pairs, in enumeration order."""
+    pams = _pool_upto("pam", size)
+    for p in pams:
+        for cand in _gen_congruences(p):
+            if {b for a, b in cand.classes.pairs() if a == p.zero} != {p.zero}:
+                continue
+            rep = check(cand)
+            if not rep.ok or not rep.details.get("induced_equals_classes"):
+                return CheckReport.failing(
+                    "verify:faithful-congruence-adjoint", "law", None,
+                    "a zero-faithful congruence fails to give a left-adjoint quotient map",
+                    congruence=cand.to_json(),
+                )
+    return CheckReport.passing("verify:faithful-congruence-adjoint", pams_checked=len(pams))
 
 
 def adjoint_induces_congruence_by_every_adjoint(size, check=adjoint_induces_c1c2c5):

@@ -418,11 +418,9 @@ def test_congruence_pool_matches_candidate_filter():
         assert all(type(rows) is tuple and all(type(r) is int for r in rows) for rows in pool)
         cands = _gen_congruences(p)
         assert [c.classes.rows for c in cands] == expect
-        # each candidate carries the verdict its rows gave in the sweep
-        for c in cands:
-            assert c.__dict__["check_congruence"] == check_congruence(
-                CongruenceCandidate(p, c.classes)
-            )
+        # no candidate carries a verdict: the quotient constructions check
+        # their own precondition
+        assert all("check_congruence" not in vars(c) for c in cands)
         assert _congruence_rows(p) is pool
         fresh = PartialAbelianMonoid(p.carrier, p.zero, p.plus)
         assert fresh == p and "_congruence_rows" not in fresh.__dict__
@@ -932,6 +930,15 @@ def test_sweeps_call_no_checker_per_candidate(monkeypatch):
     assert not calls
 
 
+@pytest.mark.parametrize("key", ["quotient-pam-valid", "faithful-congruence-adjoint"])
+def test_congruence_laws_call_no_checker_per_congruence(monkeypatch, key):
+    # both laws sweep the class rows the congruence sweep already decided
+    # and build each quotient from the rows, so no congruence is checked again
+    calls = count_calls(monkeypatch, (pam.check_congruence,))
+    assert verify_universal(key, size=5).ok
+    assert not calls
+
+
 def test_adjoint_transpose_lax_holds_at_its_max_size():
     # recorded regression value: the left adjoints among every pair of
     # monoid classes up to 3 points, against the filter of all their maps
@@ -962,25 +969,26 @@ def test_quotient_law_checks_each_quotient_table_once(monkeypatch):
     # quotient-pam-valid@5 builds the quotient by each of the 2,917
     # congruences of the PAMs up to 5 points, and runs the axioms once on
     # each of the 412 distinct (zero, table) pairs among them
-    calls = count_calls(monkeypatch, (quotient_pam, check_pam_axioms), modules=(laws,))
+    calls = count_calls(monkeypatch, (pam._quotient, check_pam_axioms), modules=(laws,))
     assert verify_universal("quotient-pam-valid", size=5).ok
-    assert calls == {"quotient_pam": 2917, "check_pam_axioms": 412}
+    assert calls == {"_quotient": 2917, "check_pam_axioms": 412}
 
 
 @pytest.mark.parametrize("key, size, oracle", [
     ("quotient-pam-valid", 5, oracles.quotient_pam_valid_by_every_quotient),
     ("adjoint-induces-congruence", 4, oracles.adjoint_induces_congruence_by_every_adjoint),
+    ("faithful-congruence-adjoint", 5, oracles.faithful_congruence_adjoint_by_every_congruence),
 ])
 def test_congruence_laws_report_as_their_every_item_sweeps(key, size, oracle):
     assert verify_universal(key, size=size) == oracle(size)
 
 
 def planted_failure(check, fails):
-    """check, but failing on every argument that fails picks."""
-    def planted(x):
-        if fails(x):
+    """check, but failing on all arguments that fails picks."""
+    def planted(*args):
+        if fails(*args):
             return CheckReport.failing("planted", "planted", None)
-        return check(x)
+        return check(*args)
     return planted
 
 
@@ -1029,6 +1037,35 @@ def test_adjoint_law_names_the_first_adjoint_onto_a_planted_failing_partition(mo
     rep = verify_universal("adjoint-induces-congruence", size=4)
     assert not rep.ok
     assert rep == oracles.adjoint_induces_congruence_by_every_adjoint(4, check)
+
+
+@pytest.mark.parametrize("pick", [0, -1])
+def test_faithful_law_names_the_congruence_with_a_planted_failing_quotient_map(
+    monkeypatch, pick
+):
+    # the planted congruence follows another zero-faithful congruence of its
+    # PAM, so a sweep that stops at the first one per PAM skips it; the law
+    # reports on class rows and the oracle on candidates through the public
+    # check, so both name the planted congruence by the same JSON
+    faithful = [
+        (c.base, c.classes.rows)
+        for p in _pool_upto("pam", 5)
+        for c in _gen_congruences(p)
+        if c.classes.rows[p.zero] == 1 << p.zero
+    ]
+    bad = [k for k, before in zip(faithful[1:], faithful) if k[0] is before[0]][pick]
+    monkeypatch.setattr(laws, "_quotient_map_report", planted_failure(
+        pam._quotient_map_report, lambda p, rows: (p, rows) == bad
+    ))
+    check = planted_failure(
+        pam.quotient_map_is_left_adjoint, lambda c: (c.base, c.classes.rows) == bad
+    )
+    rep = verify_universal("faithful-congruence-adjoint", size=5)
+    assert not rep.ok
+    assert rep.details["congruence"]["classes"] == [
+        [a, b] for a in range(bad[0].n) for b in bits(bad[1][a])
+    ]
+    assert rep == oracles.faithful_congruence_adjoint_by_every_congruence(5, check)
 
 
 def factor_counts(m):
@@ -1272,8 +1309,8 @@ FORCED_FAILURES = {
         },
     ),
     "quotient-pam-valid": (
-        "quotient_pam",
-        lambda cand: PartialAbelianMonoid(Carrier(1), 0, (-1,)),
+        "_quotient",
+        lambda p, rows: (PartialAbelianMonoid(Carrier(1), 0, (-1,)), [0]),
         {
             "check": "verify:quotient-pam-valid",
             "ok": False,
