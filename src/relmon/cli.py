@@ -11,7 +11,8 @@ laws.
 
 Exit codes: 0 when the property holds or the construction succeeded, 1 when
 the property fails (witness printed, machine-readable with --json), 2 on
-parse, input, or precondition errors. A reader that closes stdout early
+parse, input, or precondition errors, and on an input too large to build in
+memory. A reader that closes stdout early
 (``relmon enumerate ... | head -1``) ends the output quietly and changes no
 exit code: a stream the reader cut short exits 0, a check its verdict's.
 """
@@ -354,6 +355,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory: the input is too large to build", file=sys.stderr)
         return 2
 
 

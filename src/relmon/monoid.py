@@ -581,6 +581,11 @@ def _stray_unit_image(
     return None
 
 
+def _is_lax(src: RelMonoid, rows: Sequence[int], dst: RelMonoid) -> bool:
+    """is_lax_morphism's verdict on rows, a relation src -> dst, by its kernels."""
+    return _stray_unit_image(src, rows, dst) is None and _square_witness(src, rows, dst) is None
+
+
 @cached_verdict
 def is_lax_morphism(h: LaxMorphism) -> CheckReport:
     """Multiplication square and unit triangle for a candidate morphism.

@@ -390,17 +390,19 @@ def class_map(dom: Carrier, rows: Sequence[int]) -> FinRel:
 
 
 def refl_trans_closure(f: FinRel) -> FinRel:
-    """Least reflexive-transitive relation containing f.
-
-    Seeds with the identity and squares until fixpoint, so the loop count is
-    logarithmic in the carrier size.
-    """
+    """Least reflexive-transitive relation containing f."""
     _require_endo(f)
-    rows = tuple(row | (1 << a) for a, row in enumerate(f.rows))
+    return FinRel(f.dom, f.cod, _closure_rows(f.rows))
+
+
+def _closure_rows(rows: Sequence[int]) -> tuple[int, ...]:
+    """refl_trans_closure on rows: seeds with the identity and squares until
+    fixpoint, so the loop count is logarithmic in the carrier size."""
+    rows = tuple(row | (1 << a) for a, row in enumerate(rows))
     while True:
         squared = compose_rows(rows, rows)
         if squared == rows:
-            return FinRel(f.dom, f.cod, rows)
+            return rows
         rows = squared
 
 

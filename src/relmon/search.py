@@ -33,8 +33,7 @@ from .monoid import (
     MonadCandidate,
     RelMonoid,
     _assoc_witness,
-    _square_witness,
-    _stray_unit_image,
+    _is_lax,
     check_monoid_axioms,
 )
 from .pam import (
@@ -458,17 +457,14 @@ def _preorders(n: int) -> tuple[tuple[int, ...], ...]:
 
 def _gen_monad_orders(base: RelMonoid) -> list[MonadCandidate]:
     """The monad orders on a valid base, in _preorders order: the preorders
-    that _monad_conditions' kernels, _stray_unit_image and _square_witness,
-    pass."""
+    that _monad_conditions' kernels pass, through _is_lax, as a monad order
+    is a preorder that is a lax endomorphism."""
     rep = check_monoid_axioms(base)
     if not rep.ok:
         raise InputError(f"base is not a relational monoid: {rep.summary()}")
     carrier = base.carrier
-    return [
-        MonadCandidate(base, FinRel(carrier, carrier, r))
-        for r in _preorders(base.n)
-        if _stray_unit_image(base, r, base) is None and _square_witness(base, r, base) is None
-    ]
+    orders = (FinRel(carrier, carrier, r) for r in _preorders(base.n) if _is_lax(base, r, base))
+    return [MonadCandidate(base, order) for order in orders]
 
 
 @cached_verdict

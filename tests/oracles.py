@@ -46,9 +46,14 @@ quotient table, and each induced partition per source, once;
 faithful_congruence_adjoint_by_every_congruence is the
 faithful-congruence-adjoint sweep through the public
 quotient_map_is_left_adjoint on every candidate, before the law reported
-on class rows. The three take the checker as an argument, so a test can
-plant a failure in the law and its oracle alike. Slow on purpose; keep
-carriers tiny.
+on class rows. morphism_closure_ops_by_every_morphism,
+adjoint_transpose_lax_by_every_adjoint, reflection_least_by_every_endo and
+adjunction_monads_symmetric_by_every_equivalence are those four laws'
+sweeps before they decided their candidates by the kernels and sets their
+sweeps had decided: each builds the record of every candidate and runs the
+public checker on it. These seven take the checker as an argument, so a
+test can plant a failure in the law and its oracle alike. Slow on purpose;
+keep carriers tiny.
 """
 
 from functools import lru_cache
@@ -57,11 +62,17 @@ from itertools import permutations, product
 from relmon.laws import _lax_rels, _left_adjoints
 from relmon.monoid import (
     LaxMorphism,
+    MonadCandidate,
     RelMonoid,
     _assoc_witness,
     check_reflection_universal,
+    induced_monad,
     is_lax_morphism,
+    is_left_adjoint_relmon,
+    is_monad,
+    monad_from_adjunction_conditions,
     quotient_pairs,
+    quotient_relmonoid,
 )
 from relmon.pam import (
     OmlStructure,
@@ -80,6 +91,7 @@ from relmon.rel import Carrier, FinRel, bits, compose_rows
 from relmon.rel import is_equivalence as is_equivalence_rel
 from relmon.report import CheckReport
 from relmon.search import (
+    _equivalence_rows,
     _gen_congruences,
     _gen_monad_orders,
     _is_lattice_rows,
@@ -835,6 +847,106 @@ def adjoint_induces_congruence_by_every_adjoint(size, check=adjoint_induces_c1c2
                     morphism=h.to_json(),
                 )
     return CheckReport.passing("verify:adjoint-induces-congruence", adjoints_checked=adjoints)
+
+
+def morphism_closure_ops_by_every_morphism(size, check=is_lax_morphism):
+    """The morphism-closure-ops report, with check run on the lax morphism of
+    every union of two lax relations src -> dst and every composite with a
+    lax relation dst -> mid, over the monoids up to size, in the law's order."""
+    monoids = _pool_upto("relmonoid", size)
+
+    def failing(message, first, second):
+        return CheckReport.failing(
+            "verify:morphism-closure-ops", "law", None, message,
+            first=first.to_json(), second=second.to_json(),
+        )
+
+    for src, dst in product(monoids, repeat=2):
+        rels = [FinRel(src.carrier, dst.carrier, rows) for rows in _lax_rels(src, dst)]
+        for i, f in enumerate(rels):
+            for g in rels[i + 1:]:
+                joined = FinRel.from_pairs(src.carrier, dst.carrier, sorted({*f.pairs(), *g.pairs()}))
+                if not check(LaxMorphism(src, dst, joined)).ok:
+                    return failing("union of lax morphisms is not lax", f, g)
+        for mid in monoids:
+            for f in rels:
+                for rows in _lax_rels(dst, mid):
+                    g = FinRel(dst.carrier, mid.carrier, rows)
+                    composite = FinRel.from_pairs(
+                        src.carrier, mid.carrier, sorted(compose(f.pairs(), g.pairs()))
+                    )
+                    if not check(LaxMorphism(src, mid, composite)).ok:
+                        return failing("composite of lax morphisms is not lax", f, g)
+    return CheckReport.passing("verify:morphism-closure-ops")
+
+
+def adjoint_transpose_lax_by_every_adjoint(size, check=is_lax_morphism):
+    """The adjoint-transpose-lax report, with check run on the transpose of
+    every left adjoint between the monoids up to size, in enumeration order."""
+    monoids = _pool_upto("relmonoid", size)
+    for src, dst in product(monoids, repeat=2):
+        for t in _left_adjoints(src, dst):
+            rel = FinRel(src.carrier, dst.carrier, tuple(1 << b for b in t))
+            transpose = FinRel.from_pairs(dst.carrier, src.carrier, sorted(dagger(rel.pairs())))
+            if not check(LaxMorphism(dst, src, transpose)).ok:
+                return CheckReport.failing(
+                    "verify:adjoint-transpose-lax", "law", None,
+                    "transpose of a left adjoint is not lax",
+                    morphism=LaxMorphism(src, dst, rel).to_json(),
+                )
+    return CheckReport.passing("verify:adjoint-transpose-lax")
+
+
+def reflection_least_by_every_endo(size, check=is_monad):
+    """The reflection-least report, with check run on the closure, by a scan
+    of pairs, of every lax endomorphism of the monoids up to size, each then
+    compared with every monad order of its monoid, in enumeration order."""
+    for m in _pool_upto("relmonoid", size):
+        orders = [c.order for c in _gen_monad_orders(m)]
+        for rows in _lax_rels(m, m):
+            f = FinRel(m.carrier, m.carrier, rows)
+            cl = FinRel.from_pairs(m.carrier, m.carrier, sorted(closure(m.n, f.pairs())))
+            details = {"monoid": m.to_json(), "endo": f.to_json()}
+            if not check(MonadCandidate(m, cl)).ok or not cl.contains(f):
+                return CheckReport.failing(
+                    "verify:reflection-least", "law", None,
+                    "closure of a lax endomorphism is not a monad order over it",
+                    **details,
+                )
+            for leq in orders:
+                if leq.contains(f) and not leq.contains(cl):
+                    return CheckReport.failing(
+                        "verify:reflection-least", "law", None,
+                        "a monad order contains the endomorphism but not its closure",
+                        **details, order=leq.to_json(),
+                    )
+    return CheckReport.passing("verify:reflection-least")
+
+
+def adjunction_monads_symmetric_by_every_equivalence(size, check=is_left_adjoint_relmon):
+    """The adjunction-monads-symmetric report, with
+    monad_from_adjunction_conditions run on every equivalence of the monoids
+    up to size, and check on the class map of each that passes, in
+    enumeration order."""
+    for m in _pool_upto("relmonoid", size):
+        for rows in _equivalence_rows(m.n):
+            order = FinRel(m.carrier, m.carrier, rows)
+            if not monad_from_adjunction_conditions(MonadCandidate(m, order)).ok:
+                continue
+            details = {"monoid": m.to_json(), "order": order.to_json()}
+            h = quotient_relmonoid(m, order)[1]
+            if not check(h).ok:
+                message = "class map of a symmetric monad order is not a left adjoint"
+            elif (induced := induced_monad(h)).order.rows != rows:
+                message = "adjunction-induced order differs from the original"
+            elif not monad_from_adjunction_conditions(induced).ok:
+                message = "induced order is not a symmetric monad order"
+            else:
+                continue
+            return CheckReport.failing(
+                "verify:adjunction-monads-symmetric", "law", None, message, **details
+            )
+    return CheckReport.passing("verify:adjunction-monads-symmetric")
 
 
 def square_witness_by_search(src, rows, dst, triples=None):

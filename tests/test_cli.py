@@ -359,6 +359,36 @@ def cli_with_stdout_closed(argv, lines_read):
     return proc.returncode, err
 
 
+# files that pass every size check but whose n x n tables cannot be built
+OVERSIZED = [
+    ("check-pam", {"carrier": 2_000_000_000, "zero": 0, "plus": []}),
+    ("check-rdp", {"carrier": 2_000_000_000, "zero": 0, "plus": []}),
+    ("check-monoid", {"carrier": 2_000_000_000, "units": [], "mult": []}),
+]
+
+
+@pytest.mark.parametrize("command, obj", OVERSIZED)
+def test_an_oversized_carrier_exits_2_without_a_traceback(command, obj, tmp_path):
+    # a table of 4e18 cells fails to allocate before it takes any memory;
+    # the run is held under a 1 GiB address-space limit (ulimit -v) anyway
+    resource = pytest.importorskip("resource")
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(obj))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "relmon.cli", command, str(path)],
+        capture_output=True, text=True, env=env, cwd=ROOT, preexec_fn=limit_memory,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: out of memory: the input is too large to build\n"
+
+
 def test_a_stream_cut_short_by_its_reader_exits_quietly():
     # about 1 MB of JSON lines, far more than a pipe holds: the writer is
     # still streaming when the reader goes

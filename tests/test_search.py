@@ -814,14 +814,18 @@ def test_reflection_least_names_the_first_endo_onto_a_planted_failing_closure(mo
     firsts = {i: key for (i, _), key in zip(reversed(endos), reversed(keys))}
     bad = [k for k in dict.fromkeys(keys) if counts[k] > 1 and k != firsts[k[0]]][pick]
     m, endo = monoids[bad[0]], endos[keys.index(bad)][1]
-    check = planted_failure(is_monad, lambda c: c.base == m and c.order.rows == bad[1])
-    monkeypatch.setattr(laws, "is_monad", check)
+    # the law decides a closure by membership in the monad orders of its
+    # monoid, so the planted closure is left out of them
+    assert bad[1] in [c.order.rows for c in _gen_monad_orders(m)]
+    drop_monad_order(monkeypatch, MonadCandidate(m, FinRel(m.carrier, m.carrier, bad[1])))
     rep = verify_universal("reflection-least", size=2)
     assert rep == CheckReport.failing(
         "verify:reflection-least", "law", None,
         "closure of a lax endomorphism is not a monad order over it",
         monoid=m.to_json(), endo=endo.to_json(),
     )
+    check = planted_failure(is_monad, lambda c: c.base == m and c.order.rows == bad[1])
+    assert rep == oracles.reflection_least_by_every_endo(2, check)
 
 
 def test_reflection_universal_checks_the_union_of_every_cocone(monkeypatch):
@@ -930,6 +934,100 @@ def test_sweeps_call_no_checker_per_candidate(monkeypatch):
     assert not calls
 
 
+def test_laws_call_no_checker_per_candidate(monkeypatch):
+    # the laws decide each candidate by the kernels, or by membership in
+    # the sets, that their sweeps decided; adjunction-monads-symmetric asks
+    # monad_from_adjunction_conditions only through the precondition of
+    # quotient_relmonoid, once for each of its 168 symmetric monad orders
+    calls = count_calls(monkeypatch, (
+        monoid.is_lax_morphism, monoid.is_monad, monoid._monad_conditions,
+        monoid.is_left_adjoint_relmon, pam.adjoint_induces_c1c2c5, pam.check_congruence,
+        monoid.monad_from_adjunction_conditions,
+    ))
+    for key in ("morphism-closure-ops", "adjoint-transpose-lax", "reflection-least",
+                "adjoint-induces-congruence"):
+        assert verify_universal(key).ok
+    assert not calls
+    assert verify_universal("adjunction-monads-symmetric", size=3).ok
+    assert calls["monad_from_adjunction_conditions"] == 168
+
+
+def drop_lax(monkeypatch, h):
+    """Make the lax test of laws fail on the relation of h alone."""
+    key = (h.src, h.rel.rows, h.dst)
+    monkeypatch.setattr(laws, "_is_lax", lambda src, rows, dst: (
+        (src, tuple(rows), dst) != key and monoid._is_lax(src, rows, dst)
+    ))
+
+
+def drop_monad_order(monkeypatch, cand):
+    """Leave the order of cand out of the monad orders of its base, as the
+    laws read them."""
+    key = (cand.base, cand.order.rows)
+    monkeypatch.setattr(laws, "_gen_monad_orders", lambda base: [
+        c for c in _gen_monad_orders(base) if (c.base, c.order.rows) != key
+    ])
+
+
+def fail_class_map(monkeypatch, h):
+    """Make the left-adjoint check of laws fail on the class map h alone."""
+    monkeypatch.setattr(laws, "is_left_adjoint_relmon", planted_failure(
+        is_left_adjoint_relmon, lambda g: (g.src, g.rel.rows) == (h.src, h.rel.rows)
+    ))
+
+
+# law -> (its every-candidate oracle, the public checker that oracle runs on
+# each candidate, and how to plant a failure of that check in the law)
+CANDIDATE_SWEEPS = {
+    "morphism-closure-ops": (
+        oracles.morphism_closure_ops_by_every_morphism, monoid.is_lax_morphism, drop_lax,
+    ),
+    "adjoint-transpose-lax": (
+        oracles.adjoint_transpose_lax_by_every_adjoint, monoid.is_lax_morphism, drop_lax,
+    ),
+    "reflection-least": (
+        oracles.reflection_least_by_every_endo, is_monad, drop_monad_order,
+    ),
+    "adjunction-monads-symmetric": (
+        oracles.adjunction_monads_symmetric_by_every_equivalence, is_left_adjoint_relmon,
+        fail_class_map,
+    ),
+}
+
+
+@pytest.mark.parametrize("key, size", [
+    ("morphism-closure-ops", 2),
+    ("adjoint-transpose-lax", 2),
+    ("adjoint-transpose-lax", 3),
+    ("reflection-least", 2),
+    ("reflection-least", 3),
+    ("adjunction-monads-symmetric", 3),
+])
+def test_laws_report_as_their_every_candidate_sweeps(key, size):
+    assert verify_universal(key, size=size) == CANDIDATE_SWEEPS[key][0](size)
+
+
+@pytest.mark.parametrize("pick", [0, -1])
+@pytest.mark.parametrize("key", sorted(CANDIDATE_SWEEPS))
+def test_law_and_its_every_candidate_sweep_name_a_planted_failure(monkeypatch, key, pick):
+    # the failure is planted at the first or the last candidate that the
+    # oracle checks, in the law's kernel or set and in the oracle's checker
+    oracle, check, plant = CANDIDATE_SWEEPS[key]
+    size = laws.PROPERTIES[key].default_size
+    checked = []
+
+    def spy(candidate):
+        checked.append(candidate)
+        return check(candidate)
+
+    assert oracle(size, spy).ok
+    bad = checked[pick]
+    plant(monkeypatch, bad)
+    rep = verify_universal(key)
+    assert not rep.ok
+    assert rep == oracle(size, planted_failure(check, lambda c: c == bad))
+
+
 @pytest.mark.parametrize("key", ["quotient-pam-valid", "faithful-congruence-adjoint"])
 def test_congruence_laws_call_no_checker_per_congruence(monkeypatch, key):
     # both laws sweep the class rows the congruence sweep already decided
@@ -952,17 +1050,16 @@ def test_adjoint_transpose_lax_holds_at_its_max_size():
 
 def test_adjoint_law_checks_each_adjoint_once(monkeypatch):
     # adjoint-induces-congruence@4 counts all 1,493 adjoints the search
-    # yields but decides the induced congruence once for each of the 135
-    # distinct (source, fibre partition) pairs: each builds its morphism
-    # and asks is_left_adjoint_relmon once, through induced_monad, whose
-    # body calls is_lax_morphism and _factorization_witness once; the
-    # congruence check of each induced relation is the law's own claim
+    # yields, which the search proved left adjoints, and decides each by
+    # looking its fibre partition up among the partitions of the congruences
+    # the congruence sweep kept on its source PAM: no morphism is checked
+    # again, and no induced relation goes through check_congruence
     calls = count_calls(monkeypatch, (monoid.is_left_adjoint_relmon, monoid.is_lax_morphism,
-                                      monoid._factorization_witness, pam.check_congruence))
+                                      monoid._factorization_witness, pam.check_congruence,
+                                      pam.adjoint_induces_c1c2c5))
     rep = verify_universal("adjoint-induces-congruence", size=4)
     assert rep.details == {"adjoints_checked": 1493}
-    assert calls == {"is_left_adjoint_relmon": 135, "is_lax_morphism": 135,
-                     "_factorization_witness": 135, "check_congruence": 135}
+    assert not calls
 
 
 def test_quotient_law_checks_each_quotient_table_once(monkeypatch):
@@ -1030,10 +1127,16 @@ def test_adjoint_law_names_the_first_adjoint_onto_a_planted_failing_partition(mo
     )
     bad = [k for k, before in kernels if any(e[1] == k[1] for e in before)][pick]
     src, rows = monoids[bad[0]], bad[1]
+    # the law decides a kernel by membership in the congruences of the
+    # source PAM, so the planted kernel's rows are left out of them
+    p = _pool_upto("pam", 4)[bad[0]]
+    assert rows in _congruence_rows(p)
+    monkeypatch.setattr(laws, "_congruence_rows", lambda q: tuple(
+        r for r in _congruence_rows(q) if q is not p or r != rows
+    ))
     check = planted_failure(
         pam.adjoint_induces_c1c2c5, lambda h: h.src == src and kernel(h.rel).rows == rows
     )
-    monkeypatch.setattr(laws, "adjoint_induces_c1c2c5", check)
     rep = verify_universal("adjoint-induces-congruence", size=4)
     assert not rep.ok
     assert rep == oracles.adjoint_induces_congruence_by_every_adjoint(4, check)
